@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -71,15 +72,15 @@ def _seed_int(value) -> int:
 
 def _nonnegative_float(value) -> float:
     number = float(value)
-    if number < 0:
-        raise ValueError(f"must be non-negative, got {number}")
+    if not 0 <= number < math.inf:
+        raise ValueError(f"must be finite and non-negative, got {number}")
     return number
 
 
 def _positive_float(value) -> float:
     number = float(value)
-    if number <= 0:
-        raise ValueError(f"must be > 0, got {number}")
+    if not 0 < number < math.inf:
+        raise ValueError(f"must be finite and > 0, got {number}")
     return number
 
 

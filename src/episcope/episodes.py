@@ -42,7 +42,10 @@ class DatasetIndex:
                 raise ValueError(f"class {name!r} has duplicate example IDs")
 
     @classmethod
-    def from_mapping(cls, mapping: dict[str, Iterable[str]]) -> "DatasetIndex":
+    def from_mapping(cls, mapping: dict[str, list[str]]) -> "DatasetIndex":
+        for name, ids in mapping.items():
+            if not isinstance(ids, (list, tuple)) or not all(isinstance(i, str) for i in ids):
+                raise ValueError(f"class {name!r} must map to an array of example ID strings")
         return cls(tuple((name, tuple(ids)) for name, ids in mapping.items()))
 
     @classmethod
@@ -328,8 +331,16 @@ def read_results_csv(path: str | Path) -> list[EpisodeResult]:
             raise ValueError(
                 f"{path}: expected header {','.join(RESULTS_CSV_HEADER)!r}, got {header!r}"
             )
-        return [
-            EpisodeResult(episode_id=int(row[0]), correct=int(row[1]), total=int(row[2]))
-            for row in reader
-            if row
-        ]
+        results = []
+        for row in reader:
+            if not row:
+                continue
+            try:
+                episode_id, correct, total = (int(field) for field in row)
+            except ValueError:
+                raise ValueError(
+                    f"{path}: line {reader.line_num}: expected 3 integer fields "
+                    f"{','.join(RESULTS_CSV_HEADER)}, got {','.join(row)!r}"
+                ) from None
+            results.append(EpisodeResult(episode_id=episode_id, correct=correct, total=total))
+        return results

@@ -7,29 +7,22 @@ works, and Beta fits in closed form), each episode is evaluated with Kq
 Bernoulli queries, and the spread of the resulting mean accuracy across many
 replications is compared against the formula.
 
-Every replication owns an independent counter-based substream keyed by the
-replication-indexed output of a SplitMix64 sequence at the master seed, and
-the mean/variance reduction runs over the replication-indexed array, so
-results are bit-identical for a given master seed no matter how many threads
-run.
+One generative model serves the simulator, the variance decomposition and the
+per-episode counts: ``_draw_episodes`` draws a_p ~ Beta, then counts ~
+Binomial(Kq, a_p). Replication r draws from its own counter-based substream,
+keyed by the r-th output of a SplitMix64 sequence at the master seed, and runs
+serially in index order, so results are bit-identical for a given master seed.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .seeds import check_seed, rekey_philox, substream_seed, substream_seeds
+from .seeds import check_seed, philox_generator, rekey_philox, substream_seed, substream_seeds
 from .variance import AccuracyPrior, EvalDesign, estimator_variance
-
-THREADS_ENV_VAR = "EPISCOPE_THREADS"
-
-# Replications per work unit. Fixed: results must not depend on it, but a
-# stable value keeps profiles comparable.
-_CHUNK = 4096
 
 # Margin keeping the Beta fit away from the two-point boundary distribution.
 _INTERIOR_SLACK = 1e-12
@@ -121,78 +114,44 @@ class VarianceDecomposition:
     replications: int
 
 
-def resolve_threads(threads: int | None = None) -> int:
-    """Thread count from the argument, else the environment, else auto.
-
-    Auto (0 or unset) selects serial execution: the per-replication draws are
-    ~120-element arrays, far too small for the RNG calls to release the GIL
-    productively, and measured thread pools run slower than one thread here.
-    Explicit positive values are honored; results are identical either way.
-    """
-    if threads is None:
-        raw = os.environ.get(THREADS_ENV_VAR, "0")
-        try:
-            threads = int(raw)
-        except ValueError as exc:
-            raise ValueError(f"{THREADS_ENV_VAR} must be an integer, got {raw!r}") from exc
-    if threads < 0:
-        raise ValueError(f"thread count must be >= 0, got {threads}")
-    if threads == 0:
-        threads = 1
-    return threads
-
-
-def _fill_chunk(
-    a_tilde: np.ndarray,
-    lo: int,
-    hi: int,
-    seeds: np.ndarray,
+def _draw_episodes(
+    rng: np.random.Generator,
     alpha_beta: tuple[float, float] | None,
     mean: float,
     kp: int,
     kq: int,
-) -> None:
-    bitgen = np.random.Philox(key=0)
-    rng = np.random.Generator(bitgen)
-    denom = kp * kq
-    for r in range(lo, hi):
-        rekey_philox(bitgen, int(seeds[r]))
-        if alpha_beta is None:
-            counts = rng.binomial(kq, mean, size=kp)
-        else:
-            a_p = rng.beta(alpha_beta[0], alpha_beta[1], size=kp)
-            counts = rng.binomial(kq, a_p)
-        a_tilde[r] = counts.sum() / denom
+) -> tuple[np.ndarray, np.ndarray]:
+    """One simulated evaluation: Kp true accuracies and their correct counts.
+
+    a_p ~ Beta(alpha, beta), or the point mass at ``mean`` when ``alpha_beta``
+    is None; counts[p] ~ Binomial(Kq, a_p). The point mass passes the scalar
+    mean with ``size=kp``: binomial's scalar-p path is faster and draws the
+    same stream as a constant array.
+    """
+    if alpha_beta is None:
+        a_p, p = np.full(kp, mean), mean
+    else:
+        a_p = p = rng.beta(alpha_beta[0], alpha_beta[1], size=kp)
+    return a_p, rng.binomial(kq, p, size=kp)
 
 
-def _accuracy_samples(config: SimConfig, threads: int | None) -> np.ndarray:
-    """The mean-accuracy estimate from each replication, in index order."""
+def _replications(config: SimConfig) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """``_draw_episodes`` output for each replication, in index order.
+
+    Replication r draws from Philox keyed by substream seed r of the master
+    seed; a single bit generator is rekeyed rather than rebuilt each time.
+    """
     prior, design = config.prior, config.design
     alpha_beta = None if prior.std == 0.0 else fit_beta(prior)
-    seeds = substream_seeds(config.master_seed, config.replications)
-    a_tilde = np.empty(config.replications)
     kp, kq = design.episodes, design.queries_per_episode
-
-    n_threads = resolve_threads(threads)
-    bounds = [
-        (lo, min(lo + _CHUNK, config.replications))
-        for lo in range(0, config.replications, _CHUNK)
-    ]
-    if n_threads <= 1 or len(bounds) <= 1:
-        for lo, hi in bounds:
-            _fill_chunk(a_tilde, lo, hi, seeds, alpha_beta, prior.mean, kp, kq)
-    else:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            futures = [
-                pool.submit(_fill_chunk, a_tilde, lo, hi, seeds, alpha_beta, prior.mean, kp, kq)
-                for lo, hi in bounds
-            ]
-            for future in futures:
-                future.result()
-    return a_tilde
+    bitgen = np.random.Philox(key=0)
+    rng = np.random.Generator(bitgen)
+    for seed in substream_seeds(config.master_seed, config.replications).tolist():
+        rekey_philox(bitgen, seed)
+        yield _draw_episodes(rng, alpha_beta, prior.mean, kp, kq)
 
 
-def simulate(config: SimConfig, threads: int | None = None) -> SimReport:
+def simulate(config: SimConfig) -> SimReport:
     """Run the full simulation and compare moments against the closed form.
 
     Each replication draws Kp episode accuracies (Beta, or the point mass for
@@ -200,10 +159,16 @@ def simulate(config: SimConfig, threads: int | None = None) -> SimReport:
     binomial draw of the success count, and averages the per-episode
     empirical accuracies. Reported variance uses divisor replications-1.
     """
-    a_tilde = _accuracy_samples(config, threads)
+    design = config.design
+    totals = np.fromiter(
+        (counts.sum() for _, counts in _replications(config)),
+        dtype=np.float64,
+        count=config.replications,
+    )
+    a_tilde = totals / (design.episodes * design.queries_per_episode)
     empirical_mean = float(np.mean(a_tilde))
     empirical_var = float(np.var(a_tilde, ddof=1))
-    theoretical_var = estimator_variance(config.prior, config.design)
+    theoretical_var = estimator_variance(config.prior, design)
     if theoretical_var > 0.0:
         rel_var_error = abs(empirical_var / theoretical_var - 1.0)
     else:
@@ -224,7 +189,6 @@ def sweep(
     kp: int,
     replications: int,
     master_seed: int,
-    threads: int | None = None,
 ) -> list[SimReport]:
     """One simulation per Kq value, each on its own derived master seed."""
     if not kq_values:
@@ -238,7 +202,7 @@ def sweep(
             replications=replications,
             master_seed=substream_seed(master_seed, index),
         )
-        reports.append(simulate(config, threads))
+        reports.append(simulate(config))
     return reports
 
 
@@ -246,35 +210,22 @@ def decompose_variance(config: SimConfig) -> VarianceDecomposition:
     """Instrument the two variance sources separately.
 
     Pools the true accuracy draws and the squared estimation errors across
-    all replications and episodes; serial on purpose so the accumulation
-    order is fixed.
+    all replications and episodes.
     """
-    prior, design = config.prior, config.design
-    kp, kq = design.episodes, design.queries_per_episode
-    alpha_beta = None if prior.std == 0.0 else fit_beta(prior)
-    seeds = substream_seeds(config.master_seed, config.replications)
-
-    bitgen = np.random.Philox(key=0)
-    rng = np.random.Generator(bitgen)
+    prior, kq = config.prior, config.design.queries_per_episode
     # Accumulate deviations from the known prior mean: numerically stable and
     # exactly zero for the point-mass case.
     sum_dev = np.empty(config.replications)
     sum_dev2 = np.empty(config.replications)
     sum_sq_err = np.empty(config.replications)
-    for r in range(config.replications):
-        rekey_philox(bitgen, int(seeds[r]))
-        if alpha_beta is None:
-            a_p = np.full(kp, prior.mean)
-        else:
-            a_p = rng.beta(alpha_beta[0], alpha_beta[1], size=kp)
-        counts = rng.binomial(kq, a_p)
+    for r, (a_p, counts) in enumerate(_replications(config)):
         err = counts / kq - a_p
         dev = a_p - prior.mean
         sum_dev[r] = dev.sum()
         sum_dev2[r] = (dev * dev).sum()
         sum_sq_err[r] = (err * err).sum()
 
-    n_draws = config.replications * kp
+    n_draws = config.replications * config.design.episodes
     total_dev = float(np.sum(sum_dev))
     between = (float(np.sum(sum_dev2)) - total_dev * total_dev / n_draws) / (n_draws - 1)
     within = float(np.sum(sum_sq_err)) / n_draws
@@ -295,11 +246,9 @@ def episode_counts(prior: AccuracyPrior, design: EvalDesign, seed: int) -> np.nd
     episode p contributes (counts[p], Kq).
     """
     check_seed(seed, "seed")
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    kp, kq = design.episodes, design.queries_per_episode
-    if prior.std == 0.0:
-        a_p = np.full(kp, prior.mean)
-    else:
-        alpha, beta = fit_beta(prior)
-        a_p = rng.beta(alpha, beta, size=kp)
-    return rng.binomial(kq, a_p)
+    alpha_beta = None if prior.std == 0.0 else fit_beta(prior)
+    _, counts = _draw_episodes(
+        philox_generator(seed), alpha_beta, prior.mean,
+        design.episodes, design.queries_per_episode,
+    )
+    return counts

@@ -3,7 +3,7 @@
 All stochastic components in this package derive child seed ``index`` as the
 index-th output of a SplitMix64 sequence seeded at the master seed, so any
 (master seed, index) pair maps to the same substream regardless of execution
-order or thread count. XOR-folding the index into the master instead would
+order. XOR-folding the index into the master instead would
 make nearby masters emit permutations of the same substream set, which
 collides under permutation-invariant statistics.
 """

@@ -89,6 +89,25 @@ class TestPlan:
         code, _, err = run(capsys, *base, "--target-var", "1e-5", "--target-ci", "0.01")
         assert code == 2 and "target" in err
 
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_target_var_is_usage_error(self, capsys, value):
+        code, _, err = run(
+            capsys,
+            "plan", "episodes", "--a", "0.9", "--sigma", "0.02", "--kq", "100",
+            "--target-var", value,
+        )
+        assert code == 2
+        assert "--target-var" in err and "finite" in err
+
+    def test_non_finite_cost_is_usage_error(self, capsys):
+        code, _, err = run(
+            capsys,
+            "plan", "cost", "--a", "0.9", "--sigma", "0.02", "--cost-episode", "nan",
+            "--cost-query", "1", "--target-var", "1e-5",
+        )
+        assert code == 2
+        assert "--cost-episode" in err
+
     def test_cost_json(self, capsys):
         code, out, _ = run(
             capsys,
@@ -144,17 +163,6 @@ class TestSimulate:
         code1, out1, _ = run(capsys, *argv)
         code2, out2, _ = run(capsys, *argv)
         assert code1 == code2 == 0
-        assert out1 == out2
-
-    def test_thread_env_does_not_change_output(self, capsys, monkeypatch):
-        argv = [
-            "simulate", "--a", "0.9", "--sigma", "0.02", "--kp", "10", "--kq", "10",
-            "--reps", "9000", "--seed", "42", "--json",
-        ]
-        monkeypatch.setenv("EPISCOPE_THREADS", "1")
-        _, out1, _ = run(capsys, *argv)
-        monkeypatch.setenv("EPISCOPE_THREADS", "4")
-        _, out2, _ = run(capsys, *argv)
         assert out1 == out2
 
     def test_boundary_prior_rejected(self, capsys):
@@ -237,6 +245,14 @@ class TestEpisodes:
         code, _, err = run(capsys, "episodes", "aggregate", "--results", str(results_path))
         assert code == 1
         assert "at least 2" in err
+
+    def test_aggregate_short_row_is_runtime_error(self, capsys, tmp_path):
+        results_path = tmp_path / "short.csv"
+        results_path.write_text("episode_id,correct,total\n0,3,5\n1,4\n")
+        code, out, err = run(capsys, "episodes", "aggregate", "--results", str(results_path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "short.csv: line 3" in err
 
 
 class TestFid:

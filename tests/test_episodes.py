@@ -51,6 +51,12 @@ class TestIndexValidation:
         with pytest.raises(ValueError, match="duplicate"):
             DatasetIndex.from_mapping({"a": ["1", "1"]})
 
+    @pytest.mark.parametrize("ids", ["wxyz", [1, 2], {"x": "y"}])
+    def test_class_value_must_be_string_array(self, ids):
+        """A string's characters, or non-string IDs, must not become example IDs."""
+        with pytest.raises(ValueError, match="class 'b'"):
+            DatasetIndex.from_mapping({"a": ["1"], "b": ids})
+
     def test_load_save_round_trip(self, tmp_path):
         index = tiny_index()
         path = tmp_path / "index.json"
@@ -170,6 +176,13 @@ class TestSerialization:
         path = tmp_path / "bad.csv"
         path.write_text("id,ok,n\n0,1,2\n")
         with pytest.raises(ValueError, match="header"):
+            read_results_csv(path)
+
+    @pytest.mark.parametrize("row", ["1,4", "1,4,5,6", "1,x,5", "1,4.0,5"])
+    def test_results_csv_rejects_malformed_row(self, tmp_path, row):
+        path = tmp_path / "short.csv"
+        path.write_text(f"episode_id,correct,total\n0,3,5\n{row}\n")
+        with pytest.raises(ValueError, match=r"short\.csv: line 3: expected 3 integer fields"):
             read_results_csv(path)
 
 
