@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .seeds import check_seed, philox_generator
+from .variance import _check_positive_int
 
 # Blend norms below this are treated as a degenerate (antipodal) combination.
 DEGENERATE_NORM = 1e-12
@@ -82,8 +83,7 @@ def sample_blend_batch(
     All randomness comes from one generator keyed by ``seed``; a single draw
     equals sample_blend with the same seed.
     """
-    if isinstance(count, bool) or not isinstance(count, int) or count < 1:
-        raise ValueError(f"count must be a positive integer, got {count!r}")
+    _check_positive_int(count, "count")
     check_seed(seed, "seed")
     vectors = [_as_vector(vec, f"latents[{i}]") for i, vec in enumerate(latents)]
     if not vectors:

@@ -21,7 +21,7 @@ from . import blend as blend_mod
 from . import episodes as ep
 from . import featureio, montecarlo, planner
 from .seeds import MASK64
-from .variance import AccuracyPrior, EvalDesign, variance_report
+from .variance import AccuracyPrior, EvalDesign, _check_positive_int, variance_report
 
 
 class CliUsageError(Exception):
@@ -58,8 +58,7 @@ def _float(value) -> float:
 
 def _positive_int(value) -> int:
     number = int(str(value))
-    if number < 1:
-        raise ValueError(f"must be a positive integer, got {number}")
+    _check_positive_int(number, "value")
     return number
 
 
@@ -256,13 +255,14 @@ def _cmd_episodes_aggregate(args, config) -> int:
     results_path = _get(args, config, "results", str, required=True)
     results = ep.read_results_csv(results_path)
     report = ep.aggregate(results)
+    # Fit the prior before printing, so a failed fit leaves stdout empty.
+    prior = ep.prior_from_results(results) if args.prior else None
     print(f"episodes {report.episodes}")
     print(f"accuracy {report.formatted()}")
     print(f"mean_acc {_fmt(report.mean_acc)}")
     print(f"std_acc {_fmt(report.std_acc)}")
     print(f"ci95_halfwidth {_fmt(report.ci95_halfwidth)}")
-    if args.prior:
-        prior = ep.prior_from_results(results)
+    if prior is not None:
         print(f"prior_mean {_fmt(prior.mean)}")
         print(f"prior_std {_fmt(prior.std)}")
     return 0

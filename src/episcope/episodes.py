@@ -20,7 +20,7 @@ import numpy as np
 from scipy import stats
 
 from .seeds import check_seed, philox_generator, substream_seed
-from .variance import AccuracyPrior
+from .variance import AccuracyPrior, _check_positive_int
 
 RESULTS_CSV_HEADER = ["episode_id", "correct", "total"]
 
@@ -175,16 +175,9 @@ def sample_episodes(
     regenerated independently.
     """
     for name, value in (("ways", ways), ("shots", shots), ("count", count)):
-        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-            raise ValueError(f"{name} must be a positive integer, got {value!r}")
-    if queries_per_class is not None and (
-        isinstance(queries_per_class, bool)
-        or not isinstance(queries_per_class, int)
-        or queries_per_class < 1
-    ):
-        raise ValueError(
-            f"queries_per_class must be a positive integer or None, got {queries_per_class!r}"
-        )
+        _check_positive_int(value, name)
+    if queries_per_class is not None:
+        _check_positive_int(queries_per_class, "queries_per_class")
     check_seed(master_seed, "master_seed")
 
     if ways > len(index.classes):
@@ -342,5 +335,8 @@ def read_results_csv(path: str | Path) -> list[EpisodeResult]:
                     f"{path}: line {reader.line_num}: expected 3 integer fields "
                     f"{','.join(RESULTS_CSV_HEADER)}, got {','.join(row)!r}"
                 ) from None
-            results.append(EpisodeResult(episode_id=episode_id, correct=correct, total=total))
+            try:
+                results.append(EpisodeResult(episode_id=episode_id, correct=correct, total=total))
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
         return results

@@ -1,17 +1,25 @@
-"""Hierarchical Beta-Bernoulli simulator for the accuracy estimator.
+"""Beta-Binomial simulator for the accuracy estimator.
 
-Checks the closed-form variance model empirically: per-episode accuracies are
-drawn from a Beta distribution moment-matched to the prior (the model itself
-is distribution-free over [0,1], so any family with the right two moments
-works, and Beta fits in closed form), each episode is evaluated with Kq
-Bernoulli queries, and the spread of the resulting mean accuracy across many
+Checks the closed-form variance model empirically: per-episode accuracies
+follow a Beta distribution moment-matched to the prior (the model itself is
+distribution-free over [0,1], so any family with the right two moments works,
+and Beta fits in closed form), each episode is evaluated with Kq Bernoulli
+queries, and the spread of the resulting mean accuracy across many
 replications is compared against the formula.
 
-One generative model serves the simulator, the variance decomposition and the
-per-episode counts: ``_draw_episodes`` draws a_p ~ Beta, then counts ~
-Binomial(Kq, a_p). Replication r draws from its own counter-based substream,
-keyed by the r-th output of a SplitMix64 sequence at the master seed, and runs
-serially in index order, so results are bit-identical for a given master seed.
+Under that model one episode's correct count is exactly BetaBinomial(Kq,
+alpha, beta), or Binomial(Kq, mean) for a zero-variance prior. ``simulate``
+draws this marginal directly: one uniform per episode, inverted through the
+(Kq+1)-entry count CDF from ``_count_cdf``. Every uniform comes from one
+Philox stream keyed by the master seed, and replication r uses uniforms
+r*Kp .. (r+1)*Kp-1 of it, so results are bit-identical for a given master
+seed; the block size that bounds the draw's memory is not part of the stream.
+
+``decompose_variance`` and ``episode_counts`` need the true accuracies, so
+they keep the two-stage draw in ``_draw_episodes``: a_p ~ Beta, then counts ~
+Binomial(Kq, a_p). In ``decompose_variance`` replication r draws from its own
+Philox substream, keyed by the r-th output of a SplitMix64 sequence at the
+master seed.
 """
 
 from __future__ import annotations
@@ -20,12 +28,17 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import stats
 
 from .seeds import check_seed, philox_generator, rekey_philox, substream_seed, substream_seeds
-from .variance import AccuracyPrior, EvalDesign, estimator_variance
+from .variance import AccuracyPrior, EvalDesign, _check_positive_int, estimator_variance
 
 # Margin keeping the Beta fit away from the two-point boundary distribution.
 _INTERIOR_SLACK = 1e-12
+
+# Uniforms ``simulate`` draws per block (at least one replication's worth).
+# It bounds memory only: the stream does not depend on it.
+_BLOCK_DRAWS = 1 << 16
 
 
 class DegeneratePriorError(ValueError):
@@ -65,8 +78,7 @@ class SimConfig:
     master_seed: int
 
     def __post_init__(self) -> None:
-        if isinstance(self.replications, bool) or not isinstance(self.replications, int):
-            raise ValueError(f"replications must be an integer, got {self.replications!r}")
+        _check_positive_int(self.replications, "replications")
         if self.replications < 2:
             raise ValueError("replications must be >= 2 (sample variance needs two points)")
         check_seed(self.master_seed, "master_seed")
@@ -135,11 +147,30 @@ def _draw_episodes(
     return a_p, rng.binomial(kq, p, size=kp)
 
 
+def _count_cdf(prior: AccuracyPrior, kq: int) -> np.ndarray:
+    """CDF of one episode's correct count over 0..Kq.
+
+    The count is BetaBinomial(Kq, alpha, beta) under the Beta fit, or
+    Binomial(Kq, mean) for the point mass. The running sum is divided by its
+    total, which keeps it non-decreasing and ends it at exactly 1.0 even when
+    the pmf's rounding makes the raw sum overshoot 1 before Kq.
+    """
+    k = np.arange(kq + 1)
+    if prior.std == 0.0:
+        pmf = stats.binom.pmf(k, kq, prior.mean)
+    else:
+        pmf = stats.betabinom.pmf(k, kq, *fit_beta(prior))
+    cdf = np.cumsum(pmf)
+    cdf /= cdf[-1]
+    return cdf
+
+
 def _replications(config: SimConfig) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """``_draw_episodes`` output for each replication, in index order.
 
     Replication r draws from Philox keyed by substream seed r of the master
     seed; a single bit generator is rekeyed rather than rebuilt each time.
+    Only ``decompose_variance`` uses it; ``simulate`` draws the marginal.
     """
     prior, design = config.prior, config.design
     alpha_beta = None if prior.std == 0.0 else fit_beta(prior)
@@ -154,18 +185,26 @@ def _replications(config: SimConfig) -> Iterator[tuple[np.ndarray, np.ndarray]]:
 def simulate(config: SimConfig) -> SimReport:
     """Run the full simulation and compare moments against the closed form.
 
-    Each replication draws Kp episode accuracies (Beta, or the point mass for
-    a zero-variance prior), simulates Kq Bernoulli queries per episode via a
-    binomial draw of the success count, and averages the per-episode
-    empirical accuracies. Reported variance uses divisor replications-1.
+    Each replication draws Kp episode counts from their exact marginal,
+    BetaBinomial(Kq, alpha, beta) or Binomial(Kq, mean) for a zero-variance
+    prior, by inverting one uniform per episode through ``_count_cdf``, and
+    averages the per-episode empirical accuracies. The uniforms come from one
+    Philox stream keyed by the master seed, replication r taking uniforms
+    r*Kp .. (r+1)*Kp-1; they are drawn in blocks of whole replications, and
+    the block size is not part of the stream. Reported variance uses divisor
+    replications-1.
     """
     design = config.design
-    totals = np.fromiter(
-        (counts.sum() for _, counts in _replications(config)),
-        dtype=np.float64,
-        count=config.replications,
-    )
-    a_tilde = totals / (design.episodes * design.queries_per_episode)
+    kp, reps = design.episodes, config.replications
+    cdf = _count_cdf(config.prior, design.queries_per_episode)
+    rng = philox_generator(config.master_seed)
+    block = max(1, _BLOCK_DRAWS // kp)
+    totals = np.empty(reps, dtype=np.int64)
+    for start in range(0, reps, block):
+        m = min(block, reps - start)
+        counts = np.searchsorted(cdf, rng.random(m * kp), side="right")
+        totals[start:start + m] = counts.reshape(m, kp).sum(axis=1)
+    a_tilde = totals / (kp * design.queries_per_episode)
     empirical_mean = float(np.mean(a_tilde))
     empirical_var = float(np.var(a_tilde, ddof=1))
     theoretical_var = estimator_variance(config.prior, design)

@@ -239,6 +239,17 @@ class TestEpisodes:
         assert "prior_mean 0.93" in out
         assert "prior_std 0.01414213562" in out
 
+    def test_aggregate_prior_failure_prints_nothing(self, capsys, tmp_path):
+        """A prior that cannot be fitted fails before any report line is printed."""
+        results_path = tmp_path / "spread.csv"
+        write_results_csv(results_path, [EpisodeResult(0, 0, 5), EpisodeResult(1, 5, 5)])
+        code, out, err = run(
+            capsys, "episodes", "aggregate", "--results", str(results_path), "--prior"
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "exceeds mean*(1-mean)" in err
+
     def test_aggregate_single_result_fails_at_runtime(self, capsys, tmp_path):
         results_path = tmp_path / "one.csv"
         write_results_csv(results_path, [EpisodeResult(0, 9, 10)])

@@ -185,6 +185,14 @@ class TestSerialization:
         with pytest.raises(ValueError, match=r"short\.csv: line 3: expected 3 integer fields"):
             read_results_csv(path)
 
+    def test_results_csv_out_of_range_row_names_line(self, tmp_path):
+        path = tmp_path / "range.csv"
+        path.write_text("episode_id,correct,total\n0,3,5\n1,7,5\n")
+        with pytest.raises(
+            ValueError, match=r"range\.csv: line 3: episode 1: correct=7 outside \[0, 5\]"
+        ):
+            read_results_csv(path)
+
 
 class TestEpisodeResult:
     def test_bounds(self):

@@ -1,8 +1,13 @@
 """Monte Carlo simulator: Beta fit, moment agreement, determinism."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from episcope import montecarlo
 from episcope.montecarlo import (
     DegeneratePriorError,
     SimConfig,
@@ -12,6 +17,7 @@ from episcope.montecarlo import (
     simulate,
     sweep,
 )
+from episcope.seeds import philox_generator
 from episcope.variance import AccuracyPrior, EvalDesign, estimator_variance
 
 
@@ -107,6 +113,12 @@ class TestSimulate:
         assert report.theoretical_var == pytest.approx(0.8 * 0.2 / (40 * 25), rel=1e-12)
         assert report.rel_var_error < 0.03
 
+    def test_million_queries_per_episode(self):
+        report = simulate(config(0.87, 0.05, 3, 10**6, 4, 1))
+        assert report.replications == 4
+        assert 0.0 < report.empirical_mean < 1.0
+        assert math.isfinite(report.empirical_var)
+
     def test_report_serialization_keys(self):
         report = simulate(config(0.9, 0.02, 5, 5, 100, 17))
         assert list(report.to_dict()) == [
@@ -119,10 +131,55 @@ class TestSimulate:
         ]
 
 
+class TestCountCdf:
+    """The simulator's count table against the closed form, exactly."""
+
+    @given(
+        st.floats(0.01, 0.99),
+        st.one_of(st.just(0.0), st.floats(0.01, 0.95)),
+        st.integers(1, 100_000),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_pmf_moments_match_closed_form(self, a, std_fraction, kq):
+        """Mean/Kq is a and variance/Kq^2 is the Kp=1 estimator variance."""
+        prior = AccuracyPrior(a, std_fraction * math.sqrt(a * (1.0 - a)))
+        pmf = np.diff(montecarlo._count_cdf(prior, kq), prepend=0.0)
+        k = np.arange(kq + 1)
+        mean = float(k @ pmf)
+        var = float(((k - mean) ** 2) @ pmf)
+        assert mean / kq == pytest.approx(a, rel=1e-8)
+        expected = estimator_variance(prior, EvalDesign(1, kq))
+        assert var / kq**2 == pytest.approx(expected, rel=1e-8)
+
+    def test_table_is_a_cdf(self):
+        for a, std in [(0.02, 0.01), (0.87, 0.05), (0.8, 0.0)]:
+            cdf = montecarlo._count_cdf(AccuracyPrior(a, std), 2975)
+            assert cdf.shape == (2976,)
+            assert np.all(np.diff(cdf) >= 0.0)
+            assert cdf[-1] == 1.0
+
+
 class TestDeterminism:
     def test_repeat_runs_bit_identical(self):
         c = config(0.9, 0.03, 30, 40, 4000, 99)
         assert simulate(c) == simulate(c)
+
+    @pytest.mark.parametrize("block_reps", [1, 7, 1000])
+    def test_block_size_is_not_part_of_the_stream(self, monkeypatch, block_reps):
+        """Blocks of 1 replication, an odd size, or the whole run: same totals.
+
+        The reference draws every uniform in one call: replication r takes
+        uniforms r*Kp .. (r+1)*Kp-1 of the Philox stream at the master seed.
+        """
+        c = config(0.87, 0.05, 30, 40, 1000, 2024)
+        kp, kq = 30, 40
+        u = philox_generator(2024).random(1000 * kp)
+        counts = np.searchsorted(montecarlo._count_cdf(c.prior, kq), u, side="right")
+        a_tilde = counts.reshape(1000, kp).sum(axis=1) / (kp * kq)
+        monkeypatch.setattr(montecarlo, "_BLOCK_DRAWS", block_reps * kp + kp // 2)
+        report = simulate(c)
+        assert report.empirical_mean == float(np.mean(a_tilde))
+        assert report.empirical_var == float(np.var(a_tilde, ddof=1))
 
     def test_different_seeds_differ(self):
         a = simulate(config(0.9, 0.03, 30, 40, 2000, 1))
@@ -209,22 +266,22 @@ class TestPinnedStream:
     def test_simulate_beta_prior(self):
         report = simulate(config(0.87, 0.05, 30, 20, 500, 2024))
         assert report.to_dict() == {
-            "empirical_mean": 0.8697966666666667,
-            "empirical_var": 0.00027296569806279226,
+            "empirical_mean": 0.8698766666666665,
+            "empirical_var": 0.00024367769984413268,
             "theoretical_mean": 0.87,
             "theoretical_var": 0.0002676666666666667,
-            "rel_var_error": 0.019797128503582506,
+            "rel_var_error": 0.08962254105554424,
             "replications": 500,
         }
 
     def test_simulate_point_mass(self):
         report = simulate(config(0.8, 0.0, 30, 20, 500, 5))
         assert report.to_dict() == {
-            "empirical_mean": 0.8009966666666667,
-            "empirical_var": 0.0002642406924961033,
+            "empirical_mean": 0.7989299999999999,
+            "empirical_var": 0.00028271497439323097,
             "theoretical_mean": 0.8,
             "theoretical_var": 0.0002666666666666667,
-            "rel_var_error": 0.009097403139612603,
+            "rel_var_error": 0.060181153974615986,
             "replications": 500,
         }
 
