@@ -12,14 +12,16 @@ from __future__ import annotations
 import csv
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import IO, Iterable
 
 import numpy as np
 from scipy import stats
 
-from .seeds import check_seed, philox_generator, substream_seed
+from .seeds import check_seed, rekey_philox, substream_seed
 from .variance import AccuracyPrior, _check_positive_int
 
 RESULTS_CSV_HEADER = ["episode_id", "correct", "total"]
@@ -143,19 +145,19 @@ class AggregateReport:
         }
 
 
-def _fisher_yates_take(rng: np.random.Generator, items: list, k: int) -> list:
-    """First k entries of a seeded partial Fisher-Yates shuffle of ``items``."""
-    pool = list(items)
-    n = len(pool)
-    if k > n:
-        raise ValueError(f"cannot take {k} items from {n}")
-    if k == 0:
-        return []
-    picks = rng.integers(np.arange(k), n)  # picks[i] uniform on [i, n)
-    for i in range(k):
-        j = int(picks[i])
-        pool[i], pool[j] = pool[j], pool[i]
-    return pool[:k]
+def _take_positions(rng: np.random.Generator, n: int, k: int) -> list[int]:
+    """First k positions of a seeded partial Fisher-Yates shuffle of range(n).
+
+    Draws ``rng.integers(np.arange(k), n)`` (pick i uniform on [i, n)) and
+    applies the swaps to a dict of displaced slots, so the cost grows with k,
+    not with n.
+    """
+    displaced: dict[int, int] = {}
+    taken = []
+    for i, j in enumerate(rng.integers(np.arange(k), n).tolist()):
+        taken.append(displaced.get(j, j))
+        displaced[j] = displaced.get(i, i)
+    return taken
 
 
 def sample_episodes(
@@ -173,6 +175,13 @@ def sample_episodes(
     Episode e draws from its own substream (seed output e of the SplitMix64
     sequence at the master seed), so any subset of episodes can be
     regenerated independently.
+
+    Each draw is a partial Fisher-Yates shuffle over positions, classes
+    first, then support positions in the class's ID list, then query
+    positions in the remainder that excludes the support, which are mapped
+    back past the sorted support positions. Only the drawn positions are
+    touched, so an episode costs O(ways * (shots + queries)), not the class
+    sizes; the full remainder is built from slices between support positions.
     """
     for name, value in (("ways", ways), ("shots", shots), ("count", count)):
         _check_positive_int(value, name)
@@ -193,22 +202,29 @@ def sample_episodes(
             )
 
     episodes = []
-    class_positions = list(range(len(index.classes)))
+    bitgen = np.random.Philox(key=0)
+    rng = np.random.Generator(bitgen)
     for episode_id in range(count):
         seed = substream_seed(master_seed, episode_id)
-        rng = philox_generator(seed)
-        chosen = _fisher_yates_take(rng, class_positions, ways)
+        rekey_philox(bitgen, seed)
         per_class = []
-        for pos in chosen:
+        for pos in _take_positions(rng, len(index.classes), ways):
             name, ids = index.classes[pos]
-            support = _fisher_yates_take(rng, list(ids), shots)
-            support_set = set(support)
-            remainder = [eid for eid in ids if eid not in support_set]
+            support_pos = _take_positions(rng, len(ids), shots)
+            support = tuple(ids[i] for i in support_pos)
+            cuts = sorted(support_pos)
             if queries_per_class is None:
-                queries = remainder
+                bounds = zip([-1, *cuts], [*cuts, len(ids)])
+                queries = tuple(chain.from_iterable(ids[lo + 1:hi] for lo, hi in bounds))
             else:
-                queries = _fisher_yates_take(rng, remainder, queries_per_class)
-            per_class.append(ClassSplit(name, tuple(support), tuple(queries)))
+                # Remainder position r sits at index position r + #{support
+                # positions <= it}: bisect r against cuts[i] - i.
+                shifted = [c - i for i, c in enumerate(cuts)]
+                queries = tuple(
+                    ids[r + bisect_right(shifted, r)]
+                    for r in _take_positions(rng, len(ids) - shots, queries_per_class)
+                )
+            per_class.append(ClassSplit(name, support, queries))
         episodes.append(
             EpisodeSpec(
                 episode_id=episode_id,

@@ -40,6 +40,9 @@ _INTERIOR_SLACK = 1e-12
 # It bounds memory only: the stream does not depend on it.
 _BLOCK_DRAWS = 1 << 16
 
+# Counts per pmf evaluation in ``_count_cdf``; bounds memory only.
+_CDF_CHUNK = 1 << 16
+
 
 class DegeneratePriorError(ValueError):
     """A zero-variance prior has no Beta fit; sample the point mass instead."""
@@ -154,13 +157,23 @@ def _count_cdf(prior: AccuracyPrior, kq: int) -> np.ndarray:
     Binomial(Kq, mean) for the point mass. The running sum is divided by its
     total, which keeps it non-decreasing and ends it at exactly 1.0 even when
     the pmf's rounding makes the raw sum overshoot 1 before Kq.
+
+    The pmf is evaluated over ``_CDF_CHUNK`` counts at a time, so scipy's
+    temporaries scale with the chunk rather than with Kq. Each chunk's first
+    term absorbs the running sum before its ``cumsum``, which adds in the same
+    order as one ``cumsum`` over the whole pmf.
     """
-    k = np.arange(kq + 1)
     if prior.std == 0.0:
-        pmf = stats.binom.pmf(k, kq, prior.mean)
+        pmf_of, params = stats.binom.pmf, (kq, prior.mean)
     else:
-        pmf = stats.betabinom.pmf(k, kq, *fit_beta(prior))
-    cdf = np.cumsum(pmf)
+        pmf_of, params = stats.betabinom.pmf, (kq, *fit_beta(prior))
+    cdf = np.empty(kq + 1)
+    carry = 0.0
+    for start in range(0, kq + 1, _CDF_CHUNK):
+        pmf = pmf_of(np.arange(start, min(start + _CDF_CHUNK, kq + 1)), *params)
+        pmf[0] += carry
+        chunk = np.cumsum(pmf, out=cdf[start:start + len(pmf)])
+        carry = chunk[-1]
     cdf /= cdf[-1]
     return cdf
 

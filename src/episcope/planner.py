@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .variance import (
     Z95,
     AccuracyPrior,
@@ -23,6 +25,12 @@ from .variance import (
 )
 
 TRADEOFF_CSV_HEADER = "kp,kq,exact_var,approx_var,asymptote_var,ci95"
+
+# Episode counts must stay exact as floats, where the solver compares them.
+_MAX_EXACT_EPISODES = 2**53
+
+# Kq values ``min_cost_design`` evaluates per numpy step; bounds memory only.
+_KQ_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -76,14 +84,21 @@ def min_episodes_for_variance(
 
     Computed as the ceiling of the real-valued solution, then verified by
     evaluating the forward formula at Kp and Kp-1 so float rounding at the
-    boundary cannot shift the answer.
+    boundary cannot shift the answer. Raises ``ValueError`` when the answer
+    would reach 2**53, past which consecutive counts share one float.
     """
     if not (math.isfinite(target_var) and target_var > 0.0):
         raise ValueError(f"target_var must be > 0, got {target_var}")
     v1 = per_episode_variance(prior, queries_per_episode)
     if v1 <= 0.0:
         return 1
-    episodes = max(1, math.ceil(v1 / target_var))
+    ratio = v1 / target_var
+    if not ratio < _MAX_EXACT_EPISODES:
+        raise ValueError(
+            f"target_var={target_var:g} needs about {ratio:.3g} episodes at "
+            f"Kq={queries_per_episode}, beyond the 2**53 an episode count may reach"
+        )
+    episodes = max(1, math.ceil(ratio))
     while episodes > 1 and v1 / (episodes - 1) <= target_var:
         episodes -= 1
     while v1 / episodes > target_var:
@@ -135,14 +150,43 @@ def min_cost_design(
     Exhaustive over Kq, with the matching Kp solved in closed form. Always
     feasible: variance vanishes as Kp grows. Cost ties prefer fewer episodes,
     then more queries (extra free queries only lower the achieved variance).
+
+    Kq is scanned in numpy chunks of ``_KQ_CHUNK`` values. Each chunk repeats
+    ``min_episodes_for_variance`` elementwise with the same float operations
+    in the same order, and its best row is kept by the key (cost, Kp, -Kq),
+    so the answer is bit-identical to calling the scalar solver per Kq.
     """
     if not (math.isfinite(target_var) and target_var > 0.0):
         raise ValueError(f"target_var must be > 0, got {target_var}")
     _check_positive_int(kq_max, "kq_max")
+    a, var = prior.mean, prior.variance
     best: tuple[float, int, int] | None = None
-    for kq in range(1, kq_max + 1):
-        kp = min_episodes_for_variance(prior, kq, target_var)
-        key = (cost.total(kp, kq), kp, -kq)
+    for start in range(1, kq_max + 1, _KQ_CHUNK):
+        kq = np.arange(start, min(start + _KQ_CHUNK, kq_max + 1))
+        inv_kq = 1.0 / kq
+        v1 = inv_kq * a * (1.0 - a) + (1.0 - inv_kq) * var
+        with np.errstate(over="ignore"):  # inf, like the scalar division
+            ratio = v1 / target_var
+        unreachable = ~(ratio < _MAX_EXACT_EPISODES)
+        if unreachable.any():
+            # The scalar solver raises there, naming the target.
+            min_episodes_for_variance(prior, int(kq[np.argmax(unreachable)]), target_var)
+        kp = np.maximum(np.ceil(ratio), 1.0).astype(np.int64)
+        while True:
+            down = (kp > 1) & (v1 / np.maximum(kp - 1, 1) <= target_var)
+            if not down.any():
+                break
+            kp -= down
+        while True:
+            up = v1 / kp > target_var
+            if not up.any():
+                break
+            kp += up
+        # kp and kq are exact floats, so kp * kq rounds as the integer product does.
+        kp_f = kp.astype(np.float64)
+        total = kp_f * cost.cost_per_episode + (kp_f * kq) * cost.cost_per_query
+        i = np.lexsort((-kq, kp, total))[0]
+        key = (float(total[i]), int(kp[i]), -int(kq[i]))
         if best is None or key < best:
             best = key
     total, episodes, neg_kq = best

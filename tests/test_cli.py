@@ -121,6 +121,36 @@ class TestPlan:
         assert payload["queries_per_episode"] == 2975
         assert payload["total_cost"] == pytest.approx(648.44, abs=0.01)
 
+    @pytest.mark.parametrize("kq_max", ["2975", "1000000"])
+    def test_cost_json_pinned(self, capsys, kq_max):
+        """The benchmark's plan: exact bytes, whatever the Kq range scanned."""
+        code, out, _ = run(
+            capsys,
+            "plan", "cost", "--a", "0.87", "--sigma", "0.05",
+            "--cost-episode", "100.0", "--cost-query", "1.0",
+            "--target-var", "6.62e-06", "--kq-max", kq_max,
+        )
+        assert code == 0
+        assert out == (
+            '{"episodes": 631, "queries_per_episode": 66, '
+            '"predicted_var": 6.617682370455747e-06, '
+            '"predicted_ci95": 0.005042071855333162, "total_cost": 104746.0}\n'
+        )
+
+    @pytest.mark.parametrize("target", ["1e-30", "1e-310"])
+    @pytest.mark.parametrize("command", ["episodes", "cost"])
+    def test_unreachable_episode_count_is_runtime_error(self, capsys, command, target):
+        """Targets needing 2**53+ episodes fail fast, naming the target."""
+        extra = (["--kq", "75"] if command == "episodes"
+                 else ["--cost-episode", "1", "--cost-query", "1", "--kq-max", "100"])
+        code, out, err = run(
+            capsys,
+            "plan", command, "--a", "0.87", "--sigma", "0.05", *extra, "--target-var", target,
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "target_var" in err and "2**53" in err
+
     def test_table_csv(self, capsys, tmp_path):
         out_path = tmp_path / "table.csv"
         code, _, _ = run(

@@ -1,5 +1,7 @@
 """Episode sampling, serialization, and result aggregation."""
 
+import hashlib
+import io
 import math
 
 import numpy as np
@@ -141,6 +143,39 @@ class TestSampling:
             sample_episodes(benchmark_index, 5, 5, 0, 1, master_seed=0)
         with pytest.raises(ValueError, match="master_seed"):
             sample_episodes(benchmark_index, 5, 5, None, 1, master_seed=-1)
+
+
+class TestPinnedStream:
+    """SHA-256 of the JSONL for fixed seeds: any change to the episode stream fails here.
+
+    A deliberate stream change must update these digests and be recorded as a
+    stream-version change.
+    """
+
+    @pytest.mark.parametrize(
+        ("ways", "shots", "queries", "count", "seed", "digest"),
+        [
+            (5, 1, None, 40, 2024,
+             "5913d64d12256e113c73dbf774d56e7958c4d1859fc9c1db870596c8d6bb9f26"),
+            (5, 1, 15, 300, 7,
+             "a8ef4089b05480f728a210ba5679772388d00e2845b66846be508e85127660f4"),
+            (20, 5, 40, 30, 99,
+             "d72c0f22e9239f3fcf1f372e1c45ff0d7043c8358105a8e5fa865cde04967339"),
+        ],
+        ids=["all_queries", "q15", "every_class_q40_5shot"],
+    )
+    def test_jsonl_digest(self, benchmark_index, ways, shots, queries, count, seed, digest):
+        buf = io.StringIO()
+        write_episodes(buf, sample_episodes(benchmark_index, ways, shots, queries, count, seed))
+        assert hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest() == digest
+
+    def test_queries_take_whole_remainder(self):
+        """Queries = examples - shots: every remainder position is drawn."""
+        buf = io.StringIO()
+        write_episodes(buf, sample_episodes(tiny_index(6, 12), 6, 5, 7, 50, 3))
+        assert hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest() == (
+            "7ab88db03fea7b86d873fd07a2046490c8951f130570084c9d24e3cededeecfc"
+        )
 
 
 class TestSerialization:

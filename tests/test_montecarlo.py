@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from episcope import montecarlo
 from episcope.montecarlo import (
@@ -150,6 +151,21 @@ class TestCountCdf:
         assert mean / kq == pytest.approx(a, rel=1e-8)
         expected = estimator_variance(prior, EvalDesign(1, kq))
         assert var / kq**2 == pytest.approx(expected, rel=1e-8)
+
+    @pytest.mark.parametrize("chunk", [1, 7, 1000])
+    def test_chunked_table_equals_one_shot_table(self, monkeypatch, chunk):
+        """Chunking the pmf only bounds memory: the table is bit-identical."""
+        monkeypatch.setattr(montecarlo, "_CDF_CHUNK", chunk)
+        for a, std, kq in [(0.87, 0.05, 2975), (0.8, 0.0, 2975), (0.02, 0.01, 1000), (0.5, 0.1, 1)]:
+            prior = AccuracyPrior(a, std)
+            k = np.arange(kq + 1)
+            if std == 0.0:
+                pmf = stats.binom.pmf(k, kq, a)
+            else:
+                pmf = stats.betabinom.pmf(k, kq, *fit_beta(prior))
+            one_shot = np.cumsum(pmf)
+            one_shot /= one_shot[-1]
+            assert np.array_equal(montecarlo._count_cdf(prior, kq), one_shot)
 
     def test_table_is_a_cdf(self):
         for a, std in [(0.02, 0.01), (0.87, 0.05), (0.8, 0.0)]:

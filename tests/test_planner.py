@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from episcope import planner
 from episcope.planner import (
     TRADEOFF_CSV_HEADER,
     CostModel,
@@ -52,6 +53,20 @@ class TestMinEpisodes:
             assert min_episodes_for_variance(prior, kq, target) == brute_force_min_episodes(
                 prior, kq, target
             )
+
+    @pytest.mark.parametrize("target", [1e-27, 1e-30, 1e-310])
+    def test_unreachable_target_raises(self, target):
+        """A count past 2**53 raises at once instead of stepping through equal floats."""
+        with pytest.raises(ValueError, match=r"target_var=.*2\*\*53"):
+            min_episodes_for_variance(AccuracyPrior(0.87, 0.05), 75, target)
+
+    def test_target_just_under_limit_returns(self):
+        """About 4e15 episodes, below 2**53: still the exact smallest count."""
+        prior = AccuracyPrior(0.87, 0.05)
+        target = 1e-18
+        kp = min_episodes_for_variance(prior, 75, target)
+        v1 = estimator_variance(prior, EvalDesign(1, 75))
+        assert v1 / kp <= target < v1 / (kp - 1)
 
     def test_rejects_nonpositive_target(self):
         with pytest.raises(ValueError, match="target_var"):
@@ -222,3 +237,43 @@ class TestMinCostDesign:
             CostModel(-1.0, 0.5)
         with pytest.raises(ValueError, match="non-zero"):
             CostModel(0.0, 0.0)
+
+
+def scalar_min_cost_design(prior, cost, target, kq_max):
+    """Reference: one scalar solve per Kq, best key (cost, Kp, -Kq)."""
+    best = None
+    for kq in range(1, kq_max + 1):
+        kp = min_episodes_for_variance(prior, kq, target)
+        key = (cost.total(kp, kq), kp, -kq)
+        if best is None or key < best:
+            best = key
+    return best[1], -best[2], best[0]
+
+
+class TestMinCostDesignExact:
+    @given(
+        st.floats(0.0, 1.0),
+        st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+        st.sampled_from([0.0, 1e-9, 0.37, 1.0, 5.59, 100.0]),
+        st.sampled_from([0.0, 1e-9, 0.01, 1.0, 3.0]),
+        st.floats(1e-9, 1e-1),
+        st.integers(1, 5_000),
+        st.integers(1, 700),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_scalar_scan(self, mean, std_fraction, ce, cq, target, kq_max, chunk):
+        """Bit-identical to the per-Kq scan, across chunk boundaries and cost ties."""
+        if ce == 0.0 and cq == 0.0:
+            cq = 1.0
+        prior = AccuracyPrior(mean, std_fraction * math.sqrt(mean * (1.0 - mean)))
+        cost = CostModel(ce, cq)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(planner, "_KQ_CHUNK", chunk)
+            result = min_cost_design(prior, cost, target, kq_max)
+        got = (result.episodes, result.queries_per_episode, result.total_cost)
+        assert got == scalar_min_cost_design(prior, cost, target, kq_max)
+
+    def test_unreachable_target_raises_like_scalar_solver(self):
+        prior = AccuracyPrior(0.87, 0.05)
+        with pytest.raises(ValueError, match=r"target_var=1e-30 .* Kq=1,"):
+            min_cost_design(prior, CostModel(1.0, 1.0), 1e-30, 100)
