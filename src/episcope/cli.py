@@ -273,8 +273,13 @@ def _cmd_fid(args, config) -> int:
     path_b = _get(args, config, "b", str, required=True)
     from .fid import fid as fid_fn
 
-    value = fid_fn(featureio.load_features(path_a), featureio.load_features(path_b))
-    print(_fmt(value))
+    features_a, features_b = featureio.load_features(path_a), featureio.load_features(path_b)
+    value = fid_fn(features_a, features_b)
+    if args.json:
+        n_a, n_b = features_a.shape[0], features_b.shape[0]
+        print(json.dumps({"fid": value, "dim": features_a.shape[1], "n_a": n_a, "n_b": n_b}))
+    else:
+        print(_fmt(value))
     return 0
 
 
@@ -380,6 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fid", help="Frechet distance between two feature files")
     p.add_argument("--a", help="feature file (CSV or FSFE)")
     p.add_argument("--b", help="feature file (CSV or FSFE)")
+    p.add_argument("--json", action="store_true")
     _add_common(p)
     p.set_defaults(handler=_cmd_fid)
 

@@ -94,11 +94,11 @@ class EpisodeSpec:
                     f"episode {self.episode_id}, class {split.class_name!r}: "
                     f"expected {self.shots} support IDs, got {len(split.support_ids)}"
                 )
-            overlap = set(split.support_ids) & set(split.query_ids)
-            if overlap:
+            support = set(split.support_ids)
+            if not support.isdisjoint(split.query_ids):
                 raise ValueError(
                     f"episode {self.episode_id}, class {split.class_name!r}: "
-                    f"support/query overlap {sorted(overlap)}"
+                    f"support/query overlap {sorted(support.intersection(split.query_ids))}"
                 )
 
 

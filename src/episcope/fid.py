@@ -1,9 +1,8 @@
-"""Frechet distance between Gaussian fits of two feature sets.
+"""Frechet distance between Gaussian fits of two feature sets, at any dimensionality.
 
-Works at any dimensionality; the intended protocol uses 64-dim pooled
-features, where a full-rank covariance is still estimable from a few hundred
-samples. Matrix square roots go through the symmetric form
-(S1^(1/2) S2 S1^(1/2))^(1/2) so a real eigensolver suffices.
+One rank-revealing pivoted Cholesky factorisation S1 = L L^T (L is d x r, r the numerical
+rank of S1, n < d included) and one eigvalsh of L^T S2 L, whose nonzero spectrum is that of
+S1 S2, give Tr (S1^(1/2) S2 S1^(1/2))^(1/2) in O(d^2 r) flops.
 """
 
 from __future__ import annotations
@@ -12,9 +11,9 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import lapack
 
-# Eigenvalues this far below zero indicate a broken covariance rather than
-# round-off; they are still clipped, but with a warning.
+# Eigenvalues below -NEG_EIG_WARN_TOL * max(1, max |diagonal|) mean a broken covariance.
 NEG_EIG_WARN_TOL = 1e-6
 
 _SYMMETRY_TOL = 1e-9
@@ -67,37 +66,39 @@ def fit_gaussian(features: np.ndarray) -> GaussianStats:
     return GaussianStats(mean=mean, cov=(cov + cov.T) / 2.0)
 
 
-def _clipped_eigh(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    eigvals, eigvecs = np.linalg.eigh(mat)
-    if eigvals.size and eigvals[0] < -NEG_EIG_WARN_TOL:
-        warnings.warn(
-            f"covariance eigenvalue {eigvals[0]:.3e} is well below zero; "
-            "input is not a valid covariance matrix",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-    return np.clip(eigvals, 0.0, None), eigvecs
-
-
-def _psd_sqrt(mat: np.ndarray) -> np.ndarray:
-    eigvals, eigvecs = _clipped_eigh(mat)
-    return (eigvecs * np.sqrt(eigvals)) @ eigvecs.T
+def _warn_if_negative(mat: np.ndarray, scale: float, eigvals: np.ndarray | None = None) -> None:
+    """Warn if symmetric ``mat`` has an eigenvalue below -NEG_EIG_WARN_TOL * max(1, scale)."""
+    threshold = NEG_EIG_WARN_TOL * max(1.0, scale)
+    if eigvals is None:
+        if np.max(np.sum(np.abs(mat), axis=1), initial=0.0) <= threshold:
+            return  # the largest absolute row sum bounds every |eigenvalue|
+        eigvals = np.linalg.eigvalsh(mat)
+    if eigvals.size and eigvals[0] < -threshold:
+        warnings.warn(f"covariance eigenvalue {eigvals[0]:.3e} is well below zero; input is not "
+                      "a valid covariance matrix", RuntimeWarning, stacklevel=3)
 
 
 def frechet_distance(g1: GaussianStats, g2: GaussianStats) -> float:
-    """Squared Frechet distance between two Gaussians.
+    """Squared Frechet distance ||mu1 - mu2||^2 + Tr(S1 + S2 - 2 (S1^(1/2) S2 S1^(1/2))^(1/2)).
 
-    ||mu1 - mu2||^2 + Tr(S1 + S2 - 2 (S1^(1/2) S2 S1^(1/2))^(1/2)), with
-    negative eigenvalues clipped to zero and the result clamped at 0.
+    The root's trace is sum sqrt(eigvalsh(L^T S2 L)) for the pivoted Cholesky factor
+    S1[p][:, p] = L L^T of ``dpstrf`` at its default tolerance (d eps max diagonal), which
+    sets the rank r of L; cost O(d^2 r + r^3). Eigenvalues are clipped at 0, the result too.
     """
     if g1.dim != g2.dim:
         raise ValueError(f"dimension mismatch: {g1.dim} vs {g2.dim}")
-    diff = g1.mean - g2.mean
-    root1 = _psd_sqrt(g1.cov)
-    inner = root1 @ g2.cov @ root1
-    inner_eigvals, _ = _clipped_eigh((inner + inner.T) / 2.0)
-    trace_term = float(np.trace(g1.cov) + np.trace(g2.cov) - 2.0 * np.sum(np.sqrt(inner_eigvals)))
-    return max(0.0, float(diff @ diff) + trace_term)
+    factor, piv, rank, _ = lapack.dpstrf(g1.cov, lower=1, tol=-1)
+    root = np.zeros((g1.dim, rank))  # S1 = root @ root.T + the Schur remainder
+    root[piv - 1] = np.tril(factor[:, :rank])
+    rest, tail = piv[rank:] - 1, factor[rank:, :rank]  # tail is root[rest]
+    schur = g1.cov[np.ix_(rest, rest)] - tail @ tail.T
+    _warn_if_negative(schur, np.max(np.abs(np.diag(g1.cov)), initial=0.0))
+    inner = root.T @ g2.cov @ root
+    eigvals = np.linalg.eigvalsh(inner)
+    _warn_if_negative(inner, np.max(np.abs(np.diag(inner)), initial=0.0), eigvals)
+    root_trace = np.sum(np.sqrt(np.clip(eigvals, 0.0, None)))
+    trace_term = float(np.trace(g1.cov) + np.trace(g2.cov) - 2.0 * root_trace)
+    return max(0.0, float(np.sum((g1.mean - g2.mean) ** 2)) + trace_term)
 
 
 def fid(features_a: np.ndarray, features_b: np.ndarray) -> float:

@@ -316,6 +316,20 @@ class TestFid:
         assert code == 0
         assert float(out) == pytest.approx(0.0, abs=1e-8)
 
+    def test_json_output(self, capsys, tmp_path):
+        rng = np.random.default_rng(6)
+        path_a, path_b = tmp_path / "a.csv", tmp_path / "b.fsfe"
+        save_features_csv(path_a, rng.normal(size=(30, 5)))
+        save_features_fsfe(path_b, rng.normal(loc=0.5, size=(20, 5)))
+        code, plain, _ = run(capsys, "fid", "--a", str(path_a), "--b", str(path_b))
+        assert code == 0
+        code, out, _ = run(capsys, "fid", "--a", str(path_a), "--b", str(path_b), "--json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload == {"fid": payload["fid"], "dim": 5, "n_a": 30, "n_b": 20}
+        assert isinstance(payload["fid"], float)
+        assert plain == f"{payload['fid']:.10g}\n"
+
 
 class TestBlend:
     def test_emits_requested_count(self, capsys, tmp_path):

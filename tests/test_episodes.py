@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from episcope.episodes import (
+    ClassSplit,
     DatasetIndex,
     EpisodeResult,
     EpisodeSpec,
@@ -227,6 +228,14 @@ class TestSerialization:
             ValueError, match=r"range\.csv: line 3: episode 1: correct=7 outside \[0, 5\]"
         ):
             read_results_csv(path)
+
+
+class TestEpisodeSpec:
+    def test_support_query_overlap_rejected(self):
+        split = ClassSplit("k0", ("x3", "x1"), ("x2", "x1", "x3", "x4"))
+        with pytest.raises(ValueError) as excinfo:
+            EpisodeSpec(episode_id=7, seed=1, ways=1, shots=2, per_class=(split,))
+        assert str(excinfo.value) == "episode 7, class 'k0': support/query overlap ['x1', 'x3']"
 
 
 class TestEpisodeResult:

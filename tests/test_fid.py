@@ -1,7 +1,11 @@
 """Gaussian feature statistics and the Frechet distance."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from episcope.fid import GaussianStats, fid, fit_gaussian, frechet_distance
 
@@ -101,6 +105,42 @@ class TestFrechetDistance:
             value = frechet_distance(g_bad, g_ok)
         assert value >= 0.0
 
+    def test_indefinite_zero_diagonal_warns(self):
+        """Pivoting finds no positive diagonal, so the whole matrix is the Schur remainder."""
+        g_bad = GaussianStats(np.zeros(2), np.array([[0.0, 1.0], [1.0, 0.0]]))
+        g_ok = GaussianStats(np.zeros(2), np.eye(2))
+        with pytest.warns(RuntimeWarning, match="eigenvalue -1.000e\\+00"):
+            frechet_distance(g_bad, g_ok)
+        with pytest.warns(RuntimeWarning, match="eigenvalue -1.000e\\+00"):
+            frechet_distance(g_ok, g_bad)
+
+    @pytest.mark.parametrize("scale", [1e3, 1e-3])
+    @pytest.mark.parametrize("n_x,n_y", [(50, 50), (50, 10), (10, 50)])
+    def test_valid_features_do_not_warn_at_any_scale(self, scale, n_x, n_y):
+        """n < d sample covariances are singular; their round-off must not read as invalid."""
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(n_x, 64))
+        y = rng.normal(size=(n_y, 64))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert fid(x * scale, y * scale) == pytest.approx(fid(x, y) * scale**2, rel=1e-6)
+
+    def test_rank_deficient_diagonal_closed_form(self):
+        """d = 200 with zero variances in both: sum (sqrt(a_i) - sqrt(b_i))^2 still holds."""
+        rng = np.random.default_rng(9)
+        d1 = rng.uniform(0.5, 3.0, size=200)
+        d2 = rng.uniform(0.5, 3.0, size=200)
+        d1[::3] = 0.0
+        d2[::5] = 0.0
+        mean2 = rng.normal(size=200)
+        g1 = GaussianStats(np.zeros(200), np.diag(d1))
+        g2 = GaussianStats(mean2, np.diag(d2))
+        expected = mean2 @ mean2 + np.sum((np.sqrt(d1) - np.sqrt(d2)) ** 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert frechet_distance(g1, g2) == pytest.approx(expected, rel=1e-12)
+            assert frechet_distance(g2, g1) == pytest.approx(expected, rel=1e-12)
+
 
 class TestFid:
     def test_self_distance_vanishes(self):
@@ -141,3 +181,38 @@ class TestFid:
             x = rng.normal(size=(40, 12))
             y = x + rng.normal(scale=1e-9, size=(40, 12))
             assert fid(x, y) >= 0.0
+
+
+def nuclear_norm_fid(a, b):
+    """Reference FID through Tr (S1^(1/2) S2 S1^(1/2))^(1/2) = ||B A^T||_* (nuclear norm).
+
+    With A, B the centred rows scaled by 1/sqrt(n-1), S1 = A^T A and S2 = B^T B, and
+    the nuclear norm of the small n_b x n_a matrix B A^T needs no matrix square root.
+    """
+    ca = (a - a.mean(axis=0)) / np.sqrt(a.shape[0] - 1)
+    cb = (b - b.mean(axis=0)) / np.sqrt(b.shape[0] - 1)
+    diff = a.mean(axis=0) - b.mean(axis=0)
+    nuclear = np.linalg.svd(cb @ ca.T, compute_uv=False).sum()
+    return diff @ diff + np.sum(ca * ca) + np.sum(cb * cb) - 2.0 * nuclear
+
+
+SCALES = st.floats(-3.0, 3.0).map(lambda exponent: 10.0**exponent)
+
+
+class TestFidOracle:
+    @given(
+        st.integers(2, 80),
+        st.integers(2, 80),
+        st.integers(1, 60),
+        SCALES,
+        SCALES,
+        st.floats(-3.0, 3.0),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_nuclear_norm_reference(self, n_a, n_b, dim, scale_a, scale_b, shift, seed):
+        """Both n < d (singular S1) and n >= d, over six decades of scale and mean shifts."""
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(n_a, dim)) * scale_a
+        b = (rng.normal(size=(n_b, dim)) + shift) * scale_b
+        assert fid(a, b) == pytest.approx(nuclear_norm_fid(a, b), rel=1e-6)
