@@ -3,8 +3,12 @@
 Every subsystem is exposed as a subcommand with plain-text output by default
 and JSON/CSV where scripted pipelines need it. Exit codes: 0 success, 2 for
 flag/validation problems (message names the flag), 1 for runtime errors.
-Flags may also be supplied through ``--config FILE`` (JSON object whose keys
-mirror the flag names); explicit flags win.
+Flags may also be supplied through ``--config FILE``, a JSON object whose keys
+are the subcommand's flag names, spelled with ``_`` or ``-``. Each entry is read
+as if given as ``--flag=value`` ahead of the command line, so it passes the same
+type, range and required checks, and an explicit flag wins. Unknown keys and
+flag prefixes exit 2; on/off flags take ``true``/``false``; lists may be JSON
+arrays or comma-separated strings; ``null`` means absent.
 """
 
 from __future__ import annotations
@@ -28,113 +32,74 @@ class CliUsageError(Exception):
     """Flag-level problem; maps to exit status 2."""
 
 
+class _UsageParser(argparse.ArgumentParser):
+    """Subcommand parser: flags match only in full, and errors return exit 2."""
+
+    def __init__(self, **kwargs) -> None:
+        super().__init__(allow_abbrev=False, **kwargs)
+
+    def error(self, message: str):
+        raise CliUsageError(message)
+
+
 def _fmt(value: float) -> str:
     return f"{value:.10g}"
 
 
-def _config_value(config: dict, dest: str):
-    if dest in config:
-        return config[dest]
-    return config.get(dest.replace("_", "-"))
+def _flag_type(convert):
+    """Make argparse report why a value was rejected, not only the value."""
+
+    def checked(text: str):
+        try:
+            return convert(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from exc
+
+    return checked
 
 
-def _get(args, config: dict, dest: str, convert, required: bool = False, default=None):
-    value = getattr(args, dest)
-    if value is None:
-        value = _config_value(config, dest)
-    if value is None:
-        if required:
-            raise CliUsageError(f"--{dest.replace('_', '-')} is required")
-        return default
-    try:
-        return convert(value)
-    except (TypeError, ValueError) as exc:
-        raise CliUsageError(f"--{dest.replace('_', '-')}: {exc}") from exc
-
-
-def _float(value) -> float:
-    return float(value)
-
-
-def _positive_int(value) -> int:
-    number = int(str(value))
+@_flag_type
+def _positive_int(text: str) -> int:
+    number = int(text)
     _check_positive_int(number, "value")
     return number
 
 
-def _seed_int(value) -> int:
-    number = int(str(value))
-    if not 0 <= number <= MASK64:
-        raise ValueError(f"must be an unsigned 64-bit integer, got {number}")
-    return number
+def _ranged(parse, test, where: str):
+    @_flag_type
+    def convert(text: str):
+        number = parse(text)
+        if not test(number):
+            raise ValueError(f"must {where}, got {number}")
+        return number
+
+    return convert
 
 
-def _nonnegative_float(value) -> float:
-    number = float(value)
-    if not 0 <= number < math.inf:
-        raise ValueError(f"must be finite and non-negative, got {number}")
-    return number
+_seed_int = _ranged(int, lambda n: 0 <= n <= MASK64, "be an unsigned 64-bit integer")
+_nonnegative_float = _ranged(float, lambda x: 0 <= x < math.inf, "be finite and non-negative")
+_positive_float = _ranged(float, lambda x: 0 < x < math.inf, "be finite and > 0")
+_unit_open = _ranged(float, lambda x: 0.0 < x < 1.0, "lie in (0, 1)")
+_unit_closed = _ranged(float, lambda x: 0.0 <= x <= 1.0, "lie in [0, 1]")
 
 
-def _positive_float(value) -> float:
-    number = float(value)
-    if not 0 < number < math.inf:
-        raise ValueError(f"must be finite and > 0, got {number}")
-    return number
-
-
-def _unit_open(value) -> float:
-    number = float(value)
-    if not 0.0 < number < 1.0:
-        raise ValueError(f"must lie in (0, 1), got {number}")
-    return number
-
-
-def _unit_closed(value) -> float:
-    number = float(value)
-    if not 0.0 <= number <= 1.0:
-        raise ValueError(f"must lie in [0, 1], got {number}")
-    return number
-
-
-def _int_list(value) -> list[int]:
-    if isinstance(value, list):
-        items = value
-    else:
-        items = str(value).split(",")
-    out = [_positive_int(item) for item in items if str(item).strip() != ""]
+@_flag_type
+def _int_list(text: str) -> list[int]:
+    out = [_positive_int(item) for item in text.split(",") if item.strip() != ""]
     if not out:
         raise ValueError("must be a non-empty comma-separated list of positive integers")
     return out
 
 
-def _queries_spec(value) -> int | None:
-    text = str(value).strip().lower()
-    if text == "all":
-        return None
-    return _positive_int(text)
+def _queries_spec(text: str) -> int | None:
+    return None if text.strip().lower() == "all" else _positive_int(text)
 
 
-def _build_prior(args, config) -> AccuracyPrior:
-    mean = _get(args, config, "a", _unit_closed, required=True)
-    std = _get(args, config, "sigma", _nonnegative_float, required=True)
+def _build_prior(args) -> AccuracyPrior:
     try:
-        return AccuracyPrior(mean=mean, std=std)
+        return AccuracyPrior(mean=args.a, std=args.sigma)
     except ValueError as exc:
         raise CliUsageError(f"--a/--sigma: {exc}") from exc
-
-
-def _load_config(args) -> dict:
-    if not getattr(args, "config", None):
-        return {}
-    try:
-        with open(args.config, encoding="utf-8") as fh:
-            config = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise CliUsageError(f"--config: {exc}") from exc
-    if not isinstance(config, dict):
-        raise CliUsageError("--config: file must hold a JSON object")
-    return config
 
 
 def _write_text(out: str | None, text: str) -> None:
@@ -147,11 +112,9 @@ def _write_text(out: str | None, text: str) -> None:
 # --- subcommand handlers ----------------------------------------------------
 
 
-def _cmd_variance(args, config) -> int:
-    prior = _build_prior(args, config)
-    kp = _get(args, config, "kp", _positive_int, required=True)
-    kq = _get(args, config, "kq", _positive_int, required=True)
-    report = variance_report(prior, EvalDesign(episodes=kp, queries_per_episode=kq))
+def _cmd_variance(args) -> int:
+    prior = _build_prior(args)
+    report = variance_report(prior, EvalDesign(episodes=args.kp, queries_per_episode=args.kq))
     if args.json:
         print(json.dumps(report.to_dict()))
     else:
@@ -165,61 +128,47 @@ def _cmd_variance(args, config) -> int:
     return 0
 
 
-def _cmd_plan_episodes(args, config) -> int:
-    prior = _build_prior(args, config)
-    kq = _get(args, config, "kq", _positive_int, required=True)
-    target_var = _get(args, config, "target_var", _positive_float)
-    target_ci = _get(args, config, "target_ci", _unit_open)
-    if (target_var is None) == (target_ci is None):
-        raise CliUsageError("exactly one of --target-var or --target-ci is required")
-    if target_var is not None:
-        episodes = planner.min_episodes_for_variance(prior, kq, target_var)
+def _cmd_plan_episodes(args) -> int:
+    prior = _build_prior(args)
+    if args.target_var is not None:
+        episodes = planner.min_episodes_for_variance(prior, args.kq, args.target_var)
     else:
-        episodes = planner.min_episodes_for_ci(prior, kq, target_ci)
+        episodes = planner.min_episodes_for_ci(prior, args.kq, args.target_ci)
     print(episodes)
     return 0
 
 
-def _cmd_plan_cost(args, config) -> int:
-    prior = _build_prior(args, config)
-    cost_episode = _get(args, config, "cost_episode", _nonnegative_float, required=True)
-    cost_query = _get(args, config, "cost_query", _nonnegative_float, required=True)
-    target_var = _get(args, config, "target_var", _positive_float, required=True)
-    kq_max = _get(args, config, "kq_max", _positive_int, required=True)
+def _cmd_plan_cost(args) -> int:
+    prior = _build_prior(args)
     try:
-        cost = planner.CostModel(cost_per_episode=cost_episode, cost_per_query=cost_query)
+        cost = planner.CostModel(
+            cost_per_episode=args.cost_episode, cost_per_query=args.cost_query
+        )
     except ValueError as exc:
         raise CliUsageError(f"--cost-episode/--cost-query: {exc}") from exc
-    result = planner.min_cost_design(prior, cost, target_var, kq_max)
+    result = planner.min_cost_design(prior, cost, args.target_var, args.kq_max)
     print(json.dumps(result.to_dict()))
     return 0
 
 
-def _cmd_plan_table(args, config) -> int:
-    prior = _build_prior(args, config)
-    kp_values = _get(args, config, "kp_list", _int_list, required=True)
-    kq_values = _get(args, config, "kq_list", _int_list, required=True)
-    out = _get(args, config, "out", str)
-    cells = planner.tradeoff_table(prior, kp_values, kq_values)
-    _write_text(out, planner.tradeoff_csv(cells))
+def _cmd_plan_table(args) -> int:
+    prior = _build_prior(args)
+    cells = planner.tradeoff_table(prior, args.kp_list, args.kq_list)
+    _write_text(args.out, planner.tradeoff_csv(cells))
     return 0
 
 
-def _cmd_simulate(args, config) -> int:
-    prior = _build_prior(args, config)
-    kp = _get(args, config, "kp", _positive_int, required=True)
-    kq = _get(args, config, "kq", _positive_int, required=True)
-    reps = _get(args, config, "reps", _positive_int, required=True)
-    seed = _get(args, config, "seed", _seed_int, required=True)
+def _cmd_simulate(args) -> int:
+    prior = _build_prior(args)
     try:
         sim_config = montecarlo.SimConfig(
             prior=prior,
-            design=EvalDesign(episodes=kp, queries_per_episode=kq),
-            replications=reps,
-            master_seed=seed,
+            design=EvalDesign(episodes=args.kp, queries_per_episode=args.kq),
+            replications=args.reps,
+            master_seed=args.seed,
         )
-    except ValueError as exc:
-        raise CliUsageError(str(exc)) from exc
+    except ValueError as exc:  # the flags have passed their checks, so only --reps < 2 is left
+        raise CliUsageError(f"--reps: {exc}") from exc
     report = montecarlo.simulate(sim_config)
     if args.json:
         print(json.dumps(report.to_dict()))
@@ -233,27 +182,17 @@ def _cmd_simulate(args, config) -> int:
     return 0
 
 
-def _cmd_episodes_sample(args, config) -> int:
-    index_path = _get(args, config, "index", str, required=True)
-    ways = _get(args, config, "ways", _positive_int, required=True)
-    shots = _get(args, config, "shots", _positive_int, required=True)
-    queries = _get(args, config, "queries", _queries_spec, required=True)
-    count = _get(args, config, "count", _positive_int, required=True)
-    seed = _get(args, config, "seed", _seed_int, required=True)
-    out = _get(args, config, "out", str, required=True)
-
-    index = ep.DatasetIndex.load(index_path)
-    episodes = ep.sample_episodes(index, ways, shots, queries, count, seed)
-    if out == "-":
-        ep.write_episodes(sys.stdout, episodes)
-    else:
-        ep.write_episodes(out, episodes)
+def _cmd_episodes_sample(args) -> int:
+    index = ep.DatasetIndex.load(args.index)
+    episodes = ep.sample_episodes(
+        index, args.ways, args.shots, args.queries, args.count, args.seed
+    )
+    ep.write_episodes(sys.stdout if args.out == "-" else args.out, episodes)
     return 0
 
 
-def _cmd_episodes_aggregate(args, config) -> int:
-    results_path = _get(args, config, "results", str, required=True)
-    results = ep.read_results_csv(results_path)
+def _cmd_episodes_aggregate(args) -> int:
+    results = ep.read_results_csv(args.results)
     report = ep.aggregate(results)
     # Fit the prior before printing, so a failed fit leaves stdout empty.
     prior = ep.prior_from_results(results) if args.prior else None
@@ -268,12 +207,10 @@ def _cmd_episodes_aggregate(args, config) -> int:
     return 0
 
 
-def _cmd_fid(args, config) -> int:
-    path_a = _get(args, config, "a", str, required=True)
-    path_b = _get(args, config, "b", str, required=True)
+def _cmd_fid(args) -> int:
     from .fid import fid as fid_fn
 
-    features_a, features_b = featureio.load_features(path_a), featureio.load_features(path_b)
+    features_a, features_b = featureio.load_features(args.a), featureio.load_features(args.b)
     value = fid_fn(features_a, features_b)
     if args.json:
         n_a, n_b = features_a.shape[0], features_b.shape[0]
@@ -283,43 +220,45 @@ def _cmd_fid(args, config) -> int:
     return 0
 
 
-def _cmd_blend(args, config) -> int:
-    latents_path = _get(args, config, "latents", str, required=True)
-    alpha = _get(args, config, "alpha", _unit_closed, required=True)
-    seed = _get(args, config, "seed", _seed_int, required=True)
-    count = _get(args, config, "count", _positive_int, default=1)
-    out = _get(args, config, "out", str)
-
-    latents = featureio.load_features(latents_path)
-    samples = blend_mod.sample_blend_batch(list(latents), alpha, seed, count)
+def _cmd_blend(args) -> int:
+    latents = featureio.load_features(args.latents)
+    samples = blend_mod.sample_blend_batch(list(latents), args.alpha, args.seed, args.count)
     lines = "".join(",".join(f"{v:.17g}" for v in vec) + "\n" for _, vec in samples)
-    _write_text(out, lines)
+    _write_text(args.out, lines)
     return 0
 
 
 # --- parser -----------------------------------------------------------------
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="JSON file whose keys mirror the flags; flags win")
+def _add_common(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--config", help="JSON file whose keys mirror the flags; flags win")
 
 
-def _add_prior_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--a", help="mean true episode accuracy, in [0, 1]")
-    parser.add_argument("--sigma", help="std of true episode accuracy")
+def _add_prior_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
+        "--a", type=_unit_closed, required=True, help="mean true episode accuracy, in [0, 1]"
+    )
+    p.add_argument(
+        "--sigma", type=_nonnegative_float, required=True, help="std of true episode accuracy"
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="episcope",
         description="Plan, simulate and summarize episode-based few-shot evaluations.",
+        allow_abbrev=False,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_UsageParser)
 
     p = sub.add_parser("variance", help="variance model at a fixed design")
     _add_prior_flags(p)
-    p.add_argument("--kp", help="number of episodes")
-    p.add_argument("--kq", help="queries per episode (total across classes)")
+    p.add_argument("--kp", type=_positive_int, required=True, help="number of episodes")
+    p.add_argument(
+        "--kq", type=_positive_int, required=True,
+        help="queries per episode (total across classes)",
+    )
     p.add_argument("--json", action="store_true")
     _add_common(p)
     p.set_defaults(handler=_cmd_variance)
@@ -329,35 +268,36 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = plan_sub.add_parser("episodes", help="minimum episode count for a target")
     _add_prior_flags(p)
-    p.add_argument("--kq")
-    p.add_argument("--target-var", dest="target_var")
-    p.add_argument("--target-ci", dest="target_ci")
+    p.add_argument("--kq", type=_positive_int, required=True)
+    target = p.add_mutually_exclusive_group(required=True)
+    target.add_argument("--target-var", type=_positive_float)
+    target.add_argument("--target-ci", type=_unit_open)
     _add_common(p)
     p.set_defaults(handler=_cmd_plan_episodes)
 
     p = plan_sub.add_parser("cost", help="minimum-cost design meeting a variance target")
     _add_prior_flags(p)
-    p.add_argument("--cost-episode", dest="cost_episode")
-    p.add_argument("--cost-query", dest="cost_query")
-    p.add_argument("--target-var", dest="target_var")
-    p.add_argument("--kq-max", dest="kq_max")
+    p.add_argument("--cost-episode", type=_nonnegative_float, required=True)
+    p.add_argument("--cost-query", type=_nonnegative_float, required=True)
+    p.add_argument("--target-var", type=_positive_float, required=True)
+    p.add_argument("--kq-max", type=_positive_int, required=True)
     _add_common(p)
     p.set_defaults(handler=_cmd_plan_cost)
 
     p = plan_sub.add_parser("table", help="episode/query trade-off grid as CSV")
     _add_prior_flags(p)
-    p.add_argument("--kp-list", dest="kp_list")
-    p.add_argument("--kq-list", dest="kq_list")
+    p.add_argument("--kp-list", type=_int_list, required=True)
+    p.add_argument("--kq-list", type=_int_list, required=True)
     p.add_argument("--out", help="output path, or - for stdout")
     _add_common(p)
     p.set_defaults(handler=_cmd_plan_table)
 
     p = sub.add_parser("simulate", help="Monte Carlo check of the variance model")
     _add_prior_flags(p)
-    p.add_argument("--kp")
-    p.add_argument("--kq")
-    p.add_argument("--reps")
-    p.add_argument("--seed")
+    p.add_argument("--kp", type=_positive_int, required=True)
+    p.add_argument("--kq", type=_positive_int, required=True)
+    p.add_argument("--reps", type=_positive_int, required=True)
+    p.add_argument("--seed", type=_seed_int, required=True)
     p.add_argument("--json", action="store_true")
     _add_common(p)
     p.set_defaults(handler=_cmd_simulate)
@@ -366,34 +306,37 @@ def build_parser() -> argparse.ArgumentParser:
     episodes_sub = episodes.add_subparsers(dest="episodes_command", required=True)
 
     p = episodes_sub.add_parser("sample", help="draw reproducible episodes to JSONL")
-    p.add_argument("--index", help="dataset index JSON (class -> example IDs)")
-    p.add_argument("--ways")
-    p.add_argument("--shots")
-    p.add_argument("--queries", help="queries per class, or 'all' for the full remainder")
-    p.add_argument("--count")
-    p.add_argument("--seed")
-    p.add_argument("--out", help="output path, or - for stdout")
+    p.add_argument("--index", required=True, help="dataset index JSON (class -> example IDs)")
+    p.add_argument("--ways", type=_positive_int, required=True)
+    p.add_argument("--shots", type=_positive_int, required=True)
+    p.add_argument(
+        "--queries", type=_queries_spec, required=True,
+        help="queries per class, or 'all' for the full remainder",
+    )
+    p.add_argument("--count", type=_positive_int, required=True)
+    p.add_argument("--seed", type=_seed_int, required=True)
+    p.add_argument("--out", required=True, help="output path, or - for stdout")
     _add_common(p)
     p.set_defaults(handler=_cmd_episodes_sample)
 
     p = episodes_sub.add_parser("aggregate", help="summarize per-episode results")
-    p.add_argument("--results", help="CSV with header episode_id,correct,total")
+    p.add_argument("--results", required=True, help="CSV with header episode_id,correct,total")
     p.add_argument("--prior", action="store_true", help="also report the fitted accuracy prior")
     _add_common(p)
     p.set_defaults(handler=_cmd_episodes_aggregate)
 
     p = sub.add_parser("fid", help="Frechet distance between two feature files")
-    p.add_argument("--a", help="feature file (CSV or FSFE)")
-    p.add_argument("--b", help="feature file (CSV or FSFE)")
+    p.add_argument("--a", required=True, help="feature file (CSV or FSFE)")
+    p.add_argument("--b", required=True, help="feature file (CSV or FSFE)")
     p.add_argument("--json", action="store_true")
     _add_common(p)
     p.set_defaults(handler=_cmd_fid)
 
     p = sub.add_parser("blend", help="norm-corrected latent/noise blends")
-    p.add_argument("--latents", help="latent vectors, one per row (CSV or FSFE)")
-    p.add_argument("--alpha")
-    p.add_argument("--seed")
-    p.add_argument("--count")
+    p.add_argument("--latents", required=True, help="latent vectors, one per row (CSV or FSFE)")
+    p.add_argument("--alpha", type=_unit_closed, required=True)
+    p.add_argument("--seed", type=_seed_int, required=True)
+    p.add_argument("--count", type=_positive_int, default=1)
     p.add_argument("--out", help="output path, or - for stdout")
     _add_common(p)
     p.set_defaults(handler=_cmd_blend)
@@ -401,12 +344,65 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def _config_tokens(path: str) -> tuple[dict[str, str], list[str]]:
+    """Map the ``--flag=value`` tokens a config file stands for to their keys.
+
+    Keys set to ``false`` add no token; they are returned to be checked as on/off flags.
+    """
     try:
-        config = _load_config(args)
-        return args.handler(args, config)
+        with open(path, encoding="utf-8") as fh:
+            config = json.load(fh)
+    except (OSError, ValueError, RecursionError) as exc:
+        raise CliUsageError(f"--config: {exc}") from exc
+    if not isinstance(config, dict):
+        raise CliUsageError("--config: file must hold a JSON object")
+    if len({key.replace("_", "-") for key in config}) < len(config):
+        raise CliUsageError("--config: a key is given both with '_' and with '-'")
+    tokens: dict[str, str] = {}
+    switched_off = []
+    for key, value in config.items():
+        flag = "--" + key.replace("_", "-")
+        if key in ("config", "help") or not key.replace("-", "_").isidentifier():
+            raise CliUsageError(f"--config: unknown key {key!r}")
+        if isinstance(value, dict):
+            raise CliUsageError(f"--config: {key!r} must not be a JSON object")
+        if value is True:
+            tokens[flag] = key
+        elif value is False:
+            switched_off.append(key)
+        elif isinstance(value, list):
+            tokens[f"{flag}={','.join(str(item) for item in value)}"] = key
+        elif value is not None:
+            tokens[f"{flag}={value}"] = key
+    return tokens, switched_off
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """Parse argv with the ``--config`` entries spliced in ahead of its flags.
+
+    Config values pass the same checks as flags; argparse keeps the last of a
+    repeated flag, so an explicit flag wins.
+    """
+    pre = _UsageParser(add_help=False)
+    pre.add_argument("--config")
+    config_path = pre.parse_known_args(argv)[0].config
+    tokens, switched_off = _config_tokens(config_path) if config_path else ({}, [])
+    at = next((i for i, token in enumerate(argv) if token.startswith("-")), len(argv))
+    args, extra = build_parser().parse_known_args(argv[:at] + list(tokens) + argv[at:])
+    if extra:
+        named = [f"--config key {tokens[t]!r}" if t in tokens else t for t in extra]
+        raise CliUsageError(f"unrecognized arguments: {' '.join(named)}")
+    for key in switched_off:
+        if not isinstance(getattr(args, key.replace("-", "_"), None), bool):
+            raise CliUsageError(f"--config: {key!r} is not an on/off flag of this command")
+    return args
+
+
+def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    try:
+        args = _parse_args(argv)
+        return args.handler(args)
     except CliUsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

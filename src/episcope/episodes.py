@@ -53,7 +53,10 @@ class DatasetIndex:
     @classmethod
     def load(cls, path: str | Path) -> "DatasetIndex":
         with open(path, encoding="utf-8") as fh:
-            mapping = json.load(fh)
+            try:
+                mapping = json.load(fh)
+            except (ValueError, RecursionError) as exc:  # RecursionError: nesting too deep
+                raise ValueError(f"{path}: not a valid JSON file: {exc}") from None
         if not isinstance(mapping, dict):
             raise ValueError(f"{path}: dataset index must be a JSON object")
         return cls.from_mapping(mapping)
@@ -335,24 +338,31 @@ def write_results_csv(path: str | Path, results: Iterable[EpisodeResult]) -> Non
 def read_results_csv(path: str | Path) -> list[EpisodeResult]:
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != RESULTS_CSV_HEADER:
+        try:
+            return _results_from_rows(reader, path)
+        except csv.Error as exc:  # e.g. a field longer than csv.field_size_limit()
+            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+
+
+def _results_from_rows(reader, path: str | Path) -> list[EpisodeResult]:
+    header = next(reader, None)
+    if header != RESULTS_CSV_HEADER:
+        raise ValueError(
+            f"{path}: expected header {','.join(RESULTS_CSV_HEADER)!r}, got {header!r}"
+        )
+    results = []
+    for row in reader:
+        if not row:
+            continue
+        try:
+            episode_id, correct, total = (int(field) for field in row)
+        except ValueError:
             raise ValueError(
-                f"{path}: expected header {','.join(RESULTS_CSV_HEADER)!r}, got {header!r}"
-            )
-        results = []
-        for row in reader:
-            if not row:
-                continue
-            try:
-                episode_id, correct, total = (int(field) for field in row)
-            except ValueError:
-                raise ValueError(
-                    f"{path}: line {reader.line_num}: expected 3 integer fields "
-                    f"{','.join(RESULTS_CSV_HEADER)}, got {','.join(row)!r}"
-                ) from None
-            try:
-                results.append(EpisodeResult(episode_id=episode_id, correct=correct, total=total))
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
-        return results
+                f"{path}: line {reader.line_num}: expected 3 integer fields "
+                f"{','.join(RESULTS_CSV_HEADER)}, got {','.join(row)!r}"
+            ) from None
+        try:
+            results.append(EpisodeResult(episode_id=episode_id, correct=correct, total=total))
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+    return results

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import io
 import struct
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -70,7 +71,10 @@ def _read_fsfe_body(fh: io.BufferedReader, path: str | Path) -> np.ndarray:
 
 def _read_csv(path: str | Path) -> np.ndarray:
     try:
-        x = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
+        with warnings.catch_warnings():
+            # An empty file is reported below; numpy's own warning would only repeat it.
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            x = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
     except ValueError as exc:
         raise ValueError(f"{path}: not an FSFE file and not parseable as CSV: {exc}") from exc
     if x.size == 0:

@@ -1,11 +1,14 @@
 """Command-line surface: flags, outputs, exit codes, config files."""
 
 import json
+import shlex
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from episcope.cli import main
+from episcope.cli import build_parser, main
 from episcope.episodes import EpisodeResult, read_episodes, write_results_csv
 from episcope.featureio import save_features_csv, save_features_fsfe
 
@@ -418,3 +421,190 @@ class TestParserBehavior:
         with pytest.raises(SystemExit) as excinfo:
             main([])
         assert excinfo.value.code == 2
+
+
+def write_config(tmp_path, mapping, name="run.json"):
+    path = tmp_path / name
+    path.write_text(json.dumps(mapping))
+    return str(path)
+
+
+COST_FLAGS = [
+    "--a", "0.87", "--sigma", "0.05", "--cost-episode", "100", "--cost-query", "1",
+    "--target-var", "6.62e-6",
+]
+
+
+class TestNoAbbreviations:
+    @pytest.mark.parametrize("argv", [
+        ["plan", "cost", *COST_FLAGS, "--kq", "75"],
+        ["variance", "--a", "0.5", "--sig", "0", "--kp", "1", "--kq", "1"],
+        ["variance", "--a", "0.5", "--sigma", "0", "--kp", "1", "--kq", "1", "--js"],
+    ])
+    def test_flag_prefix_is_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
+    def test_prefix_names_the_flag(self, capsys):
+        code, _, err = run(capsys, "plan", "cost", *COST_FLAGS, "--kq-max", "2975", "--kq", "75")
+        assert code == 2 and "unrecognized arguments: --kq 75" in err
+
+    def test_config_key_is_not_a_prefix(self, capsys, tmp_path):
+        """A ``kq`` key shared with ``plan episodes`` is not read as ``--kq-max``."""
+        keys = {"a": 0.87, "sigma": 0.05, "cost_episode": 100, "cost_query": 1,
+                "target_var": 6.62e-6, "kq": 75}
+        code, out, _ = run(capsys, "plan", "cost", "--config", write_config(tmp_path, keys))
+        assert code == 2 and out == ""
+        keys["kq_max"] = 2975
+        code, out, err = run(capsys, "plan", "cost", "--config", write_config(tmp_path, keys))
+        assert code == 2 and out == ""
+        assert "'kq'" in err
+
+    def test_config_flag_is_not_a_prefix(self, capsys, tmp_path):
+        path = write_config(tmp_path, {"a": 0.5, "sigma": 0, "kp": 1, "kq": 1})
+        code, out, _ = run(capsys, "variance", "--conf", path)
+        assert code == 2 and out == ""
+
+
+class TestConfigKeys:
+    def test_unknown_key_is_named(self, capsys, tmp_path):
+        path = write_config(tmp_path, {
+            "a": 0.93, "sigma": 0.028, "kq": 2975, "target_vr": 7e-6, "target-ci": 0.0051,
+        })
+        code, out, err = run(capsys, "plan", "episodes", "--config", path)
+        assert code == 2
+        assert out == ""
+        assert "'target_vr'" in err
+
+    def test_config_key_inside_config_rejected(self, capsys, tmp_path):
+        other = write_config(tmp_path, {"kq": 4}, name="other.json")
+        path = write_config(tmp_path, {"a": 0.5, "sigma": 0, "kp": 1, "kq": 1, "config": other})
+        code, out, err = run(capsys, "variance", "--config", path)
+        assert code == 2 and out == ""
+        assert "'config'" in err
+
+    def test_same_flag_twice_rejected(self, capsys, tmp_path):
+        path = write_config(tmp_path, {
+            "a": 0.93, "sigma": 0.028, "kq": 2975, "target_var": 7e-6, "target-var": 1e-5,
+        })
+        code, out, err = run(capsys, "plan", "episodes", "--config", path)
+        assert code == 2 and out == ""
+        assert "--config" in err
+
+    def test_json_switch_from_config(self, capsys, tmp_path):
+        keys = {"a": 0.87, "sigma": 0.05, "kp": 600, "kq": 75, "json": True}
+        code, out, _ = run(capsys, "variance", "--config", write_config(tmp_path, keys))
+        assert code == 0
+        assert list(json.loads(out)) == [
+            "exact_var", "approx_var", "asymptote_var", "ci95_halfwidth"
+        ]
+        keys["json"] = False
+        code, out, _ = run(capsys, "variance", "--config", write_config(tmp_path, keys))
+        assert code == 0 and out.startswith("exact_var ")
+
+    def test_prior_switch_from_config(self, capsys, tmp_path):
+        results_path = tmp_path / "results.csv"
+        write_results_csv(results_path, [EpisodeResult(0, 92, 100), EpisodeResult(1, 94, 100)])
+        path = write_config(tmp_path, {"results": str(results_path), "prior": True})
+        code, out, _ = run(capsys, "episodes", "aggregate", "--config", path)
+        assert code == 0
+        assert "prior_mean 0.93" in out
+
+    @pytest.mark.parametrize("value", [True, False, {"path": "x.csv"}])
+    def test_non_text_value_for_valued_flag_rejected(
+        self, capsys, tmp_path, monkeypatch, value
+    ):
+        monkeypatch.chdir(tmp_path)
+        keys = {"a": 0.9, "sigma": 0.02, "kp_list": [100], "kq_list": [10], "out": value}
+        code, out, err = run(capsys, "plan", "table", "--config", write_config(tmp_path, keys))
+        assert code == 2
+        assert out == ""
+        assert "out" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json"]
+
+    def test_false_for_unknown_key_rejected(self, capsys, tmp_path):
+        path = write_config(tmp_path, {"a": 0.5, "sigma": 0, "kp": 1, "kq": 1, "jsn": False})
+        code, out, err = run(capsys, "variance", "--config", path)
+        assert code == 2 and out == ""
+        assert "'jsn'" in err
+
+    def test_config_values_are_checked_like_flags(self, capsys, tmp_path):
+        path = write_config(tmp_path, {"a": 0.5, "sigma": 0, "kp": 0, "kq": 1})
+        code, out, err = run(capsys, "variance", "--config", path)
+        assert code == 2 and out == ""
+        assert "--kp" in err and ">= 1" in err
+
+    def test_lists_as_arrays_or_strings(self, capsys, tmp_path):
+        base = ["plan", "table", "--a", "0.9", "--sigma", "0.02", "--config"]
+        runs = [
+            run(capsys, *base, write_config(tmp_path, {"kp_list": kp, "kq_list": "10,75"}))
+            for kp in ([100, 200], "100,200")
+        ]
+        assert runs[0] == runs[1]
+        assert runs[0][0] == 0 and len(runs[0][1].strip().split("\n")) == 5
+
+    def test_null_means_absent(self, capsys, tmp_path):
+        path = write_config(tmp_path, {"a": 0.5, "sigma": 0, "kp": 1, "kq": None})
+        code, out, _ = run(capsys, "variance", "--config", path, "--kq", "4")
+        assert code == 0 and "exact_var 0.0625" in out
+
+    def test_config_from_sys_argv(self, capsys, tmp_path, monkeypatch):
+        path = write_config(tmp_path, {"a": 0.5, "sigma": 0, "kp": 1, "kq": 1})
+        monkeypatch.setattr(sys, "argv", ["episcope", "variance", "--config", path, "--kq", "4"])
+        assert main() == 0
+        assert "exact_var 0.0625" in capsys.readouterr().out
+
+
+class TestSimulateReps:
+    def test_one_replication_names_reps(self, capsys):
+        code, out, err = run(
+            capsys,
+            "simulate", "--a", "0.5", "--sigma", "0", "--kp", "2", "--kq", "2",
+            "--reps", "1", "--seed", "1",
+        )
+        assert code == 2 and out == ""
+        assert "--reps" in err and ">= 2" in err
+
+
+class TestDeepJson:
+    def test_deep_config_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200_000)
+        code, out, err = run(
+            capsys, "variance", "--config", str(path), "--a", "0.5", "--sigma", "0",
+            "--kp", "1", "--kq", "1",
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: --config: ")
+
+    def test_deep_index_is_runtime_error(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200_000)
+        code, out, err = run(
+            capsys, "episodes", "sample", "--index", str(path), "--ways", "2", "--shots", "1",
+            "--queries", "1", "--count", "1", "--seed", "0", "--out", "-",
+        )
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {path}: ")
+
+
+def readme_commands():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line) for line in lines if line.strip() and not line.startswith("#")]
+
+
+class TestReadme:
+    def test_cli_block_is_not_empty(self):
+        commands = readme_commands()
+        assert len(commands) >= 10
+        assert all(words[0] == "episcope" for words in commands)
+
+    @pytest.mark.parametrize("words", readme_commands())
+    def test_cli_examples_parse(self, words):
+        """Every documented command parses, so a stale or misspelled flag fails here."""
+        args = build_parser().parse_args(words[1:])
+        assert callable(args.handler)

@@ -1,6 +1,7 @@
 """Feature-file formats: CSV and FSFE binary, with auto-detection."""
 
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -71,6 +72,16 @@ def test_garbage_rejected(tmp_path):
     path.write_text("not,a,number\n")
     with pytest.raises(ValueError, match="CSV"):
         load_features(path)
+
+
+@pytest.mark.parametrize("text", ["", "\n", "\n\n\n"])
+def test_empty_csv_rejected_without_warning(tmp_path, text):
+    path = tmp_path / "empty.csv"
+    path.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="no feature rows"):
+            load_features(path)
 
 
 def test_non_finite_rejected(tmp_path):
