@@ -32,14 +32,32 @@ class CliUsageError(Exception):
     """Flag-level problem; maps to exit status 2."""
 
 
+# Prefixes of argparse's messages for required flags, and for required groups.
+_MISSING = ("the following arguments are required: ", "one of the arguments ")
+
+
 class _UsageParser(argparse.ArgumentParser):
-    """Subcommand parser: flags match only in full, and errors return exit 2."""
+    """Subcommand parser: flags match only in full, and errors return exit 2.
+
+    argparse checks required flags before it hands back unrecognised tokens,
+    so a missing flag is collected in the namespace's ``missing_flags``
+    instead of raised, and ``_parse_args`` can name both in one message.
+    """
 
     def __init__(self, **kwargs) -> None:
         super().__init__(allow_abbrev=False, **kwargs)
+        self._missing: list[str] = []
+
+    def parse_known_args(self, args=None, namespace=None):
+        self._missing = []
+        namespace, extras = super().parse_known_args(args, namespace)
+        namespace.missing_flags = [*getattr(namespace, "missing_flags", []), *self._missing]
+        return namespace, extras
 
     def error(self, message: str):
-        raise CliUsageError(message)
+        if not message.startswith(_MISSING):
+            raise CliUsageError(message)
+        self._missing.append(message)  # the parse goes on past the required checks
 
 
 def _fmt(value: float) -> str:
@@ -389,9 +407,10 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
     tokens, switched_off = _config_tokens(config_path) if config_path else ({}, [])
     at = next((i for i, token in enumerate(argv) if token.startswith("-")), len(argv))
     args, extra = build_parser().parse_known_args(argv[:at] + list(tokens) + argv[at:])
-    if extra:
-        named = [f"--config key {tokens[t]!r}" if t in tokens else t for t in extra]
-        raise CliUsageError(f"unrecognized arguments: {' '.join(named)}")
+    named = [f"--config key {tokens[t]!r}" if t in tokens else t for t in extra]
+    problems = [f"unrecognized arguments: {' '.join(named)}"] if named else []
+    if problems or args.missing_flags:
+        raise CliUsageError("; ".join(problems + args.missing_flags))
     for key in switched_off:
         if not isinstance(getattr(args, key.replace("-", "_"), None), bool):
             raise CliUsageError(f"--config: {key!r} is not an on/off flag of this command")

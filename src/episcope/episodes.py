@@ -148,16 +148,26 @@ class AggregateReport:
         }
 
 
-def _take_positions(rng: np.random.Generator, n: int, k: int) -> list[int]:
-    """First k positions of a seeded partial Fisher-Yates shuffle of range(n).
+def _fisher_yates_steps(u: np.ndarray, n) -> np.ndarray:
+    """Swap targets j_i = i + floor(u_i * (n - i)) of a partial Fisher-Yates over range(n).
 
-    Draws ``rng.integers(np.arange(k), n)`` (pick i uniform on [i, n)) and
-    applies the swaps to a dict of displaced slots, so the cost grows with k,
-    not with n.
+    Step i runs along the last axis of ``u`` (uniforms on [0, 1)); ``n`` broadcasts
+    against it, so each row may shuffle a different size. Every u < 1 gives
+    j_i <= n - 1 for n < 2**53: the product rounds below n - i.
+    """
+    i = np.arange(u.shape[-1])
+    return i + (u * (n - i)).astype(np.int64)
+
+
+def _take_positions(steps: list[int]) -> list[int]:
+    """Positions a partial Fisher-Yates shuffle with swap targets ``steps`` puts first.
+
+    Step i swaps slot i with slot ``steps[i]`` (>= i). The swaps go to a dict of
+    displaced slots, so the cost grows with the number of steps, not with n.
     """
     displaced: dict[int, int] = {}
     taken = []
-    for i, j in enumerate(rng.integers(np.arange(k), n).tolist()):
+    for i, j in enumerate(steps):
         taken.append(displaced.get(j, j))
         displaced[j] = displaced.get(i, i)
     return taken
@@ -175,16 +185,23 @@ def sample_episodes(
 
     ``queries_per_class=None`` assigns every non-support example of each
     chosen class as a query, in index order; an integer samples that many.
-    Episode e draws from its own substream (seed output e of the SplitMix64
-    sequence at the master seed), so any subset of episodes can be
-    regenerated independently.
+    Episode e draws from its own Philox substream (keyed by seed output e of
+    the SplitMix64 sequence at the master seed), so any subset of episodes
+    can be regenerated independently.
 
-    Each draw is a partial Fisher-Yates shuffle over positions, classes
-    first, then support positions in the class's ID list, then query
-    positions in the remainder that excludes the support, which are mapped
-    back past the sorted support positions. Only the drawn positions are
-    touched, so an episode costs O(ways * (shots + queries)), not the class
-    sizes; the full remainder is built from slices between support positions.
+    Each episode takes one block of ``ways + ways * (shots + q)`` uniforms
+    from its substream, with q the queries per class (0 for the full
+    remainder): the ``ways`` class uniforms first, then for each chosen class
+    in draw order its ``shots`` support uniforms and its q query uniforms.
+    Uniform u_i at step i of a partial Fisher-Yates shuffle over n items
+    picks slot j_i = i + floor(u_i * (n - i)): classes over the index,
+    support positions over the class's ID list, query positions over the
+    remainder that excludes the support, mapped back past the sorted support
+    positions. The 2**53 equally likely values of u split unevenly over the
+    m = n - i slots, so each slot's probability is 1/m to within a relative
+    m * 2**-53 per draw. Only the drawn positions are touched, so an episode
+    costs O(ways * (shots + queries)), not the class sizes; the full
+    remainder is built from slices between support positions.
     """
     for name, value in (("ways", ways), ("shots", shots), ("count", count)):
         _check_positive_int(value, name)
@@ -204,16 +221,24 @@ def sample_episodes(
                 f"at least {needed} (shots + queries)"
             )
 
+    q = queries_per_class or 0
+    sizes = np.array([len(ids) for _, ids in index.classes])
     episodes = []
     bitgen = np.random.Philox(key=0)
     rng = np.random.Generator(bitgen)
     for episode_id in range(count):
         seed = substream_seed(master_seed, episode_id)
         rekey_philox(bitgen, seed)
+        u = rng.random(ways + ways * (shots + q))
+        chosen = _take_positions(_fisher_yates_steps(u[:ways], len(index.classes)).tolist())
+        # One shuffle of shots + q steps per class: its step shots + r is
+        # query step r over the size - shots remainder, shifted by shots.
+        steps = _fisher_yates_steps(u[ways:].reshape(ways, -1), sizes[chosen, None])
+        steps[:, shots:] -= shots
         per_class = []
-        for pos in _take_positions(rng, len(index.classes), ways):
+        for pos, row in zip(chosen, steps.tolist()):
             name, ids = index.classes[pos]
-            support_pos = _take_positions(rng, len(ids), shots)
+            support_pos = _take_positions(row[:shots])
             support = tuple(ids[i] for i in support_pos)
             cuts = sorted(support_pos)
             if queries_per_class is None:
@@ -224,8 +249,7 @@ def sample_episodes(
                 # positions <= it}: bisect r against cuts[i] - i.
                 shifted = [c - i for i, c in enumerate(cuts)]
                 queries = tuple(
-                    ids[r + bisect_right(shifted, r)]
-                    for r in _take_positions(rng, len(ids) - shots, queries_per_class)
+                    ids[r + bisect_right(shifted, r)] for r in _take_positions(row[shots:])
                 )
             per_class.append(ClassSplit(name, support, queries))
         episodes.append(
@@ -293,20 +317,48 @@ def episode_to_json(episode: EpisodeSpec) -> str:
     return json.dumps(obj, separators=(",", ":"), ensure_ascii=False)
 
 
+_JSON_TYPES = {
+    dict: "an object", list: "an array", str: "a string", int: "an integer",
+    float: "a number", bool: "a boolean", type(None): "null",
+}
+
+
+def _json_field(obj, key: str, kind: type):
+    if not isinstance(obj, dict):
+        raise ValueError(f"expected a JSON object, got {_JSON_TYPES[type(obj)]}")
+    if key not in obj:
+        raise ValueError(f"missing key {key!r}")
+    value = obj[key]
+    if type(value) is not kind:
+        raise ValueError(f"{key!r} must be {_JSON_TYPES[kind]}, got {_JSON_TYPES[type(value)]}")
+    return value
+
+
+def _json_ids(split, key: str) -> tuple[str, ...]:
+    ids = _json_field(split, key, list)
+    if not all(isinstance(i, str) for i in ids):
+        raise ValueError(f"{key!r} must be an array of example ID strings")
+    return tuple(ids)
+
+
 def episode_from_json(line: str) -> EpisodeSpec:
-    obj = json.loads(line)
+    """Rebuild an episode from one line of :func:`episode_to_json` output.
+
+    Invalid JSON, a missing key or a value of the wrong type raises ValueError.
+    """
+    try:
+        obj = json.loads(line)
+    except (ValueError, RecursionError) as exc:  # RecursionError: nesting too deep
+        raise ValueError(f"not valid JSON: {exc}") from None
     return EpisodeSpec(
-        episode_id=obj["episode_id"],
-        seed=obj["seed"],
-        ways=obj["ways"],
-        shots=obj["shots"],
+        **{key: _json_field(obj, key, int) for key in ("episode_id", "seed", "ways", "shots")},
         per_class=tuple(
             ClassSplit(
-                class_name=split["class_name"],
-                support_ids=tuple(split["support_ids"]),
-                query_ids=tuple(split["query_ids"]),
+                class_name=_json_field(split, "class_name", str),
+                support_ids=_json_ids(split, "support_ids"),
+                query_ids=_json_ids(split, "query_ids"),
             )
-            for split in obj["per_class"]
+            for split in _json_field(obj, "per_class", list)
         ),
     )
 
@@ -323,8 +375,17 @@ def write_episodes(path_or_file: str | Path | IO[str], episodes: Iterable[Episod
 
 
 def read_episodes(path: str | Path) -> list[EpisodeSpec]:
+    """Episodes from a JSON Lines file; a malformed line raises ValueError naming it."""
+    episodes = []
     with open(path, encoding="utf-8") as fh:
-        return [episode_from_json(line) for line in fh if line.strip()]
+        for number, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                episodes.append(episode_from_json(line))
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {number}: {exc}") from None
+    return episodes
 
 
 def write_results_csv(path: str | Path, results: Iterable[EpisodeResult]) -> None:

@@ -468,6 +468,23 @@ class TestNoAbbreviations:
         assert code == 2 and out == ""
 
 
+class TestUnknownAndMissing:
+    """An unrecognised token is named even when a required flag is missing too."""
+
+    def test_prefix_and_missing_flag_both_named(self, capsys):
+        code, out, err = run(capsys, "plan", "cost", *COST_FLAGS, "--kq", "75")
+        assert code == 2 and out == ""
+        assert "unrecognized arguments: --kq 75" in err
+        assert "the following arguments are required: --kq-max" in err
+
+    def test_unknown_config_key_and_missing_group_both_named(self, capsys, tmp_path):
+        path = write_config(tmp_path, {"a": 0.93, "sigma": 0.028, "kq": 2975, "target_vr": 7e-6})
+        code, out, err = run(capsys, "plan", "episodes", "--config", path)
+        assert code == 2 and out == ""
+        assert "--config key 'target_vr'" in err
+        assert "one of the arguments --target-var --target-ci is required" in err
+
+
 class TestConfigKeys:
     def test_unknown_key_is_named(self, capsys, tmp_path):
         path = write_config(tmp_path, {

@@ -3,6 +3,7 @@
 import hashlib
 import io
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from episcope.episodes import (
     DatasetIndex,
     EpisodeResult,
     EpisodeSpec,
+    _fisher_yates_steps,
     aggregate,
     episode_from_json,
     episode_to_json,
@@ -25,6 +27,7 @@ from episcope.episodes import (
     write_episodes,
     write_results_csv,
 )
+from episcope.seeds import substream_seed
 
 
 @pytest.fixture(scope="module")
@@ -157,11 +160,11 @@ class TestPinnedStream:
         ("ways", "shots", "queries", "count", "seed", "digest"),
         [
             (5, 1, None, 40, 2024,
-             "5913d64d12256e113c73dbf774d56e7958c4d1859fc9c1db870596c8d6bb9f26"),
+             "d5acda24f2416fadf21528ef3f97509063be50cecc2bc16489feb06a0ebc5e86"),
             (5, 1, 15, 300, 7,
-             "a8ef4089b05480f728a210ba5679772388d00e2845b66846be508e85127660f4"),
+             "0fee4f245fc67cd7deb387d9a5920f251eee23207e0f2534f2854a06fff86819"),
             (20, 5, 40, 30, 99,
-             "d72c0f22e9239f3fcf1f372e1c45ff0d7043c8358105a8e5fa865cde04967339"),
+             "9fc335ef62ca0a49883ea7baff6f2cf021ca39fa514e3655c9bb043cd2e169ff"),
         ],
         ids=["all_queries", "q15", "every_class_q40_5shot"],
     )
@@ -175,8 +178,112 @@ class TestPinnedStream:
         buf = io.StringIO()
         write_episodes(buf, sample_episodes(tiny_index(6, 12), 6, 5, 7, 50, 3))
         assert hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest() == (
-            "7ab88db03fea7b86d873fd07a2046490c8951f130570084c9d24e3cededeecfc"
+            "b5be73592828c07798a45f56ff5cfcf00de7cacccf4463e05f0425b1179f1c79"
         )
+
+
+def reference_episode(index, ways, shots, queries, seed):
+    """Episode splits drawn by swapping list entries, with the sampler's uniform block.
+
+    The uniforms come from a fresh Philox keyed by the episode's seed: the ways
+    class uniforms, then per chosen class its shots support uniforms and its
+    queries query uniforms; step i over n items swaps slot i with
+    i + floor(u * (n - i)).
+    """
+    block = np.random.Generator(np.random.Philox(key=seed)).random(
+        ways + ways * (shots + (queries or 0))
+    )
+    uniforms = iter(block.tolist())
+
+    def shuffled_prefix(items, k):
+        items = list(items)
+        for i in range(k):
+            j = i + math.floor(next(uniforms) * (len(items) - i))
+            items[i], items[j] = items[j], items[i]
+        return items[:k]
+
+    splits = []
+    for pos in shuffled_prefix(range(len(index.classes)), ways):
+        name, ids = index.classes[pos]
+        support = shuffled_prefix(range(len(ids)), shots)
+        rest = [p for p in range(len(ids)) if p not in support]
+        query_pos = rest if queries is None else shuffled_prefix(rest, queries)
+        splits.append(
+            ClassSplit(name, tuple(ids[p] for p in support), tuple(ids[p] for p in query_pos))
+        )
+    return tuple(splits)
+
+
+class TestStream:
+    """The episode stream is one uniform block per episode, mapped to Fisher-Yates steps."""
+
+    @pytest.mark.parametrize(
+        ("ways", "shots", "queries"), [(5, 1, 15), (5, 5, None), (20, 5, 40), (3, 2, 598)]
+    )
+    def test_matches_list_reference(self, benchmark_index, ways, shots, queries):
+        episodes = sample_episodes(benchmark_index, ways, shots, queries, 40, master_seed=31)
+        for episode in episodes:
+            assert episode.seed == substream_seed(31, episode.episode_id)
+            assert episode.per_class == reference_episode(
+                benchmark_index, ways, shots, queries, episode.seed
+            )
+
+    def test_uneven_class_sizes_match_reference(self):
+        index = DatasetIndex.from_mapping(
+            {f"k{i}": [f"k{i}x{j}" for j in range(4 + 5 * i)] for i in range(7)}
+        )
+        for queries in (None, 1, 2):
+            for episode in sample_episodes(index, 4, 2, queries, 60, master_seed=5):
+                assert episode.per_class == reference_episode(index, 4, 2, queries, episode.seed)
+
+    def test_short_run_is_a_prefix_of_a_long_one(self, benchmark_index):
+        short = sample_episodes(benchmark_index, 5, 1, 15, 10, master_seed=8)
+        long = sample_episodes(benchmark_index, 5, 1, 15, 1000, master_seed=8)
+        assert [episode_to_json(e) for e in short] == [episode_to_json(e) for e in long[:10]]
+
+    @pytest.mark.parametrize(
+        "n", [1, 2, 3, 2**5, 2**5 + 1, 2**16, 2**16 + 1, 2**30, 2**30 + 1, 2**31 - 1]
+    )
+    def test_step_map_edges(self, n):
+        """The largest uniform below 1 reaches slot n - 1 and no further; u = 0 stays at i."""
+        steps = min(n, 5)
+        top = _fisher_yates_steps(np.full(steps, np.nextafter(1.0, 0.0)), n)
+        assert top.tolist() == [n - 1] * steps
+        assert _fisher_yates_steps(np.zeros(steps), n).tolist() == list(range(steps))
+
+
+def assert_uniform(values, cells, label):
+    """Every one of ``cells`` outcomes occurs, and chi-square accepts equal frequencies."""
+    counts = Counter(values)
+    assert len(counts) == cells, label
+    assert stats.chisquare(list(counts.values())).pvalue > 1e-4, (label, counts)
+
+
+class TestUniformity:
+    """Chi-square oracle for the uniform-to-step map, at fixed seeds."""
+
+    def test_four_way_draws_reach_every_class_order(self):
+        episodes = sample_episodes(tiny_index(n_classes=4, size=2), 4, 1, 1, 2400, 12)
+        orders = [tuple(split.class_name for split in e.per_class) for e in episodes]
+        assert_uniform(orders, 24, "class order")
+
+    def test_classes_support_and_queries_are_uniform(self):
+        n_classes, size, ways, shots, queries = 6, 8, 3, 2, 3
+        episodes = sample_episodes(
+            tiny_index(n_classes, size), ways, shots, queries, 20_000, master_seed=2024
+        )
+        for k in range(ways):
+            assert_uniform([e.per_class[k].class_name for e in episodes], n_classes, k)
+        first_two = [(e.per_class[0].class_name, e.per_class[1].class_name) for e in episodes]
+        assert_uniform(first_two, n_classes * (n_classes - 1), "first two classes")
+        splits = [split for e in episodes for split in e.per_class]
+        for s in range(shots):
+            # IDs are class-specific, so strip the class to pool positions over classes.
+            positions = [x.support_ids[s].split("x")[1] for x in splits]
+            assert_uniform(positions, size, f"support slot {s}")
+        for r in range(queries):
+            positions = [x.query_ids[r].split("x")[1] for x in splits]
+            assert_uniform(positions, size, f"query slot {r}")
 
 
 class TestSerialization:
@@ -200,6 +307,58 @@ class TestSerialization:
         path = tmp_path / "episodes.jsonl"
         write_episodes(path, episodes)
         assert read_episodes(path) == episodes
+
+    @pytest.mark.parametrize(
+        ("line", "message"),
+        [
+            ('{"episode_id": 0}', "missing key 'seed'"),
+            ('{"episode_id": 0, "seed": 1, "ways": 1, "shots": 1}', "missing key 'per_class'"),
+        ],
+    )
+    def test_read_missing_key_names_file_and_line(self, tmp_path, line, message):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(line + "\n")
+        with pytest.raises(ValueError, match=rf"bad\.jsonl: line 1: {message}"):
+            read_episodes(path)
+
+    @pytest.mark.parametrize(
+        ("line", "message"),
+        [
+            ("[1]", "expected a JSON object, got an array"),
+            ('{"episode_id": 0, "seed": 1, "ways": "1", "shots": 1, "per_class": []}',
+             "'ways' must be an integer, got a string"),
+            ('{"episode_id": true, "seed": 1, "ways": 1, "shots": 1, "per_class": []}',
+             "'episode_id' must be an integer, got a boolean"),
+            ('{"episode_id": 0, "seed": 1, "ways": 1, "shots": 1, "per_class": [[]]}',
+             "expected a JSON object, got an array"),
+            ('{"episode_id": 0, "seed": 1, "ways": 1, "shots": 1, "per_class": '
+             '[{"class_name": "a", "support_ids": ["x"], "query_ids": [1]}]}',
+             "'query_ids' must be an array of example ID strings"),
+        ],
+    )
+    def test_read_wrong_type_names_file_and_line(self, tmp_path, line, message):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(episode_to_json(_one_episode()) + "\n\n" + line + "\n")
+        with pytest.raises(ValueError, match=rf"bad\.jsonl: line 3: {message}"):
+            read_episodes(path)
+
+    def test_read_invalid_json_names_file_and_line(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(episode_to_json(_one_episode()) + '\n{"episode_id": 1,\n')
+        with pytest.raises(ValueError, match=r"bad\.jsonl: line 2: not valid JSON"):
+            read_episodes(path)
+
+    def test_read_deep_nesting_names_file_and_line(self, tmp_path):
+        path = tmp_path / "deep.jsonl"
+        path.write_text("[" * 200_000 + "\n")
+        with pytest.raises(ValueError, match=r"deep\.jsonl: line 1: not valid JSON"):
+            read_episodes(path)
+
+    def test_read_invalid_episode_names_file_and_line(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(episode_to_json(_one_episode()).replace('"ways":1', '"ways":2') + "\n")
+        with pytest.raises(ValueError, match=r"bad\.jsonl: line 1: episode 0: expected 2 classes"):
+            read_episodes(path)
 
     def test_results_csv_round_trip(self, tmp_path):
         results = [EpisodeResult(i, 90 + i, 100) for i in range(5)]
@@ -294,6 +453,10 @@ class TestPriorFromResults:
     def test_identical_results_zero_std(self):
         prior = prior_from_results([EpisodeResult(i, 45, 50) for i in range(4)])
         assert prior.std == 0.0
+
+
+def _one_episode():
+    return sample_episodes(tiny_index(), 1, 1, 1, 1, master_seed=0)[0]
 
 
 def _synthetic_results(mean, std, count, total=10**6, seed=1234):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from episcope.episodes import DatasetIndex, read_results_csv
+from episcope.episodes import DatasetIndex, read_episodes, read_results_csv
 from episcope.featureio import MAGIC, load_features
 
 LOADERS = [read_results_csv, DatasetIndex.load, load_features]
@@ -98,3 +98,26 @@ def test_near_valid_feature_csv(input_path, body, end):
 def test_near_valid_fsfe(input_path, n, d, extra):
     payload = b"\x00\x00\x80\x3f" * max(0, n * d + extra // 4) + b"\x01" * (extra % 4)
     load_or_reject(load_features, input_path, MAGIC + struct.pack("<II", n, d) + payload)
+
+
+episode_like = st.fixed_dictionaries(
+    {"episode_id": st.integers(0, 3), "seed": st.integers(0, 3), "ways": st.integers(0, 2),
+     "shots": st.integers(0, 2)},
+    optional={"per_class": st.lists(
+        st.fixed_dictionaries(
+            {},
+            optional={"class_name": json_values, "support_ids": json_values,
+                      "query_ids": json_values},
+        ) | json_values,
+        max_size=2,
+    )},
+)
+
+
+@FUZZ
+@given(lines=st.lists(episode_like | json_values, max_size=3), cut=st.integers(0, 8))
+@example(lines=[], cut=0)
+def test_near_valid_episodes(input_path, lines, cut):
+    """Episode-shaped JSON Lines, whole or with up to 8 trailing characters cut off."""
+    text = "\n".join(json.dumps(line) for line in lines)
+    load_or_reject(read_episodes, input_path, text_bytes(text[: len(text) - cut]))
