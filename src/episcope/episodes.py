@@ -21,7 +21,7 @@ from typing import IO, Iterable
 import numpy as np
 from scipy import stats
 
-from .seeds import check_seed, rekey_philox, substream_seed
+from .seeds import check_seed, rekey_philox, substream_seeds
 from .variance import AccuracyPrior, _check_positive_int
 
 RESULTS_CSV_HEADER = ["episode_id", "correct", "total"]
@@ -86,11 +86,23 @@ class EpisodeSpec:
     per_class: tuple[ClassSplit, ...]
 
     def __post_init__(self) -> None:
+        try:
+            if self.episode_id < 0:
+                raise ValueError(f"episode_id must be >= 0, got {self.episode_id}")
+            check_seed(self.seed, "seed")
+            _check_positive_int(self.ways, "ways")
+            _check_positive_int(self.shots, "shots")
+        except ValueError as exc:
+            raise ValueError(f"episode {self.episode_id}: {exc}") from None
         if len(self.per_class) != self.ways:
             raise ValueError(
                 f"episode {self.episode_id}: expected {self.ways} classes, "
                 f"got {len(self.per_class)}"
             )
+        names = [split.class_name for split in self.per_class]
+        if len(set(names)) != len(names):
+            repeated = sorted({name for name in names if names.count(name) > 1})
+            raise ValueError(f"episode {self.episode_id}: class names repeated {repeated}")
         for split in self.per_class:
             if len(split.support_ids) != self.shots:
                 raise ValueError(
@@ -226,8 +238,7 @@ def sample_episodes(
     episodes = []
     bitgen = np.random.Philox(key=0)
     rng = np.random.Generator(bitgen)
-    for episode_id in range(count):
-        seed = substream_seed(master_seed, episode_id)
+    for episode_id, seed in enumerate(substream_seeds(master_seed, count).tolist()):
         rekey_philox(bitgen, seed)
         u = rng.random(ways + ways * (shots + q))
         chosen = _take_positions(_fisher_yates_steps(u[:ways], len(index.classes)).tolist())

@@ -17,20 +17,20 @@ seed; the block size that bounds the draw's memory is not part of the stream.
 
 ``decompose_variance`` and ``episode_counts`` need the true accuracies, so
 they keep the two-stage draw in ``_draw_episodes``: a_p ~ Beta, then counts ~
-Binomial(Kq, a_p). In ``decompose_variance`` replication r draws from its own
-Philox substream, keyed by the r-th output of a SplitMix64 sequence at the
-master seed.
+Binomial(Kq, a_p). Each reads one Philox stream keyed by its seed;
+``decompose_variance`` makes one ``_draw_episodes`` call per replication, in
+replication order, on that stream. ``sweep`` keys sweep point i with child
+seed i of its master seed (``seeds.substream_seeds``).
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import stats
 
-from .seeds import check_seed, philox_generator, rekey_philox, substream_seed, substream_seeds
+from .seeds import check_seed, philox_generator, substream_seeds
 from .variance import AccuracyPrior, EvalDesign, _check_positive_int, estimator_variance
 
 # Margin keeping the Beta fit away from the two-point boundary distribution.
@@ -178,23 +178,6 @@ def _count_cdf(prior: AccuracyPrior, kq: int) -> np.ndarray:
     return cdf
 
 
-def _replications(config: SimConfig) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """``_draw_episodes`` output for each replication, in index order.
-
-    Replication r draws from Philox keyed by substream seed r of the master
-    seed; a single bit generator is rekeyed rather than rebuilt each time.
-    Only ``decompose_variance`` uses it; ``simulate`` draws the marginal.
-    """
-    prior, design = config.prior, config.design
-    alpha_beta = None if prior.std == 0.0 else fit_beta(prior)
-    kp, kq = design.episodes, design.queries_per_episode
-    bitgen = np.random.Philox(key=0)
-    rng = np.random.Generator(bitgen)
-    for seed in substream_seeds(config.master_seed, config.replications).tolist():
-        rekey_philox(bitgen, seed)
-        yield _draw_episodes(rng, alpha_beta, prior.mean, kp, kq)
-
-
 def simulate(config: SimConfig) -> SimReport:
     """Run the full simulation and compare moments against the closed form.
 
@@ -247,12 +230,12 @@ def sweep(
         raise ValueError("kq_values must be non-empty")
     check_seed(master_seed, "master_seed")
     reports = []
-    for index, kq in enumerate(kq_values):
+    for kq, seed in zip(kq_values, substream_seeds(master_seed, len(kq_values)).tolist()):
         config = SimConfig(
             prior=prior,
             design=EvalDesign(episodes=kp, queries_per_episode=kq),
             replications=replications,
-            master_seed=substream_seed(master_seed, index),
+            master_seed=seed,
         )
         reports.append(simulate(config))
     return reports
@@ -262,22 +245,27 @@ def decompose_variance(config: SimConfig) -> VarianceDecomposition:
     """Instrument the two variance sources separately.
 
     Pools the true accuracy draws and the squared estimation errors across
-    all replications and episodes.
+    all replications and episodes. Every replication draws from one Philox
+    stream keyed by the master seed: Kp Beta draws, then Kp binomial draws,
+    replication after replication.
     """
-    prior, kq = config.prior, config.design.queries_per_episode
+    prior, kp, kq = config.prior, config.design.episodes, config.design.queries_per_episode
+    alpha_beta = None if prior.std == 0.0 else fit_beta(prior)
+    rng = philox_generator(config.master_seed)
     # Accumulate deviations from the known prior mean: numerically stable and
     # exactly zero for the point-mass case.
     sum_dev = np.empty(config.replications)
     sum_dev2 = np.empty(config.replications)
     sum_sq_err = np.empty(config.replications)
-    for r, (a_p, counts) in enumerate(_replications(config)):
+    for r in range(config.replications):
+        a_p, counts = _draw_episodes(rng, alpha_beta, prior.mean, kp, kq)
         err = counts / kq - a_p
         dev = a_p - prior.mean
         sum_dev[r] = dev.sum()
         sum_dev2[r] = (dev * dev).sum()
         sum_sq_err[r] = (err * err).sum()
 
-    n_draws = config.replications * config.design.episodes
+    n_draws = config.replications * kp
     total_dev = float(np.sum(sum_dev))
     between = (float(np.sum(sum_dev2)) - total_dev * total_dev / n_draws) / (n_draws - 1)
     within = float(np.sum(sum_sq_err)) / n_draws

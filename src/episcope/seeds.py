@@ -1,11 +1,13 @@
 """Deterministic seed derivation for parallel-safe substreams.
 
-All stochastic components in this package derive child seed ``index`` as the
-index-th output of a SplitMix64 sequence seeded at the master seed, so any
-(master seed, index) pair maps to the same substream regardless of execution
-order. XOR-folding the index into the master instead would
-make nearby masters emit permutations of the same substream set, which
-collides under permutation-invariant statistics.
+Child seed ``index`` of a master seed is the index-th output of a SplitMix64
+sequence seeded at the master (Steele, Lea & Flood 2014), so any (master
+seed, index) pair maps to the same substream regardless of execution order.
+:func:`substream_seeds` is the only derivation: episode sampling keys each
+episode's Philox substream with it, and ``montecarlo.sweep`` keys each sweep
+point. XOR-folding the index into the master instead would make nearby
+masters emit permutations of the same substream set, which collides under
+permutation-invariant statistics.
 """
 
 from __future__ import annotations
@@ -18,16 +20,8 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
 
-def splitmix64(value: int) -> int:
-    """One SplitMix64 step: mix ``value`` into a well-distributed 64-bit word."""
-    x = (value + _GOLDEN) & MASK64
-    x = ((x ^ (x >> 30)) * _MIX1) & MASK64
-    x = ((x ^ (x >> 27)) * _MIX2) & MASK64
-    return x ^ (x >> 31)
-
-
 def splitmix64_array(values: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`splitmix64` over a uint64 array."""
+    """The SplitMix64 mix applied to each word of a uint64 array."""
     x = values.astype(np.uint64, copy=True)
     with np.errstate(over="ignore"):
         x += np.uint64(_GOLDEN)
@@ -42,11 +36,6 @@ def check_seed(seed: int, name: str = "seed") -> int:
     if not 0 <= seed <= MASK64:
         raise ValueError(f"{name} must be an unsigned 64-bit integer, got {seed}")
     return int(seed)
-
-
-def substream_seed(master_seed: int, index: int) -> int:
-    """Child seed ``index``: that output of the SplitMix64 stream at the master."""
-    return splitmix64((master_seed + index * _GOLDEN) & MASK64)
 
 
 def substream_seeds(master_seed: int, count: int) -> np.ndarray:
@@ -68,7 +57,7 @@ def rekey_philox(bit_generator: np.random.Philox, key: int) -> None:
     """Reset ``bit_generator`` to the stream Philox(key=key) would produce.
 
     State assignment skips the costly seeding path, which matters when a
-    simulation opens hundreds of thousands of substreams.
+    sampler opens one substream per episode.
     """
     bit_generator.state = {
         "bit_generator": "Philox",

@@ -27,7 +27,7 @@ from episcope.episodes import (
     write_episodes,
     write_results_csv,
 )
-from episcope.seeds import substream_seed
+from episcope.seeds import substream_seeds
 
 
 @pytest.fixture(scope="module")
@@ -222,8 +222,9 @@ class TestStream:
     )
     def test_matches_list_reference(self, benchmark_index, ways, shots, queries):
         episodes = sample_episodes(benchmark_index, ways, shots, queries, 40, master_seed=31)
+        seeds = substream_seeds(31, 40).tolist()
         for episode in episodes:
-            assert episode.seed == substream_seed(31, episode.episode_id)
+            assert episode.seed == seeds[episode.episode_id]
             assert episode.per_class == reference_episode(
                 benchmark_index, ways, shots, queries, episode.seed
             )
@@ -358,6 +359,39 @@ class TestSerialization:
         path = tmp_path / "bad.jsonl"
         path.write_text(episode_to_json(_one_episode()).replace('"ways":1', '"ways":2') + "\n")
         with pytest.raises(ValueError, match=r"bad\.jsonl: line 1: episode 0: expected 2 classes"):
+            read_episodes(path)
+
+    @pytest.mark.parametrize(
+        ("fields", "per_class", "message"),
+        [
+            ('"episode_id":3,"seed":1,"ways":0,"shots":1', "",
+             "episode 3: ways must be >= 1, got 0"),
+            ('"episode_id":3,"seed":1,"ways":1,"shots":0',
+             '{"class_name":"a","support_ids":[],"query_ids":["x"]}',
+             "episode 3: shots must be >= 1, got 0"),
+            ('"episode_id":-4,"seed":1,"ways":1,"shots":1',
+             '{"class_name":"a","support_ids":["s"],"query_ids":["x"]}',
+             "episode -4: episode_id must be >= 0, got -4"),
+            ('"episode_id":3,"seed":-1,"ways":1,"shots":1',
+             '{"class_name":"a","support_ids":["s"],"query_ids":["x"]}',
+             "episode 3: seed must be an unsigned 64-bit integer, got -1"),
+            (f'"episode_id":3,"seed":{2**64},"ways":1,"shots":1',
+             '{"class_name":"a","support_ids":["s"],"query_ids":["x"]}',
+             f"episode 3: seed must be an unsigned 64-bit integer, got {2**64}"),
+            ('"episode_id":3,"seed":1,"ways":2,"shots":1',
+             '{"class_name":"a","support_ids":["s"],"query_ids":["x"]},'
+             '{"class_name":"a","support_ids":["t"],"query_ids":["y"]}',
+             r"episode 3: class names repeated \['a'\]"),
+        ],
+        ids=["ways_0", "shots_0", "negative_id", "seed_negative", "seed_2_64", "repeated_class"],
+    )
+    def test_read_out_of_range_episode_names_file_and_line(
+        self, tmp_path, fields, per_class, message
+    ):
+        path = tmp_path / "bad.jsonl"
+        line = "{" + fields + ',"per_class":[' + per_class + "]}"
+        path.write_text(episode_to_json(_one_episode()) + "\n" + line + "\n")
+        with pytest.raises(ValueError, match=rf"bad\.jsonl: line 2: {message}$"):
             read_episodes(path)
 
     def test_results_csv_round_trip(self, tmp_path):

@@ -212,11 +212,11 @@ class TestSweep:
         assert variances[-1] == pytest.approx(prior.variance / 20, rel=0.1)
 
     def test_single_element_matches_simulate(self):
-        from episcope.seeds import substream_seed
+        from episcope.seeds import substream_seeds
 
         prior = AccuracyPrior(0.9, 0.02)
         (report,) = sweep(prior, [50], kp=10, replications=2000, master_seed=31)
-        direct = simulate(config(0.9, 0.02, 10, 50, 2000, substream_seed(31, 0)))
+        direct = simulate(config(0.9, 0.02, 10, 50, 2000, substream_seeds(31, 1).tolist()[0]))
         assert report == direct
 
     def test_equal_seeds_identical_reports(self):
@@ -304,9 +304,9 @@ class TestPinnedStream:
     def test_decompose_variance(self):
         decomp = decompose_variance(config(0.9, 0.03, 40, 25, 300, 13))
         assert decomp.__dict__ == {
-            "between_measured": 0.0009108177773417823,
+            "between_measured": 0.0008932203007451603,
             "between_expected": 0.0009,
-            "within_measured": 0.0035598647517073615,
+            "within_measured": 0.0034958342009525785,
             "within_expected": 0.0035639999999999995,
             "replications": 300,
         }
@@ -316,10 +316,35 @@ class TestPinnedStream:
         assert decomp.__dict__ == {
             "between_measured": 0.0,
             "between_expected": 0.0,
-            "within_measured": 0.006392666666666667,
+            "within_measured": 0.006412,
             "within_expected": 0.0063999999999999994,
             "replications": 300,
         }
+
+    @pytest.mark.parametrize("std", [0.03, 0.0], ids=["beta", "point_mass"])
+    def test_decompose_variance_reads_one_philox_stream(self, std):
+        """Replication after replication, Kp Beta then Kp binomial draws from one stream."""
+        mean, kp, kq, reps, seed = 0.9, 40, 25, 300, 13
+        rng = philox_generator(seed)
+        a, counts = [], []
+        for _ in range(reps):
+            if std == 0.0:
+                a_p = np.full(kp, mean)
+                counts.append(rng.binomial(kq, mean, size=kp))
+            else:
+                a_p = rng.beta(*fit_beta(AccuracyPrior(mean, std)), size=kp)
+                counts.append(rng.binomial(kq, a_p))
+            a.append(a_p)
+        a, counts = np.concatenate(a), np.concatenate(counts)
+        decomp = decompose_variance(config(mean, std, kp, kq, reps, seed))
+        # Only the summation order differs from the reference; another stream
+        # would move both figures by far more than the tolerance.
+        assert decomp.between_measured == pytest.approx(
+            np.var(a - mean, ddof=1), rel=1e-12, abs=0.0
+        )
+        assert decomp.within_measured == pytest.approx(
+            np.mean((counts / kq - a) ** 2), rel=1e-12
+        )
 
     def test_episode_counts(self):
         counts = episode_counts(AccuracyPrior(0.9, 0.02), EvalDesign(12, 75), seed=4)

@@ -1,0 +1,46 @@
+"""Smoke runs of the example scripts under scripts/ at small sizes."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def run_script(name: str, *args: str) -> subprocess.CompletedProcess:
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / name), *args],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc
+
+
+def test_validate_variance_model():
+    proc = run_script("validate_variance_model.py", "--reps", "200", "--kq", "1,5")
+    assert proc.stdout == (
+        "kq,theoretical_var,empirical_var,rel_var_error,asymptote_var\n"
+        "1,0.0009425,0.0009845739112,0.04464075461,2.083333333e-05\n"
+        "5,0.0002051666667,0.0002471870463,0.2048109489,2.083333333e-05\n"
+    )
+    assert "2 sweep points, 200 replications each" in proc.stderr
+
+
+def test_plan_evaluation(tmp_path):
+    table = tmp_path / "table.csv"
+    proc = run_script("plan_evaluation.py", "--table", str(table))
+    assert proc.stdout.splitlines()[-3:] == [
+        "predicted: var 6.6034e-06, 95% half-width 0.50 pts",
+        "cheapest design at 5.59h/episode: 122 episodes x 2975 queries, 682.0h total",
+        f"wrote trade-off table to {table}",
+    ]
+    assert len(table.read_text().splitlines()) == 1 + 4 * 3
+
+
+def test_blend_norm_effect():
+    proc = run_script("blend_norm_effect.py", "--dim", "64", "--draws", "2")
+    header, *rows = proc.stdout.splitlines()
+    assert header == "alpha,raw_norm,corrected_norm,target_norm"
+    assert [row.split(",")[0] for row in rows] == [f"{a / 10:.1f}" for a in range(11)]
+    # The corrected blend holds the interpolated norm.
+    assert all(row.split(",")[2] == row.split(",")[3] for row in rows)
