@@ -16,13 +16,14 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from episcope.blend import blend_norm_corrected, blend_raw
+from episcope.cli import _positive_int, _seed_int
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--dim", type=int, default=4096)
-    parser.add_argument("--draws", type=int, default=20)
-    parser.add_argument("--seed", type=int, default=7)
+    parser.add_argument("--dim", type=_positive_int, default=4096)
+    parser.add_argument("--draws", type=_positive_int, default=20)
+    parser.add_argument("--seed", type=_seed_int, default=7)
     args = parser.parse_args()
 
     rng = np.random.default_rng(args.seed)

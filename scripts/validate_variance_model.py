@@ -15,28 +15,33 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from episcope.cli import _int_list, _positive_int, _ranged, _seed_int
 from episcope.montecarlo import sweep
 from episcope.variance import AccuracyPrior, variance_asymptote
+
+_replications = _ranged(int, lambda n: n >= 2, "be >= 2 (sample variance needs two points)")
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--a", type=float, default=0.87)
     parser.add_argument("--sigma", type=float, default=0.05)
-    parser.add_argument("--kp", type=int, default=120)
-    parser.add_argument("--kq", type=str, default="1,5,15,75,595,2975")
-    parser.add_argument("--reps", type=int, default=50_000)
-    parser.add_argument("--seed", type=int, default=2024)
+    parser.add_argument("--kp", type=_positive_int, default=120)
+    parser.add_argument("--kq", type=_int_list, default="1,5,15,75,595,2975")
+    parser.add_argument("--reps", type=_replications, default=50_000)
+    parser.add_argument("--seed", type=_seed_int, default=2024)
     parser.add_argument("--out", type=str, default="-")
     args = parser.parse_args()
 
-    prior = AccuracyPrior(args.a, args.sigma)
-    kq_values = [int(v) for v in args.kq.split(",")]
-    reports = sweep(prior, kq_values, args.kp, args.reps, args.seed)
+    try:
+        prior = AccuracyPrior(args.a, args.sigma)
+        reports = sweep(prior, args.kq, args.kp, args.reps, args.seed)
+    except ValueError as exc:  # the other flags passed their checks, so only the prior is left
+        parser.error(f"--a/--sigma: {exc}")
     limit = variance_asymptote(prior, args.kp)
 
     lines = ["kq,theoretical_var,empirical_var,rel_var_error,asymptote_var"]
-    for kq, report in zip(kq_values, reports):
+    for kq, report in zip(args.kq, reports):
         lines.append(
             f"{kq},{report.theoretical_var:.10g},{report.empirical_var:.10g},"
             f"{report.rel_var_error:.10g},{limit:.10g}"
@@ -49,7 +54,7 @@ def main() -> int:
 
     worst = max(r.rel_var_error for r in reports)
     print(
-        f"# {len(kq_values)} sweep points, {args.reps} replications each, "
+        f"# {len(args.kq)} sweep points, {args.reps} replications each, "
         f"worst relative error {worst:.4f}",
         file=sys.stderr,
     )

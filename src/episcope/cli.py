@@ -103,10 +103,12 @@ _unit_closed = _ranged(float, lambda x: 0.0 <= x <= 1.0, "lie in [0, 1]")
 
 @_flag_type
 def _int_list(text: str) -> list[int]:
-    out = [_positive_int(item) for item in text.split(",") if item.strip() != ""]
-    if not out:
-        raise ValueError("must be a non-empty comma-separated list of positive integers")
-    return out
+    try:
+        return [_positive_int(item) for item in text.split(",")]
+    except argparse.ArgumentTypeError as exc:
+        raise ValueError(
+            f"must be a comma-separated list of positive integers, got {text!r} ({exc})"
+        ) from exc
 
 
 def _queries_spec(text: str) -> int | None:
@@ -191,12 +193,8 @@ def _cmd_simulate(args) -> int:
     if args.json:
         print(json.dumps(report.to_dict()))
     else:
-        print(f"empirical_mean {_fmt(report.empirical_mean)}")
-        print(f"empirical_var {_fmt(report.empirical_var)}")
-        print(f"theoretical_mean {_fmt(report.theoretical_mean)}")
-        print(f"theoretical_var {_fmt(report.theoretical_var)}")
-        print(f"rel_var_error {_fmt(report.rel_var_error)}")
-        print(f"replications {report.replications}")
+        for key, value in report.to_dict().items():
+            print(f"{key} {_fmt(value)}")
     return 0
 
 

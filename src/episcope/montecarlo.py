@@ -8,12 +8,16 @@ queries, and the spread of the resulting mean accuracy across many
 replications is compared against the formula.
 
 Under that model one episode's correct count is exactly BetaBinomial(Kq,
-alpha, beta), or Binomial(Kq, mean) for a zero-variance prior. ``simulate``
-draws this marginal directly: one uniform per episode, inverted through the
-(Kq+1)-entry count CDF from ``_count_cdf``. Every uniform comes from one
-Philox stream keyed by the master seed, and replication r uses uniforms
-r*Kp .. (r+1)*Kp-1 of it, so results are bit-identical for a given master
-seed; the block size that bounds the draw's memory is not part of the stream.
+alpha, beta), or Binomial(Kq, mean) for a zero-variance prior, and a
+replication's total is a sum of Kp iid such counts. ``simulate`` needs only
+that total. It draws it as a few group totals of g episodes each, inverting
+one uniform per group through the exact CDF of the g-fold convolution power
+of the count pmf, all from one Philox stream keyed by the master seed (the
+layout is in ``simulate``'s docstring). Results are bit-identical for a given
+master seed. The block size that bounds the draw's memory is not part of the
+stream, but the group constant ``_GROUP_COUNTS`` is: changing it changes the
+output for every Kq < 2**14 and needs a new stream version. At Kq >= 2**14
+each group is one episode, inverted through the count CDF itself.
 
 ``decompose_variance`` and ``episode_counts`` need the true accuracies, so
 they keep the two-stage draw in ``_draw_episodes``: a_p ~ Beta, then counts ~
@@ -25,10 +29,11 @@ seed i of its master seed (``seeds.substream_seeds``).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy import fft, stats
 
 from .seeds import check_seed, philox_generator, substream_seeds
 from .variance import AccuracyPrior, EvalDesign, _check_positive_int, estimator_variance
@@ -40,8 +45,13 @@ _INTERIOR_SLACK = 1e-12
 # It bounds memory only: the stream does not depend on it.
 _BLOCK_DRAWS = 1 << 16
 
-# Counts per pmf evaluation in ``_count_cdf``; bounds memory only.
+# Counts per pmf evaluation in ``_count_pmf``; bounds memory only.
 _CDF_CHUNK = 1 << 16
+
+# Stream constant: ``simulate`` groups g = min(Kp, max(1, _GROUP_COUNTS // Kq))
+# episodes per uniform, so each group table has at most _GROUP_COUNTS + 1
+# entries. Changing it changes the stream.
+_GROUP_COUNTS = 1 << 14
 
 
 class DegeneratePriorError(ValueError):
@@ -96,18 +106,22 @@ class SimReport:
 
     empirical_mean: float
     empirical_var: float
+    empirical_var_se: float
     theoretical_mean: float
     theoretical_var: float
     rel_var_error: float
+    var_z: float
     replications: int
 
     def to_dict(self) -> dict[str, float | int]:
         return {
             "empirical_mean": self.empirical_mean,
             "empirical_var": self.empirical_var,
+            "empirical_var_se": self.empirical_var_se,
             "theoretical_mean": self.theoretical_mean,
             "theoretical_var": self.theoretical_var,
             "rel_var_error": self.rel_var_error,
+            "var_z": self.var_z,
             "replications": self.replications,
         }
 
@@ -150,70 +164,141 @@ def _draw_episodes(
     return a_p, rng.binomial(kq, p, size=kp)
 
 
-def _count_cdf(prior: AccuracyPrior, kq: int) -> np.ndarray:
-    """CDF of one episode's correct count over 0..Kq.
+def _count_pmf(prior: AccuracyPrior, kq: int) -> np.ndarray:
+    """Pmf of one episode's correct count over 0..Kq.
 
     The count is BetaBinomial(Kq, alpha, beta) under the Beta fit, or
-    Binomial(Kq, mean) for the point mass. The running sum is divided by its
-    total, which keeps it non-decreasing and ends it at exactly 1.0 even when
-    the pmf's rounding makes the raw sum overshoot 1 before Kq.
-
-    The pmf is evaluated over ``_CDF_CHUNK`` counts at a time, so scipy's
-    temporaries scale with the chunk rather than with Kq. Each chunk's first
-    term absorbs the running sum before its ``cumsum``, which adds in the same
-    order as one ``cumsum`` over the whole pmf.
+    Binomial(Kq, mean) for the point mass. The pmf is evaluated over
+    ``_CDF_CHUNK`` counts at a time, so scipy's temporaries scale with the
+    chunk rather than with Kq.
     """
     if prior.std == 0.0:
         pmf_of, params = stats.binom.pmf, (kq, prior.mean)
     else:
         pmf_of, params = stats.betabinom.pmf, (kq, *fit_beta(prior))
-    cdf = np.empty(kq + 1)
-    carry = 0.0
+    pmf = np.empty(kq + 1)
     for start in range(0, kq + 1, _CDF_CHUNK):
-        pmf = pmf_of(np.arange(start, min(start + _CDF_CHUNK, kq + 1)), *params)
-        pmf[0] += carry
-        chunk = np.cumsum(pmf, out=cdf[start:start + len(pmf)])
-        carry = chunk[-1]
+        stop = min(start + _CDF_CHUNK, kq + 1)
+        pmf[start:stop] = pmf_of(np.arange(start, stop), *params)
+    return pmf
+
+
+def _cdf_of(pmf: np.ndarray) -> np.ndarray:
+    """Normalised running sum of ``pmf``, computed in place.
+
+    Dividing by the total keeps it non-decreasing and ends it at exactly 1.0
+    even when the pmf's rounding makes the raw sum overshoot 1 early.
+    """
+    cdf = np.cumsum(pmf, out=pmf)
     cdf /= cdf[-1]
     return cdf
+
+
+def _count_cdf(prior: AccuracyPrior, kq: int) -> np.ndarray:
+    """CDF of one episode's correct count over 0..Kq (see ``_count_pmf``)."""
+    return _cdf_of(_count_pmf(prior, kq))
+
+
+def _power_cdfs(pmf: np.ndarray, powers: tuple[int, ...]) -> list[np.ndarray]:
+    """CDFs of the k-fold convolution powers of ``pmf``, one per k in ``powers``.
+
+    The k-fold power is the law of a sum of k iid counts, over 0..k*(len-1).
+    One real FFT of length n >= max(k)*(len-1) + 1 holds every power without
+    wrap-around, so each table is ``irfft(F**k)`` cut to k*(len-1) + 1 entries,
+    with round-off negatives clipped to 0 before the running sum.
+    """
+    kq = len(pmf) - 1
+    n = fft.next_fast_len(max(powers) * kq + 1, real=True)
+    spectrum = fft.rfft(pmf, n)
+    tables = []
+    for k in powers:
+        power = fft.irfft(spectrum**k, n)[:k * kq + 1]
+        tables.append(_cdf_of(np.maximum(power, 0.0, out=power)))
+    return tables
+
+
+def _moments(a_tilde: np.ndarray) -> tuple[float, float, float]:
+    """Sample mean, sample variance (divisor n-1) and the variance's SE.
+
+    The SE is sqrt((m4 - (n-3)/(n-1) * s^4) / n), with m4 the sample fourth
+    central moment and s^2 the sample variance. It is never negative, since
+    m4 >= m2^2, and it is 0 when every replication reads the same.
+    """
+    n = len(a_tilde)
+    mean = float(np.mean(a_tilde))
+    var = float(np.var(a_tilde, ddof=1))
+    dev2 = np.square(a_tilde - mean)
+    m4 = float(np.mean(dev2 * dev2))
+    return mean, var, math.sqrt(max(0.0, m4 - (n - 3) / (n - 1) * var * var) / n)
+
+
+def _draw_totals(config: SimConfig) -> np.ndarray:
+    """Each replication's correct total over all Kp*Kq queries (see ``simulate``)."""
+    kp, kq = config.design.episodes, config.design.queries_per_episode
+    reps = config.replications
+    group = min(kp, max(1, _GROUP_COUNTS // kq))
+    q, r = divmod(kp, group)
+    if group == 1:
+        tables = [_count_cdf(config.prior, kq)]
+    else:
+        tables = _power_cdfs(_count_pmf(config.prior, kq), (group, r) if r else (group,))
+    draws = q + (r > 0)
+    rng = philox_generator(config.master_seed)
+    block = max(1, _BLOCK_DRAWS // draws)
+    totals = np.empty(reps, dtype=np.int64)
+    for start in range(0, reps, block):
+        m = min(block, reps - start)
+        u = rng.random(m * draws).reshape(m, draws)
+        block_totals = np.searchsorted(tables[0], u[:, :q], side="right").sum(axis=1)
+        if r:
+            block_totals += np.searchsorted(tables[1], u[:, q], side="right")
+        totals[start:start + m] = block_totals
+    return totals
 
 
 def simulate(config: SimConfig) -> SimReport:
     """Run the full simulation and compare moments against the closed form.
 
-    Each replication draws Kp episode counts from their exact marginal,
-    BetaBinomial(Kq, alpha, beta) or Binomial(Kq, mean) for a zero-variance
-    prior, by inverting one uniform per episode through ``_count_cdf``, and
-    averages the per-episode empirical accuracies. The uniforms come from one
-    Philox stream keyed by the master seed, replication r taking uniforms
-    r*Kp .. (r+1)*Kp-1; they are drawn in blocks of whole replications, and
-    the block size is not part of the stream. Reported variance uses divisor
-    replications-1.
+    Each replication's correct total is the sum of Kp episode counts, each
+    BetaBinomial(Kq, alpha, beta), or Binomial(Kq, mean) for a zero-variance
+    prior. It is drawn as q = Kp // g group totals of g episodes plus, when r =
+    Kp % g > 0, one group total of r episodes, g = min(Kp, max(1,
+    _GROUP_COUNTS // Kq)); each group total inverts one uniform through the
+    exact CDF of the g-fold (or r-fold) convolution power of the count pmf.
+    The uniforms come from one Philox stream keyed by the master seed,
+    replication i taking uniforms i*D .. (i+1)*D-1 with D = q + (r > 0), the
+    r-episode group last. They are drawn in blocks of whole replications, and
+    the block size is not part of the stream; ``_GROUP_COUNTS`` is. At Kq >=
+    _GROUP_COUNTS, g = 1 and each episode inverts its own uniform through
+    ``_count_cdf``.
+
+    Reported variance uses divisor replications-1; ``empirical_var_se`` is
+    its standard error from the sample fourth central moment, and ``var_z``
+    is (empirical - theoretical) / SE, 0 when both variances are equal and
+    +-inf when they differ at zero SE.
     """
     design = config.design
-    kp, reps = design.episodes, config.replications
-    cdf = _count_cdf(config.prior, design.queries_per_episode)
-    rng = philox_generator(config.master_seed)
-    block = max(1, _BLOCK_DRAWS // kp)
-    totals = np.empty(reps, dtype=np.int64)
-    for start in range(0, reps, block):
-        m = min(block, reps - start)
-        counts = np.searchsorted(cdf, rng.random(m * kp), side="right")
-        totals[start:start + m] = counts.reshape(m, kp).sum(axis=1)
-    a_tilde = totals / (kp * design.queries_per_episode)
-    empirical_mean = float(np.mean(a_tilde))
-    empirical_var = float(np.var(a_tilde, ddof=1))
+    totals = _draw_totals(config)
+    a_tilde = totals / (design.episodes * design.queries_per_episode)
+    empirical_mean, empirical_var, var_se = _moments(a_tilde)
     theoretical_var = estimator_variance(config.prior, design)
     if theoretical_var > 0.0:
         rel_var_error = abs(empirical_var / theoretical_var - 1.0)
     else:
         rel_var_error = 0.0 if empirical_var == 0.0 else float("inf")
+    gap = empirical_var - theoretical_var
+    if var_se > 0.0:
+        var_z = gap / var_se
+    else:
+        var_z = 0.0 if gap == 0.0 else math.copysign(math.inf, gap)
     return SimReport(
         empirical_mean=empirical_mean,
         empirical_var=empirical_var,
+        empirical_var_se=var_se,
         theoretical_mean=config.prior.mean,
         theoretical_var=theoretical_var,
         rel_var_error=rel_var_error,
+        var_z=var_z,
         replications=config.replications,
     )
 

@@ -175,6 +175,16 @@ class TestPlan:
         assert code == 0
         assert out.startswith("kp,kq,")
 
+    @pytest.mark.parametrize("kp_list", ["100,,200", "100,", ""])
+    def test_table_rejects_empty_list_items(self, capsys, kp_list):
+        code, out, err = run(
+            capsys,
+            "plan", "table", "--a", "0.9", "--sigma", "0.02",
+            "--kp-list", kp_list, "--kq-list", "10",
+        )
+        assert code == 2 and out == ""
+        assert "--kp-list" in err and "comma-separated list of positive integers" in err
+
 
 class TestSimulate:
     def test_json_report(self, capsys):
@@ -187,6 +197,23 @@ class TestSimulate:
         payload = json.loads(out)
         assert payload["replications"] == 2000
         assert payload["rel_var_error"] < 0.2
+
+    def test_reports_variance_se_and_z(self, capsys):
+        argv = [
+            "simulate", "--a", "0.9", "--sigma", "0.02", "--kp", "20", "--kq", "30",
+            "--reps", "2000", "--seed", "7",
+        ]
+        code, out, _ = run(capsys, *argv, "--json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["empirical_var_se"] > 0.0
+        assert payload["var_z"] == pytest.approx(
+            (payload["empirical_var"] - payload["theoretical_var"]) / payload["empirical_var_se"]
+        )
+        code, out, _ = run(capsys, *argv)
+        fields = dict(line.split(" ", 1) for line in out.strip().split("\n"))
+        assert list(fields) == list(payload)
+        assert float(fields["var_z"]) == pytest.approx(payload["var_z"], rel=1e-9)
 
     def test_byte_identical_repeat(self, capsys):
         argv = [

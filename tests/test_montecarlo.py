@@ -125,11 +125,49 @@ class TestSimulate:
         assert list(report.to_dict()) == [
             "empirical_mean",
             "empirical_var",
+            "empirical_var_se",
             "theoretical_mean",
             "theoretical_var",
             "rel_var_error",
+            "var_z",
             "replications",
         ]
+
+
+class TestVarianceStandardError:
+    def test_se_from_fourth_central_moment(self):
+        """SE = sqrt((m4 - (n-3)/(n-1) s^4) / n); var_z = (empirical - theory) / SE."""
+        c = config(0.87, 0.05, 120, 75, 5000, 12)
+        x = montecarlo._draw_totals(c) / (120 * 75)
+        n, s2 = len(x), np.var(x, ddof=1)
+        m4 = np.mean((x - x.mean()) ** 4)
+        report = simulate(c)
+        assert report.empirical_var_se == pytest.approx(
+            math.sqrt((m4 - (n - 3) / (n - 1) * s2**2) / n), rel=1e-9
+        )
+        assert report.var_z == (
+            (report.empirical_var - report.theoretical_var) / report.empirical_var_se
+        )
+
+    def test_se_matches_spread_of_sample_variances(self):
+        """Across 200 seeds the sample variances spread as their median SE says."""
+        reports = [simulate(config(0.87, 0.05, 120, 75, 500, seed)) for seed in range(200)]
+        spread = np.std([r.empirical_var for r in reports], ddof=1)
+        assert np.median([r.empirical_var_se for r in reports]) == pytest.approx(spread, rel=0.2)
+        assert abs(np.mean([r.var_z for r in reports])) < 0.3
+
+    def test_zero_variance_equal_to_theory(self):
+        report = simulate(config(1.0, 0.0, 50, 20, 1000, 3))
+        assert report.empirical_var_se == 0.0
+        assert report.var_z == 0.0
+        assert report.to_dict()["var_z"] == 0.0
+
+    def test_zero_variance_below_theory(self):
+        """Every replication reads 1 while the theory has spread: z is -inf."""
+        report = simulate(config(1.0 - 1e-9, 0.0, 1, 1, 2, 3))
+        assert report.empirical_var == 0.0 and report.theoretical_var > 0.0
+        assert report.empirical_var_se == 0.0
+        assert report.var_z == -math.inf
 
 
 class TestCountCdf:
@@ -174,6 +212,71 @@ class TestCountCdf:
             assert np.all(np.diff(cdf) >= 0.0)
             assert cdf[-1] == 1.0
 
+    @pytest.mark.parametrize(
+        "a, std, kq, powers",
+        [
+            (0.87, 0.05, 75, (218, 164)),
+            (0.8, 0.0, 75, (218, 82)),
+            (0.93, 0.028, 10, (120,)),
+            (0.87, 0.05, 2975, (5, 4)),
+            (0.99, 0.005, 25, (655, 1)),
+            (0.5, 0.1, 1, (2000, 3)),
+        ],
+    )
+    def test_power_tables_match_direct_convolution(self, a, std, kq, powers):
+        """The FFT-power CDF of k counts is the CDF of k-fold ``np.convolve``."""
+        pmf = montecarlo._count_pmf(AccuracyPrior(a, std), kq)
+        tables = montecarlo._power_cdfs(pmf, powers)
+        for k, cdf in zip(powers, tables):
+            direct = np.ones(1)
+            for _ in range(k):
+                direct = np.convolve(direct, pmf)
+            assert cdf.shape == (k * kq + 1,)
+            assert np.all(np.diff(cdf) >= 0.0)
+            assert cdf[-1] == 1.0
+            assert np.max(np.abs(cdf - np.cumsum(direct) / np.sum(direct))) < 1e-12
+
+
+def chi_square_pvalue(totals, pmf):
+    """Pearson chi-square of observed totals against ``pmf``.
+
+    Adjacent totals merge left to right into bins until each expects at least
+    5 draws; a short tail folds into the last bin.
+    """
+    pmf = pmf / pmf.sum()
+    expected = len(totals) * pmf
+    observed = np.bincount(totals, minlength=len(pmf))
+    assert len(observed) == len(pmf), "a total lies outside 0..Kp*Kq"
+    starts, acc = [0], 0.0
+    for i, e in enumerate(expected):
+        acc += e
+        if acc >= 5.0:
+            starts.append(i + 1)
+            acc = 0.0
+    starts = starts[:-1]
+    assert len(starts) > 10
+    f_exp = np.add.reduceat(expected, starts)
+    f_obs = np.add.reduceat(observed, starts)
+    assert f_exp.min() >= 5.0
+    return stats.chisquare(f_obs, f_exp).pvalue
+
+
+class TestDistribution:
+    """Simulated totals against their exact law, the Kp-fold power of the count pmf."""
+
+    @pytest.mark.parametrize(
+        "a, std, kp, kq",
+        [(0.87, 0.05, 30, 40), (0.87, 0.05, 600, 75), (0.8, 0.0, 300, 75)],
+        ids=["one_group", "groups_and_remainder", "point_mass"],
+    )
+    def test_totals_follow_exact_pmf(self, a, std, kp, kq):
+        c = config(a, std, kp, kq, 20_000, 606)
+        pmf = montecarlo._count_pmf(c.prior, kq)
+        exact = np.ones(1)
+        for _ in range(kp):
+            exact = np.convolve(exact, pmf)
+        assert chi_square_pvalue(montecarlo._draw_totals(c), exact) > 1e-3
+
 
 class TestDeterminism:
     def test_repeat_runs_bit_identical(self):
@@ -184,15 +287,42 @@ class TestDeterminism:
     def test_block_size_is_not_part_of_the_stream(self, monkeypatch, block_reps):
         """Blocks of 1 replication, an odd size, or the whole run: same totals.
 
-        The reference draws every uniform in one call: replication r takes
-        uniforms r*Kp .. (r+1)*Kp-1 of the Philox stream at the master seed.
+        The reference draws every uniform in one call. With g episodes per
+        group, q, r = divmod(Kp, g) and D = q + (r > 0), replication i takes
+        uniforms i*D .. (i+1)*D-1 of the Philox stream at the master seed: the
+        first q through the g-fold CDF, the last (if r > 0) through the r-fold.
+        30x40 is one group (g = 30); 600x75 is q = 2 groups of g = 218 and r = 164.
         """
-        c = config(0.87, 0.05, 30, 40, 1000, 2024)
-        kp, kq = 30, 40
-        u = philox_generator(2024).random(1000 * kp)
+        for kp, kq in [(30, 40), (600, 75)]:
+            c = config(0.87, 0.05, kp, kq, 1000, 2024)
+            g = min(kp, montecarlo._GROUP_COUNTS // kq)
+            q, r = divmod(kp, g)
+            d = q + (r > 0)
+            powers = (g, r) if r else (g,)
+            tables = montecarlo._power_cdfs(montecarlo._count_pmf(c.prior, kq), powers)
+            u = philox_generator(2024).random(1000 * d).reshape(1000, d)
+            totals = np.searchsorted(tables[0], u[:, :q], side="right").sum(axis=1)
+            if r:
+                totals += np.searchsorted(tables[1], u[:, q], side="right")
+            a_tilde = totals / (kp * kq)
+            monkeypatch.setattr(montecarlo, "_BLOCK_DRAWS", block_reps * d + d // 2)
+            report = simulate(c)
+            assert report.empirical_mean == float(np.mean(a_tilde))
+            assert report.empirical_var == float(np.var(a_tilde, ddof=1))
+
+    @pytest.mark.parametrize("kq", [2**14, 3 * 10**4])
+    @pytest.mark.parametrize("std", [0.05, 0.0], ids=["beta", "point_mass"])
+    def test_one_episode_per_group_keeps_the_per_episode_stream(self, kq, std):
+        """At Kq >= 2**14, g = 1: one uniform per episode through the count CDF.
+
+        Replication i inverts uniforms i*Kp .. (i+1)*Kp-1, the stream that
+        ``simulate`` drew for every design before episodes were grouped.
+        """
+        kp, reps = 7, 300
+        c = config(0.87, std, kp, kq, reps, 41)
+        u = philox_generator(41).random(reps * kp)
         counts = np.searchsorted(montecarlo._count_cdf(c.prior, kq), u, side="right")
-        a_tilde = counts.reshape(1000, kp).sum(axis=1) / (kp * kq)
-        monkeypatch.setattr(montecarlo, "_BLOCK_DRAWS", block_reps * kp + kp // 2)
+        a_tilde = counts.reshape(reps, kp).sum(axis=1) / (kp * kq)
         report = simulate(c)
         assert report.empirical_mean == float(np.mean(a_tilde))
         assert report.empirical_var == float(np.var(a_tilde, ddof=1))
@@ -282,22 +412,26 @@ class TestPinnedStream:
     def test_simulate_beta_prior(self):
         report = simulate(config(0.87, 0.05, 30, 20, 500, 2024))
         assert report.to_dict() == {
-            "empirical_mean": 0.8698766666666665,
-            "empirical_var": 0.00024367769984413268,
+            "empirical_mean": 0.8691966666666667,
+            "empirical_var": 0.00027719237363616123,
+            "empirical_var_se": 1.6025904336518214e-05,
             "theoretical_mean": 0.87,
             "theoretical_var": 0.0002676666666666667,
-            "rel_var_error": 0.08962254105554424,
+            "rel_var_error": 0.03558794633684137,
+            "var_z": 0.5943943486414249,
             "replications": 500,
         }
 
     def test_simulate_point_mass(self):
         report = simulate(config(0.8, 0.0, 30, 20, 500, 5))
         assert report.to_dict() == {
-            "empirical_mean": 0.7989299999999999,
-            "empirical_var": 0.00028271497439323097,
+            "empirical_mean": 0.7994433333333334,
+            "empirical_var": 0.00029773559340904037,
+            "empirical_var_se": 1.980133408842981e-05,
             "theoretical_mean": 0.8,
             "theoretical_var": 0.0002666666666666667,
-            "rel_var_error": 0.060181153974615986,
+            "rel_var_error": 0.1165084752839014,
+            "var_z": 1.5690319957041523,
             "replications": 500,
         }
 

@@ -4,15 +4,17 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
-def run_script(name: str, *args: str) -> subprocess.CompletedProcess:
+def run_script(name: str, *args: str, code: int = 0) -> subprocess.CompletedProcess:
     proc = subprocess.run(
         [sys.executable, str(SCRIPTS / name), *args],
         capture_output=True, text=True, timeout=120,
     )
-    assert proc.returncode == 0, proc.stderr
+    assert proc.returncode == code, proc.stderr
     return proc
 
 
@@ -20,8 +22,8 @@ def test_validate_variance_model():
     proc = run_script("validate_variance_model.py", "--reps", "200", "--kq", "1,5")
     assert proc.stdout == (
         "kq,theoretical_var,empirical_var,rel_var_error,asymptote_var\n"
-        "1,0.0009425,0.0009845739112,0.04464075461,2.083333333e-05\n"
-        "5,0.0002051666667,0.0002471870463,0.2048109489,2.083333333e-05\n"
+        "1,0.0009425,0.001043802345,0.1074825942,2.083333333e-05\n"
+        "5,0.0002051666667,0.0001886487298,0.08050984682,2.083333333e-05\n"
     )
     assert "2 sweep points, 200 replications each" in proc.stderr
 
@@ -44,3 +46,18 @@ def test_blend_norm_effect():
     assert [row.split(",")[0] for row in rows] == [f"{a / 10:.1f}" for a in range(11)]
     # The corrected blend holds the interpolated norm.
     assert all(row.split(",")[2] == row.split(",")[3] for row in rows)
+
+
+@pytest.mark.parametrize(
+    "name, args, flag",
+    [
+        ("validate_variance_model.py", ("--reps", "1", "--kq", "1"), "--reps"),
+        ("validate_variance_model.py", ("--kq", "1,,5"), "--kq"),
+        ("blend_norm_effect.py", ("--dim", "0"), "--dim"),
+    ],
+)
+def test_bad_flag_exits_2_naming_it(name, args, flag):
+    proc = run_script(name, *args, code=2)
+    assert proc.stdout == ""
+    assert f"error: argument {flag}: " in proc.stderr
+    assert "Traceback" not in proc.stderr
