@@ -55,12 +55,8 @@ def blend_norm_corrected(z, noise, alpha: float) -> np.ndarray:
     raw blend is (numerically) the zero vector, which only happens for
     antipodal inputs at the balancing alpha.
     """
-    z = _as_vector(z, "z")
-    n = _as_vector(noise, "noise")
-    if z.shape != n.shape:
-        raise ValueError(f"dimension mismatch: {z.shape} vs {n.shape}")
-    alpha = _check_alpha(alpha)
-    mixed = (1.0 - alpha) * z + alpha * n
+    mixed = blend_raw(z, noise, alpha)
+    z, n, alpha = np.asarray(z, np.float64), np.asarray(noise, np.float64), float(alpha)
     mixed_norm = float(np.linalg.norm(mixed))
     if mixed_norm < DEGENERATE_NORM:
         raise DegenerateBlendError(

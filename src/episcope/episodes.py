@@ -13,7 +13,8 @@ import csv
 import json
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from contextlib import nullcontext
+from dataclasses import asdict, dataclass
 from itertools import chain
 from pathlib import Path
 from typing import IO, Iterable
@@ -152,12 +153,7 @@ class AggregateReport:
         return f"{100.0 * self.mean_acc:.2f} ± {100.0 * self.ci95_halfwidth:.2f}"
 
     def to_dict(self) -> dict[str, float | int]:
-        return {
-            "episodes": self.episodes,
-            "mean_acc": self.mean_acc,
-            "std_acc": self.std_acc,
-            "ci95_halfwidth": self.ci95_halfwidth,
-        }
+        return asdict(self)
 
 
 def _fisher_yates_steps(u: np.ndarray, n) -> np.ndarray:
@@ -377,10 +373,10 @@ def episode_from_json(line: str) -> EpisodeSpec:
 def write_episodes(path_or_file: str | Path | IO[str], episodes: Iterable[EpisodeSpec]) -> None:
     """Write episodes as JSON Lines, one object per line."""
     if hasattr(path_or_file, "write"):
-        for episode in episodes:
-            path_or_file.write(episode_to_json(episode) + "\n")
-        return
-    with open(path_or_file, "w", encoding="utf-8") as fh:
+        target = nullcontext(path_or_file)
+    else:
+        target = open(path_or_file, "w", encoding="utf-8")
+    with target as fh:
         for episode in episodes:
             fh.write(episode_to_json(episode) + "\n")
 

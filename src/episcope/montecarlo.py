@@ -30,7 +30,7 @@ seed i of its master seed (``seeds.substream_seeds``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy import fft, stats
@@ -114,16 +114,7 @@ class SimReport:
     replications: int
 
     def to_dict(self) -> dict[str, float | int]:
-        return {
-            "empirical_mean": self.empirical_mean,
-            "empirical_var": self.empirical_var,
-            "empirical_var_se": self.empirical_var_se,
-            "theoretical_mean": self.theoretical_mean,
-            "theoretical_var": self.theoretical_var,
-            "rel_var_error": self.rel_var_error,
-            "var_z": self.var_z,
-            "replications": self.replications,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

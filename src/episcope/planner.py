@@ -9,7 +9,7 @@ per-query inference cost).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -19,8 +19,7 @@ from .variance import (
     EvalDesign,
     VarianceReport,
     _check_positive_int,
-    estimator_variance,
-    per_episode_variance,
+    _per_episode_variance,
     variance_report,
 )
 
@@ -29,8 +28,12 @@ TRADEOFF_CSV_HEADER = "kp,kq,exact_var,approx_var,asymptote_var,ci95"
 # Episode counts must stay exact as floats, where the solver compares them.
 _MAX_EXACT_EPISODES = 2**53
 
+# Below the smallest normal float, v1 / Kp rounds so coarsely that the solver's
+# -1/+1 steps from ceil(v1 / target_var) could take ~Kp steps.
+_MIN_NORMAL = float(np.finfo(np.float64).tiny)
+
 # Kq values ``min_cost_design`` evaluates per numpy step; bounds memory only.
-_KQ_CHUNK = 1 << 16
+_KQ_CHUNK = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -48,7 +51,8 @@ class CostModel:
         if self.cost_per_episode == 0.0 and self.cost_per_query == 0.0:
             raise ValueError("cost model must have at least one non-zero rate")
 
-    def total(self, episodes: int, queries_per_episode: int) -> float:
+    def total(self, episodes, queries_per_episode):
+        """Cost of Kp episodes of Kq queries; also elementwise on float arrays."""
         return episodes * self.cost_per_episode + episodes * queries_per_episode * self.cost_per_query
 
 
@@ -61,13 +65,7 @@ class PlanResult:
     total_cost: float
 
     def to_dict(self) -> dict[str, float | int]:
-        return {
-            "episodes": self.episodes,
-            "queries_per_episode": self.queries_per_episode,
-            "predicted_var": self.predicted_var,
-            "predicted_ci95": self.predicted_ci95,
-            "total_cost": self.total_cost,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -75,6 +73,40 @@ class TradeoffCell:
     episodes: int
     queries_per_episode: int
     report: VarianceReport
+
+
+def _check_target_var(target_var: float) -> None:
+    if not (math.isfinite(target_var) and target_var > 0.0):
+        raise ValueError(f"target_var must be > 0, got {target_var}")
+
+
+def _min_episodes(prior: AccuracyPrior, kq: np.ndarray, target_var: float) -> np.ndarray:
+    """``min_episodes_for_variance`` at each Kq of the float array ``kq``.
+
+    The 2**53 error names the first unreachable Kq; the caller checks that the
+    target is positive.
+    """
+    v1 = _per_episode_variance(prior, kq)
+    with np.errstate(over="ignore"):  # inf for a tiny target: unreachable
+        ratio = v1 / target_var
+    unreachable = ~(ratio < _MAX_EXACT_EPISODES)
+    if unreachable.any():
+        i = int(np.argmax(unreachable))
+        raise ValueError(
+            f"target_var={target_var:g} needs about {ratio[i]:.3g} episodes at "
+            f"Kq={int(kq[i])}, beyond the 2**53 an episode count may reach"
+        )
+    if target_var < _MIN_NORMAL and (v1 > 0.0).any():
+        raise ValueError(
+            f"target_var={target_var:g} is below the smallest normal float "
+            f"({_MIN_NORMAL:g}), too fine for the variance formula to resolve"
+        )
+    kp = np.maximum(np.ceil(ratio), 1.0)
+    while (down := (kp > 1.0) & (v1 / np.maximum(kp - 1.0, 1.0) <= target_var)).any():
+        kp -= down
+    while (up := v1 / kp > target_var).any():
+        kp += up
+    return kp
 
 
 def min_episodes_for_variance(
@@ -85,25 +117,14 @@ def min_episodes_for_variance(
     Computed as the ceiling of the real-valued solution, then verified by
     evaluating the forward formula at Kp and Kp-1 so float rounding at the
     boundary cannot shift the answer. Raises ``ValueError`` when the answer
-    would reach 2**53, past which consecutive counts share one float.
+    would reach 2**53, past which consecutive counts share one float, and
+    when a positive per-episode variance meets a target below the smallest
+    normal float.
     """
-    if not (math.isfinite(target_var) and target_var > 0.0):
-        raise ValueError(f"target_var must be > 0, got {target_var}")
-    v1 = per_episode_variance(prior, queries_per_episode)
-    if v1 <= 0.0:
-        return 1
-    ratio = v1 / target_var
-    if not ratio < _MAX_EXACT_EPISODES:
-        raise ValueError(
-            f"target_var={target_var:g} needs about {ratio:.3g} episodes at "
-            f"Kq={queries_per_episode}, beyond the 2**53 an episode count may reach"
-        )
-    episodes = max(1, math.ceil(ratio))
-    while episodes > 1 and v1 / (episodes - 1) <= target_var:
-        episodes -= 1
-    while v1 / episodes > target_var:
-        episodes += 1
-    return episodes
+    _check_target_var(target_var)
+    _check_positive_int(queries_per_episode, "queries_per_episode")
+    kq = np.array([queries_per_episode], dtype=np.float64)
+    return int(_min_episodes(prior, kq, target_var)[0])
 
 
 def min_episodes_for_ci(
@@ -151,52 +172,29 @@ def min_cost_design(
     feasible: variance vanishes as Kp grows. Cost ties prefer fewer episodes,
     then more queries (extra free queries only lower the achieved variance).
 
-    Kq is scanned in numpy chunks of ``_KQ_CHUNK`` values. Each chunk repeats
-    ``min_episodes_for_variance`` elementwise with the same float operations
-    in the same order, and its best row is kept by the key (cost, Kp, -Kq),
-    so the answer is bit-identical to calling the scalar solver per Kq.
+    Kq is scanned in numpy chunks of ``_KQ_CHUNK`` values, each solved by the
+    same episode-count solver as ``min_episodes_for_variance``, and each
+    chunk's best row is kept by the key (cost, Kp, -Kq), so the answer equals
+    calling the scalar solver per Kq.
     """
-    if not (math.isfinite(target_var) and target_var > 0.0):
-        raise ValueError(f"target_var must be > 0, got {target_var}")
+    _check_target_var(target_var)
     _check_positive_int(kq_max, "kq_max")
-    a, var = prior.mean, prior.variance
     best: tuple[float, int, int] | None = None
     for start in range(1, kq_max + 1, _KQ_CHUNK):
-        kq = np.arange(start, min(start + _KQ_CHUNK, kq_max + 1))
-        inv_kq = 1.0 / kq
-        v1 = inv_kq * a * (1.0 - a) + (1.0 - inv_kq) * var
-        with np.errstate(over="ignore"):  # inf, like the scalar division
-            ratio = v1 / target_var
-        unreachable = ~(ratio < _MAX_EXACT_EPISODES)
-        if unreachable.any():
-            # The scalar solver raises there, naming the target.
-            min_episodes_for_variance(prior, int(kq[np.argmax(unreachable)]), target_var)
-        kp = np.maximum(np.ceil(ratio), 1.0).astype(np.int64)
-        while True:
-            down = (kp > 1) & (v1 / np.maximum(kp - 1, 1) <= target_var)
-            if not down.any():
-                break
-            kp -= down
-        while True:
-            up = v1 / kp > target_var
-            if not up.any():
-                break
-            kp += up
+        kq = np.arange(start, min(start + _KQ_CHUNK, kq_max + 1), dtype=np.float64)
+        kp = _min_episodes(prior, kq, target_var)
         # kp and kq are exact floats, so kp * kq rounds as the integer product does.
-        kp_f = kp.astype(np.float64)
-        total = kp_f * cost.cost_per_episode + (kp_f * kq) * cost.cost_per_query
+        total = cost.total(kp, kq)
         i = np.lexsort((-kq, kp, total))[0]
         key = (float(total[i]), int(kp[i]), -int(kq[i]))
         if best is None or key < best:
             best = key
     total, episodes, neg_kq = best
-    queries = -neg_kq
-    design = EvalDesign(episodes=episodes, queries_per_episode=queries)
-    predicted = estimator_variance(prior, design)
+    report = variance_report(prior, EvalDesign(episodes=episodes, queries_per_episode=-neg_kq))
     return PlanResult(
         episodes=episodes,
-        queries_per_episode=queries,
-        predicted_var=predicted,
-        predicted_ci95=Z95 * math.sqrt(predicted),
+        queries_per_episode=-neg_kq,
+        predicted_var=report.exact_var,
+        predicted_ci95=report.ci95_halfwidth,
         total_cost=total,
     )

@@ -15,7 +15,7 @@ variance approaches sigma_a^2 / Kp, the perfect-per-episode-estimation limit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 # 97.5% standard-normal quantile, used for planning-time interval widths.
 Z95 = 1.96
@@ -71,12 +71,7 @@ class VarianceReport:
     ci95_halfwidth: float
 
     def to_dict(self) -> dict[str, float]:
-        return {
-            "exact_var": self.exact_var,
-            "approx_var": self.approx_var,
-            "asymptote_var": self.asymptote_var,
-            "ci95_halfwidth": self.ci95_halfwidth,
-        }
+        return asdict(self)
 
 
 def _check_positive_int(value: int, name: str) -> None:
@@ -104,8 +99,12 @@ def per_episode_variance(prior: AccuracyPrior, queries_per_episode: int) -> floa
     Kp gives the full estimator variance.
     """
     _check_positive_int(queries_per_episode, "queries_per_episode")
+    return _per_episode_variance(prior, queries_per_episode)
+
+
+def _per_episode_variance(prior: AccuracyPrior, kq):
+    """Unchecked ``per_episode_variance``; ``kq`` may also be a float array."""
     a = prior.mean
-    kq = queries_per_episode
     return (1.0 / kq) * a * (1.0 - a) + (1.0 - 1.0 / kq) * prior.variance
 
 

@@ -309,6 +309,14 @@ class TestSerialization:
         write_episodes(path, episodes)
         assert read_episodes(path) == episodes
 
+    def test_path_and_file_object_get_the_same_bytes(self, tmp_path, benchmark_index):
+        episodes = sample_episodes(benchmark_index, 5, 1, None, 3, master_seed=11)
+        path = tmp_path / "episodes.jsonl"
+        write_episodes(path, episodes)
+        buf = io.StringIO()
+        write_episodes(buf, iter(episodes))
+        assert path.read_bytes() == buf.getvalue().encode("utf-8")
+
     @pytest.mark.parametrize(
         ("line", "message"),
         [
@@ -470,6 +478,16 @@ class TestAggregate:
     def test_distinct_ids_required(self):
         with pytest.raises(ValueError, match="distinct"):
             aggregate([EpisodeResult(0, 9, 10), EpisodeResult(0, 8, 10)])
+
+    def test_to_dict_keys_order_and_values(self):
+        report = aggregate([EpisodeResult(0, 92, 100), EpisodeResult(1, 94, 100)])
+        assert list(report.to_dict().items()) == [
+            ("episodes", 2),
+            ("mean_acc", report.mean_acc),
+            ("std_acc", report.std_acc),
+            ("ci95_halfwidth", report.ci95_halfwidth),
+        ]
+        assert report.to_dict()["mean_acc"] == pytest.approx(0.93, rel=1e-12)
 
     def test_halfwidth_uses_t_quantile(self):
         results = [EpisodeResult(i, 80 + i, 100) for i in range(8)]

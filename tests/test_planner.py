@@ -1,6 +1,7 @@
 """Planner: inverse solutions, trade-off grid, and cost optimization."""
 
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +17,26 @@ from episcope.planner import (
     tradeoff_csv,
     tradeoff_table,
 )
-from episcope.variance import AccuracyPrior, EvalDesign, estimator_variance
+from episcope.variance import AccuracyPrior, EvalDesign, estimator_variance, per_episode_variance
+
+
+def reference_min_episodes(prior, kq, target):
+    """Independent scalar solver: ceil of v1/target, then -1 and +1 steps to the exact count."""
+    v1 = per_episode_variance(prior, kq)
+    if v1 <= 0.0:
+        return 1
+    ratio = v1 / target
+    if not ratio < 2**53:
+        raise ValueError(
+            f"target_var={target:g} needs about {ratio:.3g} episodes at "
+            f"Kq={kq}, beyond the 2**53 an episode count may reach"
+        )
+    episodes = max(1, math.ceil(ratio))
+    while episodes > 1 and v1 / (episodes - 1) <= target:
+        episodes -= 1
+    while v1 / episodes > target:
+        episodes += 1
+    return episodes
 
 
 def brute_force_min_episodes(prior, kq, target, kp_max=100_000):
@@ -125,6 +145,51 @@ class TestRoundTripProperty:
         kp_low = min_episodes_for_variance(prior, kq, target)
         assert min_episodes_for_variance(prior, kq, target * 2) <= kp_low
         assert min_episodes_for_variance(prior, kq + 50, target) <= kp_low
+
+
+class TestMatchesReferenceSolver:
+    @staticmethod
+    def outcome(solve, prior, kq, target):
+        try:
+            return solve(prior, kq, target)
+        except ValueError as exc:
+            return str(exc)
+
+    @given(
+        st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+        st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+        st.integers(1, 10**7),
+        st.one_of(
+            st.integers(1, 10**6),
+            st.integers(2**53 - 10**6, 2**53 + 10**6),
+            st.integers(2**52, 2**53 + 2**40),
+        ),
+        st.floats(0.5, 2.0),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_equals_reference(self, mean, std_fraction, kq, kp, scale):
+        """Same count or same error, at forward-formula targets, v1 = 0 and counts near 2**53.
+
+        Targets below the smallest normal float raise instead; there the
+        reference's -1/+1 steps may not end in reasonable time.
+        """
+        prior = AccuracyPrior(mean, std_fraction * math.sqrt(mean * (1.0 - mean)))
+        v1 = per_episode_variance(prior, kq)
+        for target in (v1 / kp if v1 > 0.0 else 1e-3, scale * v1 / kp if v1 > 0.0 else scale):
+            if target == 0.0:  # v1 / kp underflowed
+                continue
+            got = self.outcome(min_episodes_for_variance, prior, kq, target)
+            if "smallest normal float" in str(got):
+                assert target < sys.float_info.min
+            else:
+                assert got == self.outcome(reference_min_episodes, prior, kq, target)
+
+    def test_subnormal_target_raises_at_once(self):
+        """At v1 = 1e-310 the -1/+1 steps from ceil(v1 / target) would be ~1e11 steps."""
+        with pytest.raises(ValueError, match="target_var=.* smallest normal float"):
+            min_episodes_for_variance(AccuracyPrior(1e-310, 0.0), 1, 1e-310 / 2**40)
+        # v1 = 0 meets any target with one episode, subnormal or not.
+        assert min_episodes_for_variance(AccuracyPrior(0.0, 0.0), 1, 1e-322) == 1
 
 
 class TestTradeoffTable:
@@ -240,10 +305,10 @@ class TestMinCostDesign:
 
 
 def scalar_min_cost_design(prior, cost, target, kq_max):
-    """Reference: one scalar solve per Kq, best key (cost, Kp, -Kq)."""
+    """Reference: one reference solve per Kq, best key (cost, Kp, -Kq)."""
     best = None
     for kq in range(1, kq_max + 1):
-        kp = min_episodes_for_variance(prior, kq, target)
+        kp = reference_min_episodes(prior, kq, target)
         key = (cost.total(kp, kq), kp, -kq)
         if best is None or key < best:
             best = key

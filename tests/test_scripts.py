@@ -54,10 +54,34 @@ def test_blend_norm_effect():
         ("validate_variance_model.py", ("--reps", "1", "--kq", "1"), "--reps"),
         ("validate_variance_model.py", ("--kq", "1,,5"), "--kq"),
         ("blend_norm_effect.py", ("--dim", "0"), "--dim"),
+        ("plan_evaluation.py", ("--ref-kp", "0"), "--ref-kp"),
+        ("plan_evaluation.py", ("--ways", "0"), "--ways"),
+        ("plan_evaluation.py", ("--target-var", "nan"), "--target-var"),
+        ("plan_evaluation.py", ("--cost-per-episode", "-1"), "--cost-per-episode"),
+        ("plan_evaluation.py", ("--cost-per-episode", "0"), "--cost-per-episode"),
+        ("plan_evaluation.py", ("--ref-a", "2"), "--ref-a"),
     ],
 )
 def test_bad_flag_exits_2_naming_it(name, args, flag):
     proc = run_script(name, *args, code=2)
     assert proc.stdout == ""
     assert f"error: argument {flag}: " in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "name, args, flags",
+    [
+        ("validate_variance_model.py", ("--a", "0.5", "--sigma", "0.6"), "--a/--sigma"),
+        ("plan_evaluation.py", ("--ref-a", "0.5", "--ref-sigma", "0.6"), "--ref-a/--ref-sigma"),
+        ("plan_evaluation.py", ("--new-a", "0.99", "--new-sigma", "0.5"), "--new-a/--new-sigma"),
+        # A zero-variance reference leaves no target to meet.
+        ("plan_evaluation.py", ("--ref-a", "1", "--ref-sigma", "0"), "--ref-a/--ref-sigma"),
+        ("plan_evaluation.py", ("--target-var", "1e-40"), "--target-var"),
+    ],
+)
+def test_bad_flag_combination_exits_2_naming_it(name, args, flags):
+    proc = run_script(name, *args, code=2)
+    assert proc.stdout == ""
+    assert f"error: {flags}: " in proc.stderr
     assert "Traceback" not in proc.stderr
