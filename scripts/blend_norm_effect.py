@@ -19,12 +19,12 @@ from episcope.blend import blend_norm_corrected, blend_raw
 from episcope.cli import _positive_int, _seed_int
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--dim", type=_positive_int, default=4096)
     parser.add_argument("--draws", type=_positive_int, default=20)
     parser.add_argument("--seed", type=_seed_int, default=7)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     rng = np.random.default_rng(args.seed)
     print("alpha,raw_norm,corrected_norm,target_norm")

@@ -44,7 +44,7 @@ def _prior(parser: argparse.ArgumentParser, mean: float, std: float, flags: str)
         parser.error(f"{flags}: {exc}")
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--ref-a", type=_unit_closed, default=0.87)
     parser.add_argument("--ref-sigma", type=_nonnegative_float, default=0.05)
@@ -60,7 +60,7 @@ def main() -> int:
                         help="hours of specialization per episode")
     parser.add_argument("--table", type=str, default=None,
                         help="also write a (kp x kq) trade-off CSV here")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     ref_prior = _prior(parser, args.ref_a, args.ref_sigma, "--ref-a/--ref-sigma")
     new_prior = _prior(parser, args.new_a, args.new_sigma, "--new-a/--new-sigma")

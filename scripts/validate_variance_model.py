@@ -22,7 +22,7 @@ from episcope.variance import AccuracyPrior, variance_asymptote
 _replications = _ranged(int, lambda n: n >= 2, "be >= 2 (sample variance needs two points)")
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--a", type=float, default=0.87)
     parser.add_argument("--sigma", type=float, default=0.05)
@@ -31,7 +31,7 @@ def main() -> int:
     parser.add_argument("--reps", type=_replications, default=50_000)
     parser.add_argument("--seed", type=_seed_int, default=2024)
     parser.add_argument("--out", type=str, default="-")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     try:
         prior = AccuracyPrior(args.a, args.sigma)

@@ -423,7 +423,7 @@ def main(argv: list[str] | None = None) -> int:
     except CliUsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError, ArithmeticError, np.linalg.LinAlgError) as exc:
+    except (ValueError, OSError, ArithmeticError, MemoryError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

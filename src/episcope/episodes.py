@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-from bisect import bisect_right
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass
 from itertools import chain
@@ -20,7 +19,7 @@ from pathlib import Path
 from typing import IO, Iterable
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .seeds import check_seed, rekey_philox, substream_seeds
 from .variance import AccuracyPrior, _check_positive_int
@@ -202,12 +201,12 @@ def sample_episodes(
     remainder): the ``ways`` class uniforms first, then for each chosen class
     in draw order its ``shots`` support uniforms and its q query uniforms.
     Uniform u_i at step i of a partial Fisher-Yates shuffle over n items
-    picks slot j_i = i + floor(u_i * (n - i)): classes over the index,
-    support positions over the class's ID list, query positions over the
-    remainder that excludes the support, mapped back past the sorted support
-    positions. The 2**53 equally likely values of u split unevenly over the
-    m = n - i slots, so each slot's probability is 1/m to within a relative
-    m * 2**-53 per draw. Only the drawn positions are touched, so an episode
+    picks slot j_i = i + floor(u_i * (n - i)): classes over the index, then
+    one shuffle of ``shots + q`` steps over each chosen class's ID list,
+    whose first ``shots`` positions are the support and the rest the queries.
+    The 2**53 equally likely values of u split unevenly over the m = n - i
+    slots, so each slot's probability is 1/m to within a relative m * 2**-53
+    per draw. Only the drawn positions are touched, so an episode
     costs O(ways * (shots + queries)), not the class sizes; the full
     remainder is built from slices between support positions.
     """
@@ -238,26 +237,18 @@ def sample_episodes(
         rekey_philox(bitgen, seed)
         u = rng.random(ways + ways * (shots + q))
         chosen = _take_positions(_fisher_yates_steps(u[:ways], len(index.classes)).tolist())
-        # One shuffle of shots + q steps per class: its step shots + r is
-        # query step r over the size - shots remainder, shifted by shots.
         steps = _fisher_yates_steps(u[ways:].reshape(ways, -1), sizes[chosen, None])
-        steps[:, shots:] -= shots
         per_class = []
         for pos, row in zip(chosen, steps.tolist()):
             name, ids = index.classes[pos]
-            support_pos = _take_positions(row[:shots])
-            support = tuple(ids[i] for i in support_pos)
-            cuts = sorted(support_pos)
+            taken = _take_positions(row)
+            support = tuple(ids[i] for i in taken[:shots])
             if queries_per_class is None:
+                cuts = sorted(taken)
                 bounds = zip([-1, *cuts], [*cuts, len(ids)])
                 queries = tuple(chain.from_iterable(ids[lo + 1:hi] for lo, hi in bounds))
             else:
-                # Remainder position r sits at index position r + #{support
-                # positions <= it}: bisect r against cuts[i] - i.
-                shifted = [c - i for i, c in enumerate(cuts)]
-                queries = tuple(
-                    ids[r + bisect_right(shifted, r)] for r in _take_positions(row[shots:])
-                )
+                queries = tuple(ids[i] for i in taken[shots:])
             per_class.append(ClassSplit(name, support, queries))
         episodes.append(
             EpisodeSpec(
@@ -281,7 +272,7 @@ def aggregate(results: list[EpisodeResult]) -> AggregateReport:
     acc = np.array([r.accuracy for r in results])
     n = len(acc)
     std = float(np.std(acc, ddof=1))
-    t975 = float(stats.t.ppf(0.975, n - 1))
+    t975 = float(special.stdtrit(n - 1, 0.975))
     return AggregateReport(
         episodes=n,
         mean_acc=float(np.mean(acc)),

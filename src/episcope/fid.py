@@ -83,7 +83,8 @@ def frechet_distance(g1: GaussianStats, g2: GaussianStats) -> float:
 
     The root's trace is sum sqrt(eigvalsh(L^T S2 L)) for the pivoted Cholesky factor
     S1[p][:, p] = L L^T of ``dpstrf`` at its default tolerance (d eps max diagonal), which
-    sets the rank r of L; cost O(d^2 r + r^3). Eigenvalues are clipped at 0, the result too.
+    sets the rank r of L; cost O(d^2 r + r^3). Eigenvalues at or below eps tr S1 tr S2, the
+    round-off of forming L^T S2 L, count as 0, and the result is clipped at 0.
     """
     if g1.dim != g2.dim:
         raise ValueError(f"dimension mismatch: {g1.dim} vs {g2.dim}")
@@ -96,8 +97,12 @@ def frechet_distance(g1: GaussianStats, g2: GaussianStats) -> float:
     inner = root.T @ g2.cov @ root
     eigvals = np.linalg.eigvalsh(inner)
     _warn_if_negative(inner, np.max(np.abs(np.diag(inner)), initial=0.0), eigvals)
-    root_trace = np.sum(np.sqrt(np.clip(eigvals, 0.0, None)))
-    trace_term = float(np.trace(g1.cov) + np.trace(g2.cov) - 2.0 * root_trace)
+    # Round-off in S2 and in forming L^T S2 L moves its eigenvalues by about
+    # eps ||S1|| ||S2|| <= eps tr S1 tr S2; anything at or below that counts as 0.
+    trace1, trace2 = np.trace(g1.cov), np.trace(g2.cov)
+    floor = np.finfo(np.float64).eps * abs(trace1 * trace2)
+    root_trace = np.sum(np.sqrt(eigvals[eigvals > floor]))
+    trace_term = float(trace1 + trace2 - 2.0 * root_trace)
     return max(0.0, float(np.sum((g1.mean - g2.mean) ** 2)) + trace_term)
 
 

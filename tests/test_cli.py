@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from episcope import montecarlo
 from episcope.cli import build_parser, main
 from episcope.episodes import EpisodeResult, read_episodes, write_results_csv
 from episcope.featureio import save_features_csv, save_features_fsfe
@@ -232,6 +233,24 @@ class TestSimulate:
             "--reps", "100", "--seed", "0",
         )
         assert code == 2
+
+    def test_memory_exhaustion_is_runtime_error(self, capsys, monkeypatch):
+        """A count table too large to allocate ends in exit 1 and a message, no traceback.
+
+        The allocation is faked: whether a real one fails depends on the host's overcommit.
+        """
+        message = "Unable to allocate 29.1 TiB for an array with shape (4000000000001,)"
+
+        def exhausted(prior, kq):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(montecarlo, "_count_pmf", exhausted)
+        code, out, err = run(
+            capsys,
+            "simulate", "--a", "0.9", "--sigma", "0.05", "--kp", "2", "--kq", "4000000000000",
+            "--reps", "2", "--seed", "1",
+        )
+        assert (code, out, err) == (1, "", f"error: {message}\n")
 
     def test_full_size_run_matches_theory(self, capsys):
         """200k replications of the 600x75 design: within 2% of closed form."""

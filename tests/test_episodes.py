@@ -162,9 +162,9 @@ class TestPinnedStream:
             (5, 1, None, 40, 2024,
              "d5acda24f2416fadf21528ef3f97509063be50cecc2bc16489feb06a0ebc5e86"),
             (5, 1, 15, 300, 7,
-             "0fee4f245fc67cd7deb387d9a5920f251eee23207e0f2534f2854a06fff86819"),
+             "3849cf13d1ac29a77afb4cec531160ceb44022379607c6c9565f57a87ee1500e"),
             (20, 5, 40, 30, 99,
-             "9fc335ef62ca0a49883ea7baff6f2cf021ca39fa514e3655c9bb043cd2e169ff"),
+             "56b81f455ec7ac0eae30acc676df1cb75139b6711c5b1f4d92b33d252ea1f4a9"),
         ],
         ids=["all_queries", "q15", "every_class_q40_5shot"],
     )
@@ -178,7 +178,7 @@ class TestPinnedStream:
         buf = io.StringIO()
         write_episodes(buf, sample_episodes(tiny_index(6, 12), 6, 5, 7, 50, 3))
         assert hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest() == (
-            "b5be73592828c07798a45f56ff5cfcf00de7cacccf4463e05f0425b1179f1c79"
+            "17ae4dee8d4c62c6874977951c7d395b1d8b7dbaf964289d8a81f0c36f0f6513"
         )
 
 
@@ -187,8 +187,8 @@ def reference_episode(index, ways, shots, queries, seed):
 
     The uniforms come from a fresh Philox keyed by the episode's seed: the ways
     class uniforms, then per chosen class its shots support uniforms and its
-    queries query uniforms; step i over n items swaps slot i with
-    i + floor(u * (n - i)).
+    queries query uniforms, one shuffle over the class's positions; step i
+    over n items swaps slot i with i + floor(u * (n - i)).
     """
     block = np.random.Generator(np.random.Philox(key=seed)).random(
         ways + ways * (shots + (queries or 0))
@@ -205,9 +205,10 @@ def reference_episode(index, ways, shots, queries, seed):
     splits = []
     for pos in shuffled_prefix(range(len(index.classes)), ways):
         name, ids = index.classes[pos]
-        support = shuffled_prefix(range(len(ids)), shots)
+        taken = shuffled_prefix(range(len(ids)), shots + (queries or 0))
+        support = taken[:shots]
         rest = [p for p in range(len(ids)) if p not in support]
-        query_pos = rest if queries is None else shuffled_prefix(rest, queries)
+        query_pos = rest if queries is None else taken[shots:]
         splits.append(
             ClassSplit(name, tuple(ids[p] for p in support), tuple(ids[p] for p in query_pos))
         )

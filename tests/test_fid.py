@@ -216,3 +216,17 @@ class TestFidOracle:
         a = rng.normal(size=(n_a, dim)) * scale_a
         b = (rng.normal(size=(n_b, dim)) + shift) * scale_b
         assert fid(a, b) == pytest.approx(nuclear_norm_fid(a, b), rel=1e-6)
+
+    @given(st.integers(3, 60), SCALES, SCALES, st.floats(-3.0, 3.0), st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_lower_rank_second_set_matches_to_round_off(self, dim, scale_a, scale_b, shift, seed):
+        """n_b < n_a <= d: S2 has lower rank than S1, so L^T S2 L has round-off eigenvalues.
+
+        Their square roots, ~sqrt(eps ||S1|| ||S2||) each, must not reach the trace.
+        """
+        rng = np.random.default_rng(seed)
+        n_a = int(rng.integers(3, dim + 1))
+        n_b = int(rng.integers(2, n_a))
+        a = rng.normal(size=(n_a, dim)) * scale_a
+        b = (rng.normal(size=(n_b, dim)) + shift) * scale_b
+        assert fid(a, b) == pytest.approx(nuclear_norm_fid(a, b), rel=1e-12)

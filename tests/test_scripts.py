@@ -1,21 +1,46 @@
-"""Smoke runs of the example scripts under scripts/ at small sizes."""
+"""Smoke runs of the example scripts under scripts/ at small sizes, and their flag errors."""
 
+import functools
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
-def run_script(name: str, *args: str, code: int = 0) -> subprocess.CompletedProcess:
+def run_script(name: str, *args: str) -> subprocess.CompletedProcess:
     proc = subprocess.run(
         [sys.executable, str(SCRIPTS / name), *args],
         capture_output=True, text=True, timeout=120,
     )
-    assert proc.returncode == code, proc.stderr
+    assert proc.returncode == 0, proc.stderr
     return proc
+
+
+@functools.cache
+def load_script(name: str):
+    """The script as a module, loaded by path; its sys.path insert is undone."""
+    spec = importlib.util.spec_from_file_location(Path(name).stem, SCRIPTS / name)
+    module = importlib.util.module_from_spec(spec)
+    with mock.patch.object(sys, "path", [*sys.path]):
+        spec.loader.exec_module(module)
+    return module
+
+
+def usage_error(name: str, args: tuple[str, ...], capsys, monkeypatch) -> str:
+    """Run the script's main in-process, expect argparse's exit 2 and no stdout; return stderr."""
+    monkeypatch.setattr(sys, "argv", [str(SCRIPTS / name), *args])  # argparse's prog
+    with pytest.raises(SystemExit) as exit_info:
+        load_script(name).main(list(args))
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"usage: {name} ")
+    return captured.err
 
 
 def test_validate_variance_model():
@@ -62,11 +87,10 @@ def test_blend_norm_effect():
         ("plan_evaluation.py", ("--ref-a", "2"), "--ref-a"),
     ],
 )
-def test_bad_flag_exits_2_naming_it(name, args, flag):
-    proc = run_script(name, *args, code=2)
-    assert proc.stdout == ""
-    assert f"error: argument {flag}: " in proc.stderr
-    assert "Traceback" not in proc.stderr
+def test_bad_flag_exits_2_naming_it(name, args, flag, capsys, monkeypatch):
+    err = usage_error(name, args, capsys, monkeypatch)
+    assert f"error: argument {flag}: " in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize(
@@ -80,8 +104,7 @@ def test_bad_flag_exits_2_naming_it(name, args, flag):
         ("plan_evaluation.py", ("--target-var", "1e-40"), "--target-var"),
     ],
 )
-def test_bad_flag_combination_exits_2_naming_it(name, args, flags):
-    proc = run_script(name, *args, code=2)
-    assert proc.stdout == ""
-    assert f"error: {flags}: " in proc.stderr
-    assert "Traceback" not in proc.stderr
+def test_bad_flag_combination_exits_2_naming_it(name, args, flags, capsys, monkeypatch):
+    err = usage_error(name, args, capsys, monkeypatch)
+    assert f"error: {flags}: " in err
+    assert "Traceback" not in err
