@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from collections import Counter
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass
 from itertools import chain
@@ -75,6 +76,15 @@ class ClassSplit:
     query_ids: tuple[str, ...]
 
 
+def _id_clash(split: ClassSplit) -> str:
+    """Why a split's support and query IDs are not all distinct."""
+    for kind, ids in (("support", split.support_ids), ("query", split.query_ids)):
+        repeated = sorted(i for i, n in Counter(ids).items() if n > 1)
+        if repeated:
+            return f"repeated {kind} IDs {repeated}"
+    return f"support/query overlap {sorted(set(split.support_ids).intersection(split.query_ids))}"
+
+
 @dataclass(frozen=True)
 class EpisodeSpec:
     """A fully materialized episode: classes plus their support/query IDs."""
@@ -109,11 +119,11 @@ class EpisodeSpec:
                     f"episode {self.episode_id}, class {split.class_name!r}: "
                     f"expected {self.shots} support IDs, got {len(split.support_ids)}"
                 )
-            support = set(split.support_ids)
-            if not support.isdisjoint(split.query_ids):
+            seen = set(split.support_ids)
+            seen.update(split.query_ids)
+            if len(seen) != len(split.support_ids) + len(split.query_ids):
                 raise ValueError(
-                    f"episode {self.episode_id}, class {split.class_name!r}: "
-                    f"support/query overlap {sorted(support.intersection(split.query_ids))}"
+                    f"episode {self.episode_id}, class {split.class_name!r}: {_id_clash(split)}"
                 )
 
 
@@ -166,18 +176,46 @@ def _fisher_yates_steps(u: np.ndarray, n) -> np.ndarray:
     return i + (u * (n - i)).astype(np.int64)
 
 
-def _take_positions(steps: list[int]) -> list[int]:
-    """Positions a partial Fisher-Yates shuffle with swap targets ``steps`` puts first.
+def _take_positions(steps: np.ndarray) -> np.ndarray:
+    """Positions partial Fisher-Yates shuffles with swap targets ``steps`` put first.
 
-    Step i swaps slot i with slot ``steps[i]`` (>= i). The swaps go to a dict of
-    displaced slots, so the cost grows with the number of steps, not with n.
+    Row r of the ``(rows, k)`` array ``steps`` is one shuffle: step i swaps slot i
+    with slot ``steps[r, i]`` (>= i). Only slots 0..k-1 and the targets are ever
+    touched, so each row keeps 2k slots: target j < k is slot j, and target
+    j >= k is slot k + the dense rank of j among the row's targets >= k. The k
+    swap steps then run over every row at once, in O(rows * k) memory.
     """
-    displaced: dict[int, int] = {}
-    taken = []
-    for i, j in enumerate(steps):
-        taken.append(displaced.get(j, j))
-        displaced[j] = displaced.get(i, i)
+    rows, k = steps.shape
+    order = np.argsort(steps, axis=1, kind="stable")
+    ordered = np.take_along_axis(steps, order, axis=1)
+    high = ordered >= k
+    first = high.copy()
+    first[:, 1:] &= ordered[:, 1:] != ordered[:, :-1]
+    slot_of = np.empty_like(steps)
+    np.put_along_axis(
+        slot_of, order, np.where(high, k - 1 + np.cumsum(first, axis=1), ordered), axis=1
+    )
+    base = np.arange(rows) * (2 * k)
+    targets = base[:, None] + slot_of
+    slots = np.empty(rows * 2 * k, dtype=steps.dtype)
+    slots.reshape(rows, 2 * k)[:, :k] = np.arange(k)
+    slots[targets] = steps
+    taken = np.empty_like(steps)
+    for i in range(k):
+        target = targets[:, i]
+        taken[:, i] = slots[target]
+        slots[target] = slots[base + i]
     return taken
+
+
+def _remainder(ids: tuple[str, ...], cuts: list[int]) -> tuple[str, ...]:
+    """``ids`` without the sorted positions ``cuts``, in index order."""
+    bounds = zip([-1, *cuts], [*cuts, len(ids)])
+    return tuple(chain.from_iterable(ids[lo + 1:hi] for lo, hi in bounds))
+
+
+# Uniforms ``sample_episodes`` draws per numpy chunk of episodes; bounds memory only.
+_CHUNK_UNIFORMS = 1 << 17
 
 
 def sample_episodes(
@@ -206,9 +244,18 @@ def sample_episodes(
     whose first ``shots`` positions are the support and the rest the queries.
     The 2**53 equally likely values of u split unevenly over the m = n - i
     slots, so each slot's probability is 1/m to within a relative m * 2**-53
-    per draw. Only the drawn positions are touched, so an episode
-    costs O(ways * (shots + queries)), not the class sizes; the full
-    remainder is built from slices between support positions.
+    per draw.
+
+    Episodes are drawn in chunks of at most ``_CHUNK_UNIFORMS`` uniforms
+    (at least one episode), which bounds the working memory; the chunking
+    does not change the stream. Per chunk, the class shuffles of every
+    episode and the position shuffles of every (episode, class) row run as
+    one batch of numpy steps, and the IDs are gathered with one index into
+    an array of all IDs. That array costs O(total IDs) once per call (about
+    0.2 ms on a 20 x 600 index; with a chunk's fixed numpy overhead a
+    single-episode call takes about 0.5 ms), and after it an episode costs
+    O(ways * (shots + q)), not the class sizes. The full remainder is built
+    from slices between support positions.
     """
     for name, value in (("ways", ways), ("shots", shots), ("count", count)):
         _check_positive_int(value, name)
@@ -228,37 +275,47 @@ def sample_episodes(
                 f"at least {needed} (shots + queries)"
             )
 
-    q = queries_per_class or 0
+    k = shots + (queries_per_class or 0)
+    width = ways + ways * k
+    names = [name for name, _ in index.classes]
     sizes = np.array([len(ids) for _, ids in index.classes])
+    offsets = np.cumsum(sizes) - sizes
+    all_ids = np.array(list(chain.from_iterable(ids for _, ids in index.classes)), dtype=object)
+    seeds = substream_seeds(master_seed, count).tolist()
+    per_chunk = max(1, _CHUNK_UNIFORMS // width)
     episodes = []
     bitgen = np.random.Philox(key=0)
     rng = np.random.Generator(bitgen)
-    for episode_id, seed in enumerate(substream_seeds(master_seed, count).tolist()):
-        rekey_philox(bitgen, seed)
-        u = rng.random(ways + ways * (shots + q))
-        chosen = _take_positions(_fisher_yates_steps(u[:ways], len(index.classes)).tolist())
-        steps = _fisher_yates_steps(u[ways:].reshape(ways, -1), sizes[chosen, None])
-        per_class = []
-        for pos, row in zip(chosen, steps.tolist()):
-            name, ids = index.classes[pos]
-            taken = _take_positions(row)
-            support = tuple(ids[i] for i in taken[:shots])
-            if queries_per_class is None:
-                cuts = sorted(taken)
-                bounds = zip([-1, *cuts], [*cuts, len(ids)])
-                queries = tuple(chain.from_iterable(ids[lo + 1:hi] for lo, hi in bounds))
-            else:
-                queries = tuple(ids[i] for i in taken[shots:])
-            per_class.append(ClassSplit(name, support, queries))
-        episodes.append(
-            EpisodeSpec(
-                episode_id=episode_id,
-                seed=seed,
-                ways=ways,
-                shots=shots,
-                per_class=tuple(per_class),
+    for start in range(0, count, per_chunk):
+        chunk_seeds = seeds[start:start + per_chunk]
+        u = np.empty((len(chunk_seeds), width))
+        for row, seed in enumerate(chunk_seeds):
+            rekey_philox(bitgen, seed)
+            rng.random(out=u[row])
+        chosen = _take_positions(_fisher_yates_steps(u[:, :ways], len(names))).ravel()
+        steps = _fisher_yates_steps(u[:, ways:].reshape(-1, k), sizes[chosen, None])
+        taken = _take_positions(steps)
+        drawn = all_ids[offsets[chosen, None] + taken].tolist()
+        chosen = chosen.tolist()
+        if queries_per_class is None:
+            cuts = np.sort(taken, axis=1).tolist()
+            queries = [_remainder(index.classes[pos][1], c) for pos, c in zip(chosen, cuts)]
+        else:
+            queries = [tuple(row[shots:]) for row in drawn]
+        splits = [
+            ClassSplit(names[pos], tuple(row[:shots]), query_ids)
+            for pos, row, query_ids in zip(chosen, drawn, queries)
+        ]
+        for e, seed in enumerate(chunk_seeds):
+            episodes.append(
+                EpisodeSpec(
+                    episode_id=start + e,
+                    seed=seed,
+                    ways=ways,
+                    shots=shots,
+                    per_class=tuple(splits[e * ways:(e + 1) * ways]),
+                )
             )
-        )
     return episodes
 
 

@@ -35,7 +35,20 @@ def save_features_fsfe(path: str | Path, features: np.ndarray) -> None:
 
 
 def load_features(path: str | Path) -> np.ndarray:
-    """Read a feature matrix, auto-detecting FSFE binary vs. CSV."""
+    """Read a feature matrix, auto-detecting FSFE binary vs. CSV.
+
+    A NaN or infinite value raises ValueError naming the path and the first
+    row (1-based, counting feature rows) that holds one.
+    """
+    x = _read_features(path)
+    finite = np.isfinite(x)
+    if not finite.all():
+        row = int(np.flatnonzero(~finite.all(axis=1))[0]) + 1
+        raise ValueError(f"{path}: row {row} contains non-finite values")
+    return x
+
+
+def _read_features(path: str | Path) -> np.ndarray:
     with open(path, "rb") as fh:
         head = fh.read(4)
         if head == MAGIC:

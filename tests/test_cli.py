@@ -379,6 +379,16 @@ class TestFid:
         assert isinstance(payload["fid"], float)
         assert plain == f"{payload['fid']:.10g}\n"
 
+    def test_non_finite_file_is_named(self, capsys, tmp_path):
+        rng = np.random.default_rng(7)
+        good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+        save_features_csv(good, rng.normal(size=(10, 3)))
+        bad.write_text("1,2,3\n4,nan,6\n7,8,9\n")
+        code, out, err = run(capsys, "fid", "--a", str(good), "--b", str(bad))
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {bad}: row 2 contains non-finite values\n"
+
 
 class TestBlend:
     def test_emits_requested_count(self, capsys, tmp_path):

@@ -11,12 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from episcope import episodes as episodes_mod
 from episcope.episodes import (
     ClassSplit,
     DatasetIndex,
     EpisodeResult,
     EpisodeSpec,
     _fisher_yates_steps,
+    _take_positions,
     aggregate,
     episode_from_json,
     episode_to_json,
@@ -215,6 +217,44 @@ def reference_episode(index, ways, shots, queries, seed):
     return tuple(splits)
 
 
+def reference_take_positions(steps):
+    """Positions one partial Fisher-Yates shuffle with swap targets ``steps`` puts first.
+
+    Step i swaps slot i with slot ``steps[i]`` (>= i); the swaps go to a dict
+    of displaced slots, one Python step at a time.
+    """
+    displaced = {}
+    taken = []
+    for i, j in enumerate(steps):
+        taken.append(displaced.get(j, j))
+        displaced[j] = displaced.get(i, i)
+    return taken
+
+
+@st.composite
+def swap_targets(draw):
+    """A (rows, k) array of swap targets j_i in [i, n - 1], with n drawn per row.
+
+    Small n makes targets repeat and land below k; large n puts them above k.
+    """
+    k = draw(st.integers(1, 12))
+    rows = []
+    for _ in range(draw(st.integers(1, 8))):
+        n = draw(st.integers(k, 2 * k + 2) | st.integers(k, 2**40))
+        rows.append([draw(st.integers(i, n - 1)) for i in range(k)])
+    return np.array(rows, dtype=np.int64)
+
+
+class TestTakePositions:
+    @given(swap_targets())
+    @settings(max_examples=300, deadline=None)
+    def test_batch_matches_per_row_loop(self, steps):
+        taken = _take_positions(steps)
+        assert taken.shape == steps.shape
+        for row, expected in zip(taken.tolist(), steps.tolist()):
+            assert row == reference_take_positions(expected)
+
+
 class TestStream:
     """The episode stream is one uniform block per episode, mapped to Fisher-Yates steps."""
 
@@ -242,6 +282,31 @@ class TestStream:
         short = sample_episodes(benchmark_index, 5, 1, 15, 10, master_seed=8)
         long = sample_episodes(benchmark_index, 5, 1, 15, 1000, master_seed=8)
         assert [episode_to_json(e) for e in short] == [episode_to_json(e) for e in long[:10]]
+
+    @pytest.mark.parametrize(("ways", "shots", "queries"), [(5, 1, 15), (5, 5, 594)])
+    def test_chunk_boundaries_match_reference(self, benchmark_index, ways, shots, queries):
+        """Episodes either side of each chunk boundary, and a short run crossing one."""
+        per_chunk = episodes_mod._CHUNK_UNIFORMS // (ways + ways * (shots + queries))
+        assert per_chunk >= 2
+        long = sample_episodes(benchmark_index, ways, shots, queries, 2 * per_chunk + 1, 23)
+        for e in (per_chunk - 1, per_chunk, 2 * per_chunk - 1, 2 * per_chunk):
+            assert long[e].episode_id == e
+            assert long[e].per_class == reference_episode(
+                benchmark_index, ways, shots, queries, long[e].seed
+            )
+        short = sample_episodes(benchmark_index, ways, shots, queries, per_chunk + 2, 23)
+        assert [episode_to_json(e) for e in short] == [
+            episode_to_json(e) for e in long[:per_chunk + 2]
+        ]
+
+    @pytest.mark.parametrize("queries", [None, 3])
+    @pytest.mark.parametrize("chunk_uniforms", [1, 50])
+    def test_chunk_size_leaves_stream_unchanged(self, monkeypatch, queries, chunk_uniforms):
+        """One episode per chunk, or a few, gives the bytes of one chunk for all."""
+        index = tiny_index(n_classes=7, size=9)
+        whole = sample_episodes(index, 4, 2, queries, 40, master_seed=6)
+        monkeypatch.setattr(episodes_mod, "_CHUNK_UNIFORMS", chunk_uniforms)
+        assert sample_episodes(index, 4, 2, queries, 40, master_seed=6) == whole
 
     @pytest.mark.parametrize(
         "n", [1, 2, 3, 2**5, 2**5 + 1, 2**16, 2**16 + 1, 2**30, 2**30 + 1, 2**31 - 1]
@@ -391,8 +456,15 @@ class TestSerialization:
              '{"class_name":"a","support_ids":["s"],"query_ids":["x"]},'
              '{"class_name":"a","support_ids":["t"],"query_ids":["y"]}',
              r"episode 3: class names repeated \['a'\]"),
+            ('"episode_id":3,"seed":1,"ways":1,"shots":2',
+             '{"class_name":"c","support_ids":["x","x"],"query_ids":["y"]}',
+             r"episode 3, class 'c': repeated support IDs \['x'\]"),
+            ('"episode_id":3,"seed":1,"ways":1,"shots":2',
+             '{"class_name":"c","support_ids":["x","z"],"query_ids":["y","y","y"]}',
+             r"episode 3, class 'c': repeated query IDs \['y'\]"),
         ],
-        ids=["ways_0", "shots_0", "negative_id", "seed_negative", "seed_2_64", "repeated_class"],
+        ids=["ways_0", "shots_0", "negative_id", "seed_negative", "seed_2_64", "repeated_class",
+             "repeated_support", "repeated_query"],
     )
     def test_read_out_of_range_episode_names_file_and_line(
         self, tmp_path, fields, per_class, message

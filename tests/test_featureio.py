@@ -87,3 +87,22 @@ def test_empty_csv_rejected_without_warning(tmp_path, text):
 def test_non_finite_rejected(tmp_path):
     with pytest.raises(ValueError, match="finite"):
         save_features_csv(tmp_path / "nan.csv", np.array([[np.nan, 1.0]]))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_fsfe_names_path_and_row(tmp_path, value):
+    x = np.ones((4, 3))
+    x[2, 1] = value
+    x[3, 0] = np.nan
+    path = tmp_path / "bad.fsfe"
+    path.write_bytes(MAGIC + struct.pack("<II", 4, 3) + x.astype("<f4").tobytes())
+    with pytest.raises(ValueError, match=r"bad\.fsfe: row 3 contains non-finite values"):
+        load_features(path)
+
+
+@pytest.mark.parametrize("field", ["nan", "inf", "-inf", "1e400"])
+def test_non_finite_csv_names_path_and_row(tmp_path, field):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"1,2\n3,4\n5,{field}\n")
+    with pytest.raises(ValueError, match=r"bad\.csv: row 3 contains non-finite values"):
+        load_features(path)
