@@ -15,11 +15,9 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from episcope.cli import _int_list, _positive_int, _ranged, _seed_int
+from episcope.cli import _int_list, _positive_int, _replications, _seed_int
 from episcope.montecarlo import sweep
 from episcope.variance import AccuracyPrior, variance_asymptote
-
-_replications = _ranged(int, lambda n: n >= 2, "be >= 2 (sample variance needs two points)")
 
 
 def main(argv: list[str] | None = None) -> int:

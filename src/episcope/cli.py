@@ -99,6 +99,7 @@ _nonnegative_float = _ranged(float, lambda x: 0 <= x < math.inf, "be finite and 
 _positive_float = _ranged(float, lambda x: 0 < x < math.inf, "be finite and > 0")
 _unit_open = _ranged(float, lambda x: 0.0 < x < 1.0, "lie in (0, 1)")
 _unit_closed = _ranged(float, lambda x: 0.0 <= x <= 1.0, "lie in [0, 1]")
+_replications = _ranged(int, lambda n: n >= 2, "be >= 2 (sample variance needs two points)")
 
 
 @_flag_type
@@ -136,7 +137,7 @@ def _cmd_variance(args) -> int:
     prior = _build_prior(args)
     report = variance_report(prior, EvalDesign(episodes=args.kp, queries_per_episode=args.kq))
     if args.json:
-        print(json.dumps(report.to_dict()))
+        print(json.dumps(vars(report)))
     else:
         print(f"exact_var {_fmt(report.exact_var)}")
         print(f"approx_var {_fmt(report.approx_var)}")
@@ -167,7 +168,7 @@ def _cmd_plan_cost(args) -> int:
     except ValueError as exc:
         raise CliUsageError(f"--cost-episode/--cost-query: {exc}") from exc
     result = planner.min_cost_design(prior, cost, args.target_var, args.kq_max)
-    print(json.dumps(result.to_dict()))
+    print(json.dumps(vars(result)))
     return 0
 
 
@@ -187,13 +188,13 @@ def _cmd_simulate(args) -> int:
             replications=args.reps,
             master_seed=args.seed,
         )
-    except ValueError as exc:  # the flags have passed their checks, so only --reps < 2 is left
-        raise CliUsageError(f"--reps: {exc}") from exc
+    except ValueError as exc:  # the other flags have passed their checks, so only the prior is left
+        raise CliUsageError(f"--a/--sigma: {exc}") from exc
     report = montecarlo.simulate(sim_config)
     if args.json:
-        print(json.dumps(report.to_dict()))
+        print(json.dumps(vars(report)))
     else:
-        for key, value in report.to_dict().items():
+        for key, value in vars(report).items():
             print(f"{key} {_fmt(value)}")
     return 0
 
@@ -239,8 +240,8 @@ def _cmd_fid(args) -> int:
 def _cmd_blend(args) -> int:
     latents = featureio.load_features(args.latents)
     samples = blend_mod.sample_blend_batch(list(latents), args.alpha, args.seed, args.count)
-    lines = "".join(",".join(f"{v:.17g}" for v in vec) + "\n" for _, vec in samples)
-    _write_text(args.out, lines)
+    out = sys.stdout if args.out in (None, "-") else args.out
+    featureio.save_features_csv(out, [vec for _, vec in samples])
     return 0
 
 
@@ -312,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_prior_flags(p)
     p.add_argument("--kp", type=_positive_int, required=True)
     p.add_argument("--kq", type=_positive_int, required=True)
-    p.add_argument("--reps", type=_positive_int, required=True)
+    p.add_argument("--reps", type=_replications, required=True)
     p.add_argument("--seed", type=_seed_int, required=True)
     p.add_argument("--json", action="store_true")
     _add_common(p)

@@ -14,7 +14,7 @@ import json
 import math
 from collections import Counter
 from contextlib import nullcontext
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
 from typing import IO, Iterable
@@ -64,7 +64,7 @@ class DatasetIndex:
 
     def save(self, path: str | Path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump({name: list(ids) for name, ids in self.classes}, fh)
+            json.dump(dict(self.classes), fh)
 
 
 @dataclass(frozen=True)
@@ -160,9 +160,6 @@ class AggregateReport:
     def formatted(self) -> str:
         """Accuracy as percentage points, e.g. ``93.13 ± 0.51``."""
         return f"{100.0 * self.mean_acc:.2f} ± {100.0 * self.ci95_halfwidth:.2f}"
-
-    def to_dict(self) -> dict[str, float | int]:
-        return asdict(self)
 
 
 def _fisher_yates_steps(u: np.ndarray, n) -> np.ndarray:
@@ -323,9 +320,10 @@ def aggregate(results: list[EpisodeResult]) -> AggregateReport:
     """Mean, inter-episode sample std and t-based 95% half-width."""
     if len(results) < 2:
         raise ValueError("aggregation needs at least 2 episode results")
-    ids = [r.episode_id for r in results]
-    if len(set(ids)) != len(ids):
-        raise ValueError("episode IDs must be distinct")
+    counts = Counter(r.episode_id for r in results)
+    if len(counts) != len(results):
+        repeated = sorted(i for i, n in counts.items() if n > 1)
+        raise ValueError(f"episode IDs must be distinct; repeated: {repeated}")
     acc = np.array([r.accuracy for r in results])
     n = len(acc)
     std = float(np.std(acc, ddof=1))
@@ -354,22 +352,11 @@ def prior_from_results(results: list[EpisodeResult]) -> AccuracyPrior:
 
 
 def episode_to_json(episode: EpisodeSpec) -> str:
-    """Canonical single-line JSON; equal episodes serialize to equal bytes."""
-    obj = {
-        "episode_id": episode.episode_id,
-        "seed": episode.seed,
-        "ways": episode.ways,
-        "shots": episode.shots,
-        "per_class": [
-            {
-                "class_name": split.class_name,
-                "support_ids": list(split.support_ids),
-                "query_ids": list(split.query_ids),
-            }
-            for split in episode.per_class
-        ],
-    }
-    return json.dumps(obj, separators=(",", ":"), ensure_ascii=False)
+    """Canonical single-line JSON; equal episodes serialize to equal bytes.
+
+    The keys are the ``EpisodeSpec`` and ``ClassSplit`` fields in declaration order.
+    """
+    return json.dumps(episode, default=vars, separators=(",", ":"), ensure_ascii=False)
 
 
 _JSON_TYPES = {

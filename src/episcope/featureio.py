@@ -11,6 +11,7 @@ import io
 import struct
 import warnings
 from pathlib import Path
+from typing import IO
 
 import numpy as np
 
@@ -18,11 +19,12 @@ MAGIC = b"FSFE"
 _HEADER = struct.Struct("<II")
 
 
-def save_features_csv(path: str | Path, features: np.ndarray) -> None:
-    x = _checked_matrix(features)
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in x:
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+def save_features_csv(path: str | Path | IO[str], features: np.ndarray) -> None:
+    """Write one CSV row per feature vector to a path or an open text file.
+
+    Values are written as ``%.17g``, which reads back as the same float64.
+    """
+    np.savetxt(path, _checked_matrix(features), fmt="%.17g", delimiter=",")
 
 
 def save_features_fsfe(path: str | Path, features: np.ndarray) -> None:

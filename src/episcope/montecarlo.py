@@ -30,7 +30,7 @@ seed i of its master seed (``seeds.substream_seeds``).
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import fft, stats
@@ -112,9 +112,6 @@ class SimReport:
     rel_var_error: float
     var_z: float
     replications: int
-
-    def to_dict(self) -> dict[str, float | int]:
-        return asdict(self)
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ per-query inference cost).
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,9 +63,6 @@ class PlanResult:
     predicted_var: float
     predicted_ci95: float
     total_cost: float
-
-    def to_dict(self) -> dict[str, float | int]:
-        return asdict(self)
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ variance approaches sigma_a^2 / Kp, the perfect-per-episode-estimation limit.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 # 97.5% standard-normal quantile, used for planning-time interval widths.
 Z95 = 1.96
@@ -40,8 +40,8 @@ class AccuracyPrior:
         bound = self.mean * (1.0 - self.mean)
         if self.std**2 > bound + STD_BOUND_SLACK:
             raise ValueError(
-                f"prior std^2 ({self.std**2:.6g}) exceeds mean*(1-mean) "
-                f"({bound:.6g}); no [0,1]-valued accuracy has these moments"
+                f"prior std^2 ({self.std**2:.17g}) exceeds mean*(1-mean) "
+                f"({bound:.17g}); no [0,1]-valued accuracy has these moments"
             )
 
     @property
@@ -69,9 +69,6 @@ class VarianceReport:
     approx_var: float
     asymptote_var: float
     ci95_halfwidth: float
-
-    def to_dict(self) -> dict[str, float]:
-        return asdict(self)
 
 
 def _check_positive_int(value: int, name: str) -> None:

@@ -1,5 +1,6 @@
 """Command-line surface: flags, outputs, exit codes, config files."""
 
+import hashlib
 import json
 import shlex
 import sys
@@ -47,6 +48,18 @@ class TestVariance:
         assert list(payload) == ["exact_var", "approx_var", "asymptote_var", "ci95_halfwidth"]
         assert payload["exact_var"] == pytest.approx(6.624444444444444e-06, rel=1e-9)
 
+    def test_json_bytes_pinned(self, capsys):
+        code, out, _ = run(
+            capsys,
+            "variance", "--a", "0.87", "--sigma", "0.05", "--kp", "600", "--kq", "75",
+            "--json",
+        )
+        assert code == 0
+        assert out == (
+            '{"exact_var": 6.624444444444447e-06, "approx_var": 6.680000000000002e-06, '
+            '"asymptote_var": 4.166666666666668e-06, "ci95_halfwidth": 0.005044647240172278}\n'
+        )
+
     def test_missing_flag_names_it(self, capsys):
         code, _, err = run(capsys, "variance", "--a", "0.5", "--sigma", "0", "--kp", "1")
         assert code == 2
@@ -58,6 +71,13 @@ class TestVariance:
         )
         assert code == 2
         assert "--a/--sigma" in err
+
+    def test_prior_bound_message_tells_the_numbers_apart(self, capsys):
+        code, out, err = run(
+            capsys, "variance", "--a", "0.5", "--sigma", "0.5000001", "--kp", "1", "--kq", "1"
+        )
+        assert (code, out) == (2, "")
+        assert "prior std^2 (0.25000010000000994) exceeds mean*(1-mean) (0.25)" in err
 
     def test_non_numeric_flag(self, capsys):
         code, _, err = run(
@@ -226,13 +246,19 @@ class TestSimulate:
         assert code1 == code2 == 0
         assert out1 == out2
 
-    def test_boundary_prior_rejected(self, capsys):
-        code, _, err = run(
+    @pytest.mark.parametrize(
+        "a, sigma",
+        [pytest.param("0.5", "0.5", id="two_point"), pytest.param("0", "1e-6", id="mean_at_edge")],
+    )
+    def test_boundary_prior_rejected(self, capsys, a, sigma):
+        """A prior with no interior Beta fit is blamed on the prior flags."""
+        code, out, err = run(
             capsys,
-            "simulate", "--a", "0.5", "--sigma", "0.5", "--kp", "10", "--kq", "10",
+            "simulate", "--a", a, "--sigma", sigma, "--kp", "10", "--kq", "10",
             "--reps", "100", "--seed", "0",
         )
-        assert code == 2
+        assert (code, out) == (2, "")
+        assert "--a/--sigma" in err and "--reps" not in err
 
     def test_memory_exhaustion_is_runtime_error(self, capsys, monkeypatch):
         """A count table too large to allocate ends in exit 1 and a message, no traceback.
@@ -336,6 +362,13 @@ class TestEpisodes:
         assert code == 1
         assert "at least 2" in err
 
+    def test_aggregate_names_repeated_ids(self, capsys, tmp_path):
+        results_path = tmp_path / "repeated.csv"
+        results_path.write_text("episode_id,correct,total\n1,3,5\n1,4,5\n0,2,5\n")
+        code, out, err = run(capsys, "episodes", "aggregate", "--results", str(results_path))
+        assert (code, out) == (1, "")
+        assert err == "error: episode IDs must be distinct; repeated: [1]\n"
+
     def test_aggregate_short_row_is_runtime_error(self, capsys, tmp_path):
         results_path = tmp_path / "short.csv"
         results_path.write_text("episode_id,correct,total\n0,3,5\n1,4\n")
@@ -413,6 +446,25 @@ class TestBlend:
         _, out1, _ = run(capsys, *argv)
         _, out2, _ = run(capsys, *argv)
         assert out1 == out2
+
+    @pytest.fixture
+    def pinned_latents(self, tmp_path):
+        path = tmp_path / "latents.csv"
+        save_features_csv(path, np.random.default_rng(8).normal(size=(3, 6)))
+        return ["blend", "--latents", str(path), "--alpha", "0.4", "--seed", "12", "--count", "3"]
+
+    PINNED_SHA256 = "c5e33736e8c46cb06526dacfba817d4b7e7e9ec0bbbb8d1e4692c603e6fe441d"
+
+    def test_stdout_bytes_pinned(self, capsys, pinned_latents):
+        code, out, _ = run(capsys, *pinned_latents)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.PINNED_SHA256
+
+    def test_out_file_bytes_pinned(self, capsys, pinned_latents, tmp_path):
+        out_path = tmp_path / "blends.csv"
+        code, out, _ = run(capsys, *pinned_latents, "--out", str(out_path))
+        assert (code, out) == (0, "")
+        assert hashlib.sha256(out_path.read_bytes()).hexdigest() == self.PINNED_SHA256
 
     def test_alpha_validation(self, capsys, tmp_path):
         latents_path = tmp_path / "latents.csv"

@@ -4,6 +4,7 @@ import hashlib
 import io
 import math
 from collections import Counter
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -549,18 +550,21 @@ class TestAggregate:
             aggregate([EpisodeResult(0, 9, 10)])
 
     def test_distinct_ids_required(self):
-        with pytest.raises(ValueError, match="distinct"):
+        with pytest.raises(ValueError, match=r"distinct; repeated: \[0\]$"):
             aggregate([EpisodeResult(0, 9, 10), EpisodeResult(0, 8, 10)])
+        results = [EpisodeResult(i, 5, 10) for i in (7, 3, 7, 1, 3, 3)]
+        with pytest.raises(ValueError, match=r"repeated: \[3, 7\]$"):
+            aggregate(results)
 
     def test_to_dict_keys_order_and_values(self):
         report = aggregate([EpisodeResult(0, 92, 100), EpisodeResult(1, 94, 100)])
-        assert list(report.to_dict().items()) == [
+        assert list(asdict(report).items()) == [
             ("episodes", 2),
             ("mean_acc", report.mean_acc),
             ("std_acc", report.std_acc),
             ("ci95_halfwidth", report.ci95_halfwidth),
         ]
-        assert report.to_dict()["mean_acc"] == pytest.approx(0.93, rel=1e-12)
+        assert asdict(report)["mean_acc"] == pytest.approx(0.93, rel=1e-12)
 
     def test_halfwidth_uses_t_quantile(self):
         results = [EpisodeResult(i, 80 + i, 100) for i in range(8)]

@@ -1,5 +1,6 @@
 """Feature-file formats: CSV and FSFE binary, with auto-detection."""
 
+import io
 import struct
 import warnings
 
@@ -15,6 +16,28 @@ def test_csv_round_trip(tmp_path):
     path = tmp_path / "feats.csv"
     save_features_csv(path, x)
     np.testing.assert_allclose(load_features(path), x, rtol=0, atol=0)
+
+
+EDGE_ROW = np.array([[-0.0, 1e-320, 5e-324, np.finfo(np.float64).max, 1 / 3]])
+
+
+def test_csv_edge_values_pinned(tmp_path):
+    """-0.0, subnormals, the largest double and 1/3 keep their exact text."""
+    path = tmp_path / "edge.csv"
+    save_features_csv(path, EDGE_ROW)
+    assert path.read_text() == (
+        "-0,9.9998886718268301e-321,4.9406564584124654e-324,"
+        "1.7976931348623157e+308,0.33333333333333331\n"
+    )
+    np.testing.assert_array_equal(load_features(path), EDGE_ROW)
+
+
+def test_csv_to_open_text_file(tmp_path):
+    path = tmp_path / "edge.csv"
+    save_features_csv(path, EDGE_ROW)
+    buffer = io.StringIO()
+    save_features_csv(buffer, EDGE_ROW)
+    assert buffer.getvalue() == path.read_text()
 
 
 def test_single_row_csv_is_2d(tmp_path):

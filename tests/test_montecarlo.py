@@ -1,6 +1,7 @@
 """Monte Carlo simulator: Beta fit, moment agreement, determinism."""
 
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -122,7 +123,7 @@ class TestSimulate:
 
     def test_report_serialization_keys(self):
         report = simulate(config(0.9, 0.02, 5, 5, 100, 17))
-        assert list(report.to_dict()) == [
+        assert list(asdict(report)) == [
             "empirical_mean",
             "empirical_var",
             "empirical_var_se",
@@ -160,7 +161,7 @@ class TestVarianceStandardError:
         report = simulate(config(1.0, 0.0, 50, 20, 1000, 3))
         assert report.empirical_var_se == 0.0
         assert report.var_z == 0.0
-        assert report.to_dict()["var_z"] == 0.0
+        assert asdict(report)["var_z"] == 0.0
 
     def test_zero_variance_below_theory(self):
         """Every replication reads 1 while the theory has spread: z is -inf."""
@@ -411,7 +412,7 @@ class TestPinnedStream:
 
     def test_simulate_beta_prior(self):
         report = simulate(config(0.87, 0.05, 30, 20, 500, 2024))
-        assert report.to_dict() == {
+        assert asdict(report) == {
             "empirical_mean": 0.8691966666666667,
             "empirical_var": 0.00027719237363616123,
             "empirical_var_se": 1.6025904336518214e-05,
@@ -424,7 +425,7 @@ class TestPinnedStream:
 
     def test_simulate_point_mass(self):
         report = simulate(config(0.8, 0.0, 30, 20, 500, 5))
-        assert report.to_dict() == {
+        assert asdict(report) == {
             "empirical_mean": 0.7994433333333334,
             "empirical_var": 0.00029773559340904037,
             "empirical_var_se": 1.980133408842981e-05,
