@@ -8,6 +8,8 @@ input norms, and reproduces the endpoints exactly at alpha 0 and 1.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .seeds import check_seed, philox_generator
@@ -57,13 +59,31 @@ def blend_norm_corrected(z, noise, alpha: float) -> np.ndarray:
     """
     mixed = blend_raw(z, noise, alpha)
     z, n, alpha = np.asarray(z, np.float64), np.asarray(noise, np.float64), float(alpha)
-    mixed_norm = float(np.linalg.norm(mixed))
+    with np.errstate(over="ignore"):  # a sum of squares that overflows is rescaled below
+        mixed_norm = float(np.linalg.norm(mixed))
+        target = (1.0 - alpha) * _norm(z) + alpha * _norm(n)
     if mixed_norm < DEGENERATE_NORM:
         raise DegenerateBlendError(
             f"blended vector norm {mixed_norm:.3e} is numerically zero at alpha={alpha}"
         )
-    target = (1.0 - alpha) * float(np.linalg.norm(z)) + alpha * float(np.linalg.norm(n))
+    if math.isinf(mixed_norm):
+        mixed = mixed / np.max(np.abs(mixed))  # same direction, norm at most sqrt(dim)
+        mixed_norm = float(np.linalg.norm(mixed))
+    if not math.isfinite(target):
+        raise ValueError(
+            f"target norm (1-alpha)*||z|| + alpha*||noise|| exceeds the float64 range "
+            f"at alpha={alpha}"
+        )
     return mixed * (target / mixed_norm)
+
+
+def _norm(vec: np.ndarray) -> float:
+    """Euclidean norm, rescaled by max |x| when the plain sum of squares overflows."""
+    norm = float(np.linalg.norm(vec))
+    if math.isinf(norm):
+        peak = float(np.max(np.abs(vec)))
+        norm = peak * float(np.linalg.norm(vec / peak))
+    return norm
 
 
 def sample_blend(latents, alpha: float, seed: int) -> tuple[int, np.ndarray]:

@@ -36,9 +36,14 @@ class DatasetIndex:
 
     def __post_init__(self) -> None:
         names = [name for name, _ in self.classes]
+        for name in names:
+            if not isinstance(name, str):
+                raise ValueError(f"class name {name!r} is not a string")
         if len(set(names)) != len(names):
             raise ValueError("class names must be unique")
         for name, ids in self.classes:
+            if not isinstance(ids, tuple) or not all(isinstance(i, str) for i in ids):
+                raise ValueError(f"class {name!r} must map to an array of example ID strings")
             if not ids:
                 raise ValueError(f"class {name!r} has no examples")
             if len(set(ids)) != len(ids):
@@ -46,10 +51,9 @@ class DatasetIndex:
 
     @classmethod
     def from_mapping(cls, mapping: dict[str, list[str]]) -> "DatasetIndex":
-        for name, ids in mapping.items():
-            if not isinstance(ids, (list, tuple)) or not all(isinstance(i, str) for i in ids):
-                raise ValueError(f"class {name!r} must map to an array of example ID strings")
-        return cls(tuple((name, tuple(ids)) for name, ids in mapping.items()))
+        return cls(tuple(
+            (name, tuple(ids) if isinstance(ids, list) else ids) for name, ids in mapping.items()
+        ))
 
     @classmethod
     def load(cls, path: str | Path) -> "DatasetIndex":
@@ -75,6 +79,14 @@ class ClassSplit:
     support_ids: tuple[str, ...]
     query_ids: tuple[str, ...]
 
+    def __post_init__(self) -> None:
+        if not isinstance(self.class_name, str):
+            raise ValueError(f"class_name must be a string, got {self.class_name!r}")
+        for key in ("support_ids", "query_ids"):
+            ids = getattr(self, key)
+            if not isinstance(ids, (tuple, list)) or not all(isinstance(i, str) for i in ids):
+                raise ValueError(f"{key!r} must be an array of example ID strings")
+
 
 def _id_clash(split: ClassSplit) -> str:
     """Why a split's support and query IDs are not all distinct."""
@@ -96,6 +108,12 @@ class EpisodeSpec:
     per_class: tuple[ClassSplit, ...]
 
     def __post_init__(self) -> None:
+        for key in ("episode_id", "seed", "ways", "shots"):
+            value = getattr(self, key)
+            if type(value) is not int:
+                raise ValueError(
+                    f"episode {self.episode_id!r}: {key} must be an integer, got {value!r}"
+                )
         try:
             if self.episode_id < 0:
                 raise ValueError(f"episode_id must be >= 0, got {self.episode_id}")
@@ -207,8 +225,22 @@ def _take_positions(steps: np.ndarray) -> np.ndarray:
 
 def _remainder(ids: tuple[str, ...], cuts: list[int]) -> tuple[str, ...]:
     """``ids`` without the sorted positions ``cuts``, in index order."""
-    bounds = zip([-1, *cuts], [*cuts, len(ids)])
-    return tuple(chain.from_iterable(ids[lo + 1:hi] for lo, hi in bounds))
+    rest = ids[:cuts[0]]
+    for lo, hi in zip(cuts, cuts[1:]):
+        rest += ids[lo + 1:hi]
+    return rest + ids[cuts[-1] + 1:]
+
+
+def _unchecked(cls, **fields):
+    """``cls(**fields)`` without ``__post_init__``, for fields valid by construction.
+
+    The instance holds the same field values, so it is equal, hash-equal and
+    repr-equal to one the constructor builds.
+    """
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)  # as the frozen dataclass's __init__ does
+    return obj
 
 
 # Uniforms ``sample_episodes`` draws per numpy chunk of episodes; bounds memory only.
@@ -253,6 +285,12 @@ def sample_episodes(
     single-episode call takes about 0.5 ms), and after it an episode costs
     O(ways * (shots + q)), not the class sizes. The full remainder is built
     from slices between support positions.
+
+    The returned ``EpisodeSpec`` and ``ClassSplit`` objects are built without
+    their ``__post_init__`` checks, which could not fail here: the positions
+    drawn in a class are distinct, and the index has already checked that its
+    names and IDs are strings and that no class repeats an ID. They compare,
+    hash and print as constructor-built ones do.
     """
     for name, value in (("ways", ways), ("shots", shots), ("count", count)):
         _check_positive_int(value, name)
@@ -275,6 +313,7 @@ def sample_episodes(
     k = shots + (queries_per_class or 0)
     width = ways + ways * k
     names = [name for name, _ in index.classes]
+    class_ids = [ids for _, ids in index.classes]
     sizes = np.array([len(ids) for _, ids in index.classes])
     offsets = np.cumsum(sizes) - sizes
     all_ids = np.array(list(chain.from_iterable(ids for _, ids in index.classes)), dtype=object)
@@ -292,27 +331,24 @@ def sample_episodes(
         chosen = _take_positions(_fisher_yates_steps(u[:, :ways], len(names))).ravel()
         steps = _fisher_yates_steps(u[:, ways:].reshape(-1, k), sizes[chosen, None])
         taken = _take_positions(steps)
-        drawn = all_ids[offsets[chosen, None] + taken].tolist()
+        flat = tuple(all_ids[(offsets[chosen, None] + taken).ravel()].tolist())
         chosen = chosen.tolist()
+        starts = range(0, len(flat), k)
         if queries_per_class is None:
             cuts = np.sort(taken, axis=1).tolist()
-            queries = [_remainder(index.classes[pos][1], c) for pos, c in zip(chosen, cuts)]
+            queries = [_remainder(class_ids[pos], c) for pos, c in zip(chosen, cuts)]
         else:
-            queries = [tuple(row[shots:]) for row in drawn]
-        splits = [
-            ClassSplit(names[pos], tuple(row[:shots]), query_ids)
-            for pos, row, query_ids in zip(chosen, drawn, queries)
-        ]
-        for e, seed in enumerate(chunk_seeds):
-            episodes.append(
-                EpisodeSpec(
-                    episode_id=start + e,
-                    seed=seed,
-                    ways=ways,
-                    shots=shots,
-                    per_class=tuple(splits[e * ways:(e + 1) * ways]),
-                )
-            )
+            queries = [flat[lo + shots:lo + k] for lo in starts]
+        splits = tuple(
+            _unchecked(ClassSplit, class_name=names[pos], support_ids=flat[lo:lo + shots],
+                       query_ids=query_ids)
+            for pos, lo, query_ids in zip(chosen, starts, queries)
+        )
+        episodes.extend(
+            _unchecked(EpisodeSpec, episode_id=start + e, seed=seed, ways=ways, shots=shots,
+                       per_class=splits[e * ways:(e + 1) * ways])
+            for e, seed in enumerate(chunk_seeds)
+        )
     return episodes
 
 
@@ -351,11 +387,40 @@ def prior_from_results(results: list[EpisodeResult]) -> AccuracyPrior:
 # --- serialization ---------------------------------------------------------
 
 
+# What JSON escapes in a string with ensure_ascii=False: '"', '\\' and U+0000-U+001F.
+_JSON_ESCAPED = b'"\\' + bytes(range(0x20))
+
+
+def _json_strings(strings: tuple[str, ...]) -> str:
+    return '["' + '","'.join(strings) + '"]' if strings else "[]"
+
+
 def episode_to_json(episode: EpisodeSpec) -> str:
     """Canonical single-line JSON; equal episodes serialize to equal bytes.
 
-    The keys are the ``EpisodeSpec`` and ``ClassSplit`` fields in declaration order.
+    The keys are the ``EpisodeSpec`` and ``ClassSplit`` fields in declaration order:
+    the output is ``json.dumps(episode, default=vars, separators=(",", ":"),
+    ensure_ascii=False)``. When no class name or ID needs escaping, the same text
+    is built by joining whole ID tuples, which is several times faster than
+    encoding each ID on its own. ``EpisodeSpec`` holds exact ``int`` fields, so
+    ``%d`` writes them as ``json.dumps`` does.
     """
+    splits = []
+    quotes = 0
+    for split in episode.per_class:
+        support, query = split.support_ids, split.query_ids
+        splits.append(
+            '{"class_name":"' + split.class_name + '","support_ids":'
+            + _json_strings(support) + ',"query_ids":' + _json_strings(query) + "}"
+        )
+        # 8 for the three keys and the class name, 2 per ID.
+        quotes += 8 + 2 * (len(support) + len(query))
+    body = ",".join(splits)
+    raw = body.encode("utf-8", "surrogatepass")
+    if len(raw.translate(None, _JSON_ESCAPED)) == len(raw) - quotes:
+        return '{"episode_id":%d,"seed":%d,"ways":%d,"shots":%d,"per_class":[%s]}' % (
+            episode.episode_id, episode.seed, episode.ways, episode.shots, body
+        )
     return json.dumps(episode, default=vars, separators=(",", ":"), ensure_ascii=False)
 
 
@@ -376,13 +441,6 @@ def _json_field(obj, key: str, kind: type):
     return value
 
 
-def _json_ids(split, key: str) -> tuple[str, ...]:
-    ids = _json_field(split, key, list)
-    if not all(isinstance(i, str) for i in ids):
-        raise ValueError(f"{key!r} must be an array of example ID strings")
-    return tuple(ids)
-
-
 def episode_from_json(line: str) -> EpisodeSpec:
     """Rebuild an episode from one line of :func:`episode_to_json` output.
 
@@ -397,8 +455,8 @@ def episode_from_json(line: str) -> EpisodeSpec:
         per_class=tuple(
             ClassSplit(
                 class_name=_json_field(split, "class_name", str),
-                support_ids=_json_ids(split, "support_ids"),
-                query_ids=_json_ids(split, "query_ids"),
+                support_ids=tuple(_json_field(split, "support_ids", list)),
+                query_ids=tuple(_json_field(split, "query_ids", list)),
             )
             for split in _json_field(obj, "per_class", list)
         ),

@@ -90,6 +90,18 @@ class TestBlendNormCorrected:
         with pytest.raises(ValueError, match="finite"):
             blend_norm_corrected(z, np.ones(2), 0.5)
 
+    @pytest.mark.parametrize("scale", [2.0**520, 2.0**1000])
+    def test_norms_past_the_square_overflow(self, scale):
+        """Norms above ~1.3e154 overflow a plain sum of squares; the blend scales with z and n."""
+        z, n = random_pair(4, 64, scale_z=2.0, scale_n=0.5)
+        out = blend_norm_corrected(z * scale, n * scale, 0.3)
+        np.testing.assert_allclose(out / scale, blend_norm_corrected(z, n, 0.3), rtol=1e-14)
+
+    def test_target_norm_out_of_range_rejected(self):
+        z = np.full(64, 1e308)
+        with pytest.raises(ValueError, match="target norm"):
+            blend_norm_corrected(z, np.ones(64), 0.5)
+
 
 class TestSampleBlend:
     def test_deterministic_per_seed(self):

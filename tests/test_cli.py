@@ -4,11 +4,13 @@ import hashlib
 import json
 import shlex
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from episcope import episodes as episodes_mod
 from episcope import montecarlo
 from episcope.cli import build_parser, main
 from episcope.episodes import EpisodeResult, read_episodes, write_results_csv
@@ -303,6 +305,23 @@ class TestEpisodes:
         assert len(episodes) == 4
         assert all(len(e.per_class) == 3 for e in episodes)
 
+    def test_sample_calls_the_module_functions(self, capsys, index_file, monkeypatch):
+        """The benchmark's tracer wraps these two at module level, so cli must call them there."""
+        calls = Counter()
+        for name in ("sample_episodes", "write_episodes"):
+            def counted(*args, _name=name, _original=getattr(episodes_mod, name), **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(episodes_mod, name, counted)
+        code, out, _ = run(
+            capsys,
+            "episodes", "sample", "--index", index_file, "--ways", "3", "--shots", "2",
+            "--queries", "5", "--count", "4", "--seed", "11", "--out", "-",
+        )
+        assert (code, len(out.splitlines())) == (0, 4)
+        assert calls == {"sample_episodes": 1, "write_episodes": 1}
+
     def test_sample_all_queries_to_stdout(self, capsys, index_file):
         code, out, _ = run(
             capsys,
@@ -437,6 +456,16 @@ class TestBlend:
         rows = [r for r in out.strip().split("\n") if r]
         assert len(rows) == 4
         assert all(len(r.split(",")) == 16 for r in rows)
+
+    def test_latents_with_huge_norms_blend(self, capsys, tmp_path):
+        """Latent norms near 1e301 overflow a plain sum of squares; the blends stay finite."""
+        latents_path = tmp_path / "latents.csv"
+        save_features_csv(latents_path, np.random.default_rng(7).normal(size=(2, 64)) * 1e300)
+        code, out, err = run(capsys, "blend", "--latents", str(latents_path), "--alpha", "0.5",
+                             "--seed", "3", "--count", "3")
+        assert (code, err) == (0, "")
+        rows = np.array([[float(x) for x in row.split(",")] for row in out.split()])
+        assert rows.shape == (3, 64) and np.all(np.isfinite(rows))
 
     def test_deterministic_bytes(self, capsys, tmp_path):
         rng = np.random.default_rng(6)

@@ -2,9 +2,12 @@
 
 import hashlib
 import io
+import json
 import math
+import re
 from collections import Counter
 from dataclasses import asdict
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -65,6 +68,21 @@ class TestIndexValidation:
         """A string's characters, or non-string IDs, must not become example IDs."""
         with pytest.raises(ValueError, match="class 'b'"):
             DatasetIndex.from_mapping({"a": ["1"], "b": ids})
+
+    @pytest.mark.parametrize(
+        ("classes", "message"),
+        [
+            ((("a", ("x", 2)),), "class 'a' must map to an array of example ID strings"),
+            ((("a", ["x", "y"]),), "class 'a' must map to an array of example ID strings"),
+            (((1, ("x",)),), "class name 1 is not a string"),
+            (((["a"], ("x",)),), re.escape("class name ['a'] is not a string")),
+        ],
+        ids=["int_id", "list_of_ids", "int_name", "list_name"],
+    )
+    def test_direct_construction_checks_types(self, classes, message):
+        """The sampler copies names and IDs into episodes unchecked, so the index checks them."""
+        with pytest.raises(ValueError, match=message):
+            DatasetIndex(classes)
 
     def test_load_save_round_trip(self, tmp_path):
         index = tiny_index()
@@ -505,12 +523,140 @@ class TestSerialization:
             read_results_csv(path)
 
 
+def reference_json(episode):
+    """What ``episode_to_json`` must return: the fields through ``json.dumps``."""
+    return json.dumps(episode, default=vars, separators=(",", ":"), ensure_ascii=False)
+
+
+# Characters JSON leaves as they are (U+007F and U+2028 included), and ones it escapes.
+PLAIN_CHARS = "aZ0 \x7f\u2028é日😀"
+ESCAPED_CHARS = '"\\\n\t\x00\x1f'
+
+
+@st.composite
+def encodable_episodes(draw):
+    """Validated episodes whose names and IDs may be "" or need escaping.
+
+    A class may have no queries.
+    """
+    chars = draw(st.sampled_from([PLAIN_CHARS, PLAIN_CHARS + ESCAPED_CHARS]))
+    text = st.text(st.sampled_from(chars), max_size=4)
+    ways, shots = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    splits = []
+    for name in draw(st.lists(text, min_size=ways, max_size=ways, unique=True)):
+        ids = draw(st.lists(text, min_size=shots, max_size=shots + 4, unique=True))
+        splits.append(ClassSplit(name, tuple(ids[:shots]), tuple(ids[shots:])))
+    return EpisodeSpec(draw(st.integers(0, 2**70)), draw(st.integers(0, 2**64 - 1)), ways,
+                       shots, tuple(splits))
+
+
+def rebuilt(episode):
+    """``episode`` built again through the validating constructors."""
+    return EpisodeSpec(
+        episode.episode_id, episode.seed, episode.ways, episode.shots,
+        tuple(ClassSplit(s.class_name, s.support_ids, s.query_ids) for s in episode.per_class),
+    )
+
+
+class TestEncoder:
+    """``episode_to_json`` joins whole ID tuples, and must match the ``json.dumps`` reference."""
+
+    @given(encodable_episodes())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_json_dumps(self, episode):
+        assert episode_to_json(episode) == reference_json(episode)
+
+    @pytest.mark.parametrize(
+        "ids", [(), ("",), ("", "a"), ('"',), ("\\",), ("\x1f",), ("\x7f", "\u2028", "é")]
+    )
+    def test_id_tuple_edges(self, ids):
+        episode = EpisodeSpec(0, 1, 1, 1, (ClassSplit("k", ("s",), ids),))
+        assert episode_to_json(episode) == reference_json(episode)
+
+    def test_lone_surrogate_fails_the_write_either_way(self, tmp_path):
+        episode = EpisodeSpec(0, 1, 1, 1, (ClassSplit("k", ("s\ud800",), ("q",)),))
+        assert episode_to_json(episode) == reference_json(episode)
+        with open(tmp_path / "ref.jsonl", "w", encoding="utf-8") as fh:
+            with pytest.raises(UnicodeEncodeError) as reference:
+                fh.write(reference_json(episode) + "\n")
+        with pytest.raises(UnicodeEncodeError) as written:
+            write_episodes(tmp_path / "episodes.jsonl", [episode])
+        assert str(written.value) == str(reference.value)
+
+    def test_plain_episodes_do_not_call_json_dumps(self, benchmark_index):
+        """The joined text is the fast path; json.dumps is only the fallback."""
+        episodes = sample_episodes(benchmark_index, 5, 1, None, 3, master_seed=4) + [
+            EpisodeSpec(0, 1, 1, 1, (ClassSplit("k", ("",), ()),)),
+            EpisodeSpec(0, 1, 2, 1, (ClassSplit("", ("é",), ("\u2028", "\x7f")),
+                                     ClassSplit("日", ("😀",), ()))),
+        ]
+        expected = [reference_json(episode) for episode in episodes]
+        with mock.patch.object(episodes_mod.json, "dumps", side_effect=AssertionError):
+            assert [episode_to_json(episode) for episode in episodes] == expected
+
+
+class TestUncheckedConstruction:
+    """Sampled specs skip ``__post_init__`` but equal what the constructors build."""
+
+    @given(
+        st.integers(0, 2**64 - 1), st.integers(1, 5), st.integers(1, 6),
+        st.one_of(st.none(), st.integers(1, 5)), st.integers(1, 12), st.sampled_from([1, 40]),
+        st.sampled_from(["", '"', "\\"]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_sampled_specs_equal_validated_rebuilds(
+        self, seed, ways, shots, queries, count, chunk_uniforms, mark
+    ):
+        index = DatasetIndex.from_mapping(
+            {f"k{i}{mark}": [f"k{i}x{j}{mark}" for j in range(12 + 3 * i)] for i in range(6)}
+        )
+        with mock.patch.object(episodes_mod, "_CHUNK_UNIFORMS", chunk_uniforms):
+            episodes = sample_episodes(index, ways, shots, queries, count, seed)
+        for episode in episodes:
+            clone = rebuilt(episode)
+            assert clone == episode
+            assert hash(clone) == hash(episode)
+            assert repr(clone) == repr(episode)
+            assert episode_to_json(clone) == episode_to_json(episode) == reference_json(episode)
+
+
 class TestEpisodeSpec:
     def test_support_query_overlap_rejected(self):
         split = ClassSplit("k0", ("x3", "x1"), ("x2", "x1", "x3", "x4"))
         with pytest.raises(ValueError) as excinfo:
             EpisodeSpec(episode_id=7, seed=1, ways=1, shots=2, per_class=(split,))
         assert str(excinfo.value) == "episode 7, class 'k0': support/query overlap ['x1', 'x3']"
+
+    @pytest.mark.parametrize(
+        ("fields", "message"),
+        [
+            ({"episode_id": np.int64(3)}, "episode_id must be an integer, got np.int64(3)"),
+            ({"seed": np.uint64(5)}, "seed must be an integer, got np.uint64(5)"),
+            ({"episode_id": 1.5}, "episode 1.5: episode_id must be an integer, got 1.5"),
+            ({"episode_id": "0"}, "episode '0': episode_id must be an integer, got '0'"),
+            ({"shots": 1.0}, "shots must be an integer, got 1.0"),
+        ],
+        ids=["numpy_id", "numpy_seed", "float_id", "str_id", "float_shots"],
+    )
+    def test_integer_fields_must_be_python_ints(self, fields, message):
+        """Each of these was accepted, then failed to write or to read back."""
+        split = ClassSplit("k0", ("x1",), ("x2",))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            EpisodeSpec(**{"episode_id": 7, "seed": 1, "ways": 1, "shots": 1,
+                           "per_class": (split,), **fields})
+
+    @pytest.mark.parametrize(
+        ("split", "message"),
+        [
+            (("k0", ("x1",), ("x2", 3)), "'query_ids' must be an array of example ID strings"),
+            (("k0", "x1", ("x2",)), "'support_ids' must be an array of example ID strings"),
+            ((5, ("x1",), ("x2",)), "class_name must be a string, got 5"),
+        ],
+        ids=["int_id", "str_as_ids", "int_class_name"],
+    )
+    def test_class_split_fields_must_be_strings(self, split, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ClassSplit(*split)
 
 
 class TestEpisodeResult:
