@@ -1,53 +1,3 @@
 """Statistically grounded planning and validation for episode-based few-shot evaluation."""
 
-from .blend import DegenerateBlendError, blend_norm_corrected, blend_raw, sample_blend
-from .episodes import (
-    AggregateReport,
-    ClassSplit,
-    DatasetIndex,
-    EpisodeResult,
-    EpisodeSpec,
-    aggregate,
-    prior_from_results,
-    read_episodes,
-    read_results_csv,
-    sample_episodes,
-    write_episodes,
-    write_results_csv,
-)
-from .featureio import load_features, save_features_csv, save_features_fsfe
-from .fid import GaussianStats, fid, fit_gaussian, frechet_distance
-from .montecarlo import (
-    DegeneratePriorError,
-    SimConfig,
-    SimReport,
-    VarianceDecomposition,
-    decompose_variance,
-    episode_counts,
-    fit_beta,
-    simulate,
-    sweep,
-)
-from .planner import (
-    CostModel,
-    PlanResult,
-    TradeoffCell,
-    min_cost_design,
-    min_episodes_for_ci,
-    min_episodes_for_variance,
-    tradeoff_csv,
-    tradeoff_table,
-)
-from .variance import (
-    AccuracyPrior,
-    EvalDesign,
-    VarianceReport,
-    estimator_variance,
-    estimator_variance_approx,
-    per_episode_variance,
-    queries_total,
-    variance_asymptote,
-    variance_report,
-)
-
 __version__ = "0.1.0"

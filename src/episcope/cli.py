@@ -6,9 +6,9 @@ flag/validation problems (message names the flag), 1 for runtime errors.
 Flags may also be supplied through ``--config FILE``, a JSON object whose keys
 are the subcommand's flag names, spelled with ``_`` or ``-``. Each entry is read
 as if given as ``--flag=value`` ahead of the command line, so it passes the same
-type, range and required checks, and an explicit flag wins. Unknown keys and
-flag prefixes exit 2; on/off flags take ``true``/``false``; lists may be JSON
-arrays or comma-separated strings; ``null`` means absent.
+type, range and required checks, and an explicit flag wins. Unknown or repeated
+keys and flag prefixes exit 2; on/off flags take ``true``/``false``; lists may
+be JSON arrays or comma-separated strings; ``null`` means absent.
 """
 
 from __future__ import annotations
@@ -19,12 +19,10 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import blend as blend_mod
 from . import episodes as ep
-from . import featureio, montecarlo, planner
-from .seeds import MASK64
+from . import featureio, fid, montecarlo, planner
+from .seeds import check_seed
 from .variance import AccuracyPrior, EvalDesign, _check_positive_int, variance_report
 
 
@@ -83,6 +81,11 @@ def _positive_int(text: str) -> int:
     return number
 
 
+@_flag_type
+def _seed_int(text: str) -> int:
+    return check_seed(int(text), "value")
+
+
 def _ranged(parse, test, where: str):
     @_flag_type
     def convert(text: str):
@@ -94,7 +97,6 @@ def _ranged(parse, test, where: str):
     return convert
 
 
-_seed_int = _ranged(int, lambda n: 0 <= n <= MASK64, "be an unsigned 64-bit integer")
 _nonnegative_float = _ranged(float, lambda x: 0 <= x < math.inf, "be finite and non-negative")
 _positive_float = _ranged(float, lambda x: 0 < x < math.inf, "be finite and > 0")
 _unit_open = _ranged(float, lambda x: 0.0 < x < 1.0, "lie in (0, 1)")
@@ -225,10 +227,8 @@ def _cmd_episodes_aggregate(args) -> int:
 
 
 def _cmd_fid(args) -> int:
-    from .fid import fid as fid_fn
-
     features_a, features_b = featureio.load_features(args.a), featureio.load_features(args.b)
-    value = fid_fn(features_a, features_b)
+    value = fid.fid(features_a, features_b)
     if args.json:
         n_a, n_b = features_a.shape[0], features_b.shape[0]
         print(json.dumps({"fid": value, "dim": features_a.shape[1], "n_a": n_a, "n_b": n_b}))
@@ -368,7 +368,7 @@ def _config_tokens(path: str) -> tuple[dict[str, str], list[str]]:
     """
     try:
         with open(path, encoding="utf-8") as fh:
-            config = json.load(fh)
+            config = json.load(fh, object_pairs_hook=ep._unique_keys)
     except (OSError, ValueError, RecursionError) as exc:
         raise CliUsageError(f"--config: {exc}") from exc
     if not isinstance(config, dict):
@@ -424,7 +424,7 @@ def main(argv: list[str] | None = None) -> int:
     except CliUsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError, ArithmeticError, MemoryError, np.linalg.LinAlgError) as exc:
+    except (ValueError, OSError, ArithmeticError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

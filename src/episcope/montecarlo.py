@@ -33,7 +33,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft, stats
+from scipy import fft
 
 from .seeds import check_seed, philox_generator, substream_seeds
 from .variance import AccuracyPrior, EvalDesign, _check_positive_int, estimator_variance
@@ -160,6 +160,10 @@ def _count_pmf(prior: AccuracyPrior, kq: int) -> np.ndarray:
     ``_CDF_CHUNK`` counts at a time, so scipy's temporaries scale with the
     chunk rather than with Kq.
     """
+    # Imported here, not at module level: scipy.stats takes most of a second to
+    # import, and only simulate's count tables need it.
+    from scipy import stats
+
     if prior.std == 0.0:
         pmf_of, params = stats.binom.pmf, (kq, prior.mean)
     else:

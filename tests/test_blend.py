@@ -33,6 +33,11 @@ class TestBlendRaw:
         with pytest.raises(ValueError, match="mismatch"):
             blend_raw(np.zeros(3), np.zeros(4), 0.5)
 
+    @pytest.mark.parametrize("z", [np.zeros((2, 2)), np.zeros(0)], ids=["2d", "empty"])
+    def test_inputs_must_be_non_empty_vectors(self, z):
+        with pytest.raises(ValueError, match="z must be a non-empty 1-D vector"):
+            blend_raw(z, np.zeros(2), 0.5)
+
     def test_alpha_range(self):
         z, n = random_pair(1, 4)
         with pytest.raises(ValueError, match="alpha"):

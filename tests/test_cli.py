@@ -134,6 +134,15 @@ class TestPlan:
         assert code == 2
         assert "--cost-episode" in err
 
+    def test_zero_costs_are_usage_error(self, capsys):
+        code, out, err = run(
+            capsys,
+            "plan", "cost", "--a", "0.9", "--sigma", "0.02", "--cost-episode", "0",
+            "--cost-query", "0", "--target-var", "1e-5", "--kq-max", "10",
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: --cost-episode/--cost-query: ")
+
     def test_cost_json(self, capsys):
         code, out, _ = run(
             capsys,
@@ -261,6 +270,16 @@ class TestSimulate:
         )
         assert (code, out) == (2, "")
         assert "--a/--sigma" in err and "--reps" not in err
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_outside_64_bits_names_seed(self, capsys, seed):
+        code, out, err = run(
+            capsys,
+            "simulate", "--a", "0.5", "--sigma", "0", "--kp", "2", "--kq", "2",
+            "--reps", "2", "--seed", seed,
+        )
+        assert code == 2 and out == ""
+        assert "--seed" in err and "unsigned 64-bit integer" in err
 
     def test_memory_exhaustion_is_runtime_error(self, capsys, monkeypatch):
         """A count table too large to allocate ends in exit 1 and a message, no traceback.
@@ -546,6 +565,21 @@ class TestConfigFile:
         )
         assert code == 2
         assert "--config" in err
+
+    @pytest.mark.parametrize(
+        ("text", "message"),
+        [
+            ("[1]", "--config: file must hold a JSON object"),
+            ('{"a": 0.5, "sigma": 0, "kp": 1, "kq": 1, "kq": 4}', "--config: repeated key 'kq'"),
+        ],
+        ids=["array", "repeated_key"],
+    )
+    def test_config_must_be_one_object_with_distinct_keys(self, capsys, tmp_path, text, message):
+        config_path = tmp_path / "run.json"
+        config_path.write_text(text)
+        code, out, err = run(capsys, "variance", "--config", str(config_path))
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
 
 
 class TestParserBehavior:

@@ -90,6 +90,13 @@ class TestIndexValidation:
         index.save(path)
         assert DatasetIndex.load(path) == index
 
+    def test_load_rejects_a_repeated_class(self, tmp_path):
+        path = tmp_path / "index.json"
+        path.write_text('{"a": ["1"], "b": ["2"], "a": ["3"]}')
+        message = r"index\.json: not a valid JSON file: repeated key 'a'$"
+        with pytest.raises(ValueError, match=message):
+            DatasetIndex.load(path)
+
 
 class TestSampling:
     def test_all_queries_uses_full_remainder(self, benchmark_index):
@@ -481,9 +488,15 @@ class TestSerialization:
             ('"episode_id":3,"seed":1,"ways":1,"shots":2',
              '{"class_name":"c","support_ids":["x","z"],"query_ids":["y","y","y"]}',
              r"episode 3, class 'c': repeated query IDs \['y'\]"),
+            ('"episode_id":3,"seed":1,"ways":1,"shots":2',
+             '{"class_name":"c","support_ids":["x"],"query_ids":["y"]}',
+             "episode 3, class 'c': expected 2 support IDs, got 1"),
+            ('"episode_id":3,"seed":1,"seed":2,"ways":1,"shots":1',
+             '{"class_name":"a","support_ids":["s"],"query_ids":["x"]}',
+             "not valid JSON: repeated key 'seed'"),
         ],
         ids=["ways_0", "shots_0", "negative_id", "seed_negative", "seed_2_64", "repeated_class",
-             "repeated_support", "repeated_query"],
+             "repeated_support", "repeated_query", "short_support", "repeated_key"],
     )
     def test_read_out_of_range_episode_names_file_and_line(
         self, tmp_path, fields, per_class, message
@@ -651,12 +664,23 @@ class TestEpisodeSpec:
             (("k0", ("x1",), ("x2", 3)), "'query_ids' must be an array of example ID strings"),
             (("k0", "x1", ("x2",)), "'support_ids' must be an array of example ID strings"),
             ((5, ("x1",), ("x2",)), "class_name must be a string, got 5"),
+            (("k0", ["x1"], ("x2",)), "'support_ids' must be a tuple, got a list"),
+            (("k0", ("x1",), ["x2"]), "'query_ids' must be a tuple, got a list"),
         ],
-        ids=["int_id", "str_as_ids", "int_class_name"],
+        ids=["int_id", "str_as_ids", "int_class_name", "list_support", "list_query"],
     )
     def test_class_split_fields_must_be_strings(self, split, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             ClassSplit(*split)
+
+    @pytest.mark.parametrize(
+        "per_class", [[ClassSplit("k", ("a",), ("b",))], ("x",)], ids=["list", "str_items"]
+    )
+    def test_per_class_must_be_a_tuple_of_splits(self, per_class):
+        """A list left the spec unhashable and unequal to its read-back copy."""
+        message = "^episode 0: per_class must be a tuple of ClassSplit$"
+        with pytest.raises(ValueError, match=message):
+            EpisodeSpec(0, 1, 1, 1, per_class)
 
 
 class TestEpisodeResult:

@@ -112,6 +112,15 @@ def test_non_finite_rejected(tmp_path):
         save_features_csv(tmp_path / "nan.csv", np.array([[np.nan, 1.0]]))
 
 
+@pytest.mark.parametrize("shape", [(2, 2, 2), (0, 3)])
+@pytest.mark.parametrize("save", [save_features_csv, save_features_fsfe])
+def test_save_rejects_what_is_not_a_matrix(tmp_path, save, shape):
+    path = tmp_path / "feats"
+    with pytest.raises(ValueError, match="non-empty 2-D array"):
+        save(path, np.zeros(shape))
+    assert not path.exists()
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_non_finite_fsfe_names_path_and_row(tmp_path, value):
     x = np.ones((4, 3))

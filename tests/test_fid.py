@@ -36,6 +36,10 @@ class TestFitGaussian:
         with pytest.raises(ValueError, match="at least 2"):
             fit_gaussian(np.ones((1, 8)))
 
+    def test_rejects_a_non_matrix(self):
+        with pytest.raises(ValueError, match="2-D"):
+            fit_gaussian(np.ones(5))
+
     def test_rejects_non_finite(self):
         bad = np.ones((3, 2))
         bad[1, 1] = np.nan
@@ -51,6 +55,15 @@ class TestGaussianStatsValidation:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="shape"):
             GaussianStats(np.zeros(3), np.eye(2))
+
+    @pytest.mark.parametrize(
+        ("mean", "message"),
+        [(np.zeros((1, 2)), "mean must be a vector"), (np.array([np.nan, 0.0]), "finite")],
+        ids=["matrix_mean", "nan_mean"],
+    )
+    def test_malformed_mean_rejected(self, mean, message):
+        with pytest.raises(ValueError, match=message):
+            GaussianStats(mean, np.eye(2))
 
 
 class TestFrechetDistance:

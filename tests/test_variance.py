@@ -97,6 +97,11 @@ class TestValidation:
         with pytest.raises(ValueError, match="mean"):
             AccuracyPrior(-0.1, 0.0)
 
+    @pytest.mark.parametrize("std", [-0.01, math.nan])
+    def test_std_must_be_non_negative(self, std):
+        with pytest.raises(ValueError, match="prior std must be non-negative"):
+            AccuracyPrior(0.5, std)
+
     def test_std_above_bernoulli_bound(self):
         """No [0,1]-valued variable has std^2 > mean*(1-mean)."""
         with pytest.raises(ValueError, match="exceeds"):
