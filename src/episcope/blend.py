@@ -86,18 +86,14 @@ def _norm(vec: np.ndarray) -> float:
     return norm
 
 
-def sample_blend(latents, alpha: float, seed: int) -> tuple[int, np.ndarray]:
-    """Blend one uniformly chosen latent with fresh standard-normal noise."""
-    return sample_blend_batch(latents, alpha, seed, count=1)[0]
-
-
 def sample_blend_batch(
     latents, alpha: float, seed: int, count: int
 ) -> list[tuple[int, np.ndarray]]:
     """``count`` sequential draws of (chosen index, corrected blend).
 
-    All randomness comes from one generator keyed by ``seed``; a single draw
-    equals sample_blend with the same seed.
+    Each draw blends a uniformly chosen latent with fresh standard-normal
+    noise. All randomness comes from one generator keyed by ``seed``, so the
+    first k draws of a run are the draws of a run with ``count=k``.
     """
     _check_positive_int(count, "count")
     check_seed(seed, "seed")

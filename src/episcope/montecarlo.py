@@ -19,6 +19,16 @@ stream, but the group constant ``_GROUP_COUNTS`` is: changing it changes the
 output for every Kq < 2**14 and needs a new stream version. At Kq >= 2**14
 each group is one episode, inverted through the count CDF itself.
 
+The inversion is the guide-table (indexed) search of Chen & Asau (1974) and
+Devroye (1986, sec. III.2.4). For a table of n entries and m the power of two
+>= n - 1, ``_guide`` stores, for each j = 0..m, how many entries are <= j/m.
+A uniform u falls in bucket j = floor(u*m), exactly so since m is a power of
+two. When the bucket's bounds, entries j and j+1 of the guide, differ by at
+most one, a single comparison with the table picks the index; the rare
+uniforms in wider buckets fall back to the binary search. The index is the
+one ``np.searchsorted(table, u, side="right")`` returns, for every u, so the
+lookup is not part of the stream either.
+
 ``decompose_variance`` and ``episode_counts`` need the true accuracies, so
 they keep the two-stage draw in ``_draw_episodes``: a_p ~ Beta, then counts ~
 Binomial(Kq, a_p). Each reads one Philox stream keyed by its seed;
@@ -33,7 +43,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft
+from scipy import fft, special
 
 from .seeds import check_seed, philox_generator, substream_seeds
 from .variance import AccuracyPrior, EvalDesign, _check_positive_int, estimator_variance
@@ -42,8 +52,9 @@ from .variance import AccuracyPrior, EvalDesign, _check_positive_int, estimator_
 _INTERIOR_SLACK = 1e-12
 
 # Uniforms ``simulate`` draws per block (at least one replication's worth).
-# It bounds memory only: the stream does not depend on it.
-_BLOCK_DRAWS = 1 << 16
+# It bounds memory only: the stream does not depend on it. ``_invert`` holds
+# about 40 bytes of temporaries per uniform, under 1 MB per block.
+_BLOCK_DRAWS = 1 << 14
 
 # Counts per pmf evaluation in ``_count_pmf``; bounds memory only.
 _CDF_CHUNK = 1 << 16
@@ -156,22 +167,31 @@ def _count_pmf(prior: AccuracyPrior, kq: int) -> np.ndarray:
     """Pmf of one episode's correct count over 0..Kq.
 
     The count is BetaBinomial(Kq, alpha, beta) under the Beta fit, or
-    Binomial(Kq, mean) for the point mass. The pmf is evaluated over
-    ``_CDF_CHUNK`` counts at a time, so scipy's temporaries scale with the
-    chunk rather than with Kq.
+    Binomial(Kq, mean) for the point mass. With n = Kq, the Beta-Binomial pmf
+    is exp(-log(n+1) - betaln(n-k+1, k+1) + betaln(k+a, n-k+b) - betaln(a, b)),
+    evaluated left to right: that is how ``scipy.stats.betabinom.pmf``
+    computes it, so the table is bit-identical to it without importing
+    ``scipy.stats``. The pmf is evaluated over ``_CDF_CHUNK`` counts at a
+    time, so its temporaries scale with the chunk rather than with Kq.
     """
-    # Imported here, not at module level: scipy.stats takes most of a second to
-    # import, and only simulate's count tables need it.
-    from scipy import stats
-
     if prior.std == 0.0:
-        pmf_of, params = stats.binom.pmf, (kq, prior.mean)
+        # Imported here, not at module level: scipy.stats takes most of a
+        # second to import, and only the point mass's binomial pmf needs it.
+        from scipy import stats
+
+        def pmf_of(k: np.ndarray) -> np.ndarray:
+            return stats.binom.pmf(k, kq, prior.mean)
     else:
-        pmf_of, params = stats.betabinom.pmf, (kq, *fit_beta(prior))
+        a, b = fit_beta(prior)
+        norm = special.betaln(a, b)
+
+        def pmf_of(k: np.ndarray) -> np.ndarray:
+            log_choose = -np.log(kq + 1) - special.betaln(kq - k + 1, k + 1)
+            return np.exp(log_choose + special.betaln(k + a, kq - k + b) - norm)
     pmf = np.empty(kq + 1)
     for start in range(0, kq + 1, _CDF_CHUNK):
         stop = min(start + _CDF_CHUNK, kq + 1)
-        pmf[start:stop] = pmf_of(np.arange(start, stop), *params)
+        pmf[start:stop] = pmf_of(np.arange(start, stop))
     return pmf
 
 
@@ -224,6 +244,48 @@ def _moments(a_tilde: np.ndarray) -> tuple[float, float, float]:
     return mean, var, math.sqrt(max(0.0, m4 - (n - 3) / (n - 1) * var * var) / n)
 
 
+def _guide(cdf: np.ndarray) -> np.ndarray:
+    """Guide table of a non-decreasing CDF that ends at exactly 1.0, for ``_invert``.
+
+    With m the power of two >= len(cdf) - 1, entry j is #{i : cdf[i] <= j/m}
+    for j = 0..m. cdf[i] <= j/m exactly when ceil(cdf[i]*m) <= j, as cdf[i]*m
+    is exact for a power of two m, so entry j is one more than the last i with
+    ceil(cdf[i]*m) <= j: the running maximum of i + 1 placed at bucket
+    ceil(cdf[i]*m). The ceilings are taken ``_CDF_CHUNK`` entries at a time and
+    the maximum runs in place, so beyond the guide itself (int32 below 2**31
+    entries) the build needs only chunk-sized temporaries.
+    """
+    n = len(cdf)
+    m = 1 << (n - 2).bit_length()
+    guide = np.zeros(m + 1, dtype=np.int32 if n < 2**31 else np.int64)
+    for start in range(0, n, _CDF_CHUNK):
+        stop = min(start + _CDF_CHUNK, n)
+        buckets = np.ceil(cdf[start:stop] * m).astype(np.intp)
+        # The last i of each run of equal buckets carries the largest i + 1.
+        last = np.append(buckets[1:] != buckets[:-1], True)
+        guide[buckets[last]] = np.flatnonzero(last) + (start + 1)
+    return np.maximum.accumulate(guide, out=guide)
+
+
+def _invert(cdf: np.ndarray, guide: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``np.searchsorted(cdf, u, side="right")`` for uniforms 0 <= u < 1, exactly.
+
+    u lies in bucket j = floor(u*m) of ``_guide(cdf)``, u*m being exact, so
+    the entries before guide[j] are <= j/m <= u and those from guide[j+1] on
+    are > (j+1)/m > u. When guide[j+1] - guide[j] <= 1, only entry guide[j] is
+    left to compare, and it exists because cdf[-1] is 1.0 > u. The few
+    uniforms in wider buckets fall back to the binary search.
+    """
+    m = len(guide) - 1
+    j = (u * m).astype(np.intp)
+    lo = guide[j]
+    index = lo + (cdf[lo] <= u)
+    wide = guide[1:][j] - lo > 1
+    if wide.any():
+        index[wide] = np.searchsorted(cdf, u[wide], side="right")
+    return index
+
+
 def _draw_totals(config: SimConfig) -> np.ndarray:
     """Each replication's correct total over all Kp*Kq queries (see ``simulate``)."""
     kp, kq = config.design.episodes, config.design.queries_per_episode
@@ -234,6 +296,7 @@ def _draw_totals(config: SimConfig) -> np.ndarray:
         tables = [_count_cdf(config.prior, kq)]
     else:
         tables = _power_cdfs(_count_pmf(config.prior, kq), (group, r) if r else (group,))
+    guides = [_guide(table) for table in tables]
     draws = q + (r > 0)
     rng = philox_generator(config.master_seed)
     block = max(1, _BLOCK_DRAWS // draws)
@@ -241,9 +304,9 @@ def _draw_totals(config: SimConfig) -> np.ndarray:
     for start in range(0, reps, block):
         m = min(block, reps - start)
         u = rng.random(m * draws).reshape(m, draws)
-        block_totals = np.searchsorted(tables[0], u[:, :q], side="right").sum(axis=1)
+        block_totals = _invert(tables[0], guides[0], u[:, :q]).sum(axis=1)
         if r:
-            block_totals += np.searchsorted(tables[1], u[:, q], side="right")
+            block_totals += _invert(tables[1], guides[1], u[:, q])
         totals[start:start + m] = block_totals
     return totals
 
@@ -262,7 +325,10 @@ def simulate(config: SimConfig) -> SimReport:
     r-episode group last. They are drawn in blocks of whole replications, and
     the block size is not part of the stream; ``_GROUP_COUNTS`` is. At Kq >=
     _GROUP_COUNTS, g = 1 and each episode inverts its own uniform through
-    ``_count_cdf``.
+    ``_count_cdf``. Inverting u through a CDF means the count of its entries
+    <= u, ``np.searchsorted(cdf, u, side="right")``; ``_invert`` finds it
+    through a guide table in about one comparison instead of a binary search,
+    with the same result for every u, so the lookup is not part of the stream.
 
     Reported variance uses divisor replications-1; ``empirical_var_se`` is
     its standard error from the sample fourth central moment, and ``var_z``

@@ -9,7 +9,6 @@ from episcope.blend import (
     DegenerateBlendError,
     blend_norm_corrected,
     blend_raw,
-    sample_blend,
     sample_blend_batch,
 )
 
@@ -111,30 +110,30 @@ class TestBlendNormCorrected:
 class TestSampleBlend:
     def test_deterministic_per_seed(self):
         latents = [np.arange(8.0), np.arange(8.0) * 2.0, np.ones(8)]
-        k1, v1 = sample_blend(latents, 0.3, seed=99)
-        k2, v2 = sample_blend(latents, 0.3, seed=99)
+        k1, v1 = sample_blend_batch(latents, 0.3, seed=99, count=1)[0]
+        k2, v2 = sample_blend_batch(latents, 0.3, seed=99, count=1)[0]
         assert k1 == k2
         np.testing.assert_array_equal(v1, v2)
-        k3, v3 = sample_blend(latents, 0.3, seed=100)
+        k3, v3 = sample_blend_batch(latents, 0.3, seed=100, count=1)[0]
         assert k3 != k1 or not np.array_equal(v3, v1)
 
     def test_alpha_zero_returns_chosen_latent(self):
         latents = [np.arange(1.0, 9.0), np.arange(2.0, 10.0)]
-        k, out = sample_blend(latents, 0.0, seed=5)
+        k, out = sample_blend_batch(latents, 0.0, seed=5, count=1)[0]
         np.testing.assert_array_equal(out, latents[k])
 
     def test_alpha_one_ignores_latent_values(self):
         """At alpha 1 the output is pure noise: latent contents are irrelevant."""
         a = [np.full(16, 3.0), np.full(16, -2.0)]
         b = [np.full(16, 100.0), np.full(16, 55.0)]
-        k_a, out_a = sample_blend(a, 1.0, seed=21)
-        k_b, out_b = sample_blend(b, 1.0, seed=21)
+        k_a, out_a = sample_blend_batch(a, 1.0, seed=21, count=1)[0]
+        k_b, out_b = sample_blend_batch(b, 1.0, seed=21, count=1)[0]
         assert k_a == k_b
         np.testing.assert_array_equal(out_a, out_b)
 
     def test_batch_prefix_matches_single(self):
         latents = [np.arange(6.0), np.ones(6)]
-        single = sample_blend(latents, 0.4, seed=77)
+        single = sample_blend_batch(latents, 0.4, seed=77, count=1)[0]
         batch = sample_blend_batch(latents, 0.4, seed=77, count=4)
         assert len(batch) == 4
         assert batch[0][0] == single[0]
@@ -151,8 +150,8 @@ class TestSampleBlend:
 
     def test_empty_latents_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
-            sample_blend([], 0.5, seed=0)
+            sample_blend_batch([], 0.5, seed=0, count=1)
 
     def test_mixed_dimensions_rejected(self):
         with pytest.raises(ValueError, match="dimension"):
-            sample_blend([np.zeros(4), np.zeros(5)], 0.5, seed=0)
+            sample_blend_batch([np.zeros(4), np.zeros(5)], 0.5, seed=0, count=1)

@@ -17,7 +17,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 VARIANCE = "variance --a 0.87 --sigma 0.05 --kp 600 --kq 75 --json"
-SIMULATE = "simulate --a 0.87 --sigma 0.05 --kp 600 --kq 75 --reps 100 --seed 1"
+SIMULATE = "simulate --a 0.87 --sigma {sigma} --kp 600 --kq 75 --reps 100 --seed 1"
 
 
 def modules_after(code: str) -> set[str]:
@@ -52,8 +52,12 @@ def test_cli_leaves_scipy_stats_unloaded(code):
     assert "scipy.stats" not in modules_after(code)
 
 
-def test_simulate_loads_scipy_stats():
-    assert "scipy.stats" in modules_after(cli_run(SIMULATE))
+def test_beta_prior_simulate_leaves_scipy_stats_unloaded():
+    assert "scipy.stats" not in modules_after(cli_run(SIMULATE.format(sigma=0.05)))
+
+
+def test_point_mass_simulate_loads_scipy_stats():
+    assert "scipy.stats" in modules_after(cli_run(SIMULATE.format(sigma=0)))
 
 
 def test_fid_name_is_the_module():

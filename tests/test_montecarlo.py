@@ -238,6 +238,71 @@ class TestCountCdf:
             assert np.max(np.abs(cdf - np.cumsum(direct) / np.sum(direct))) < 1e-12
 
 
+@st.composite
+def guided_cdfs(draw):
+    """Non-decreasing tables ending at exactly 1.0, of length 2, 3, 2^k, 2^k+1 or 2^k+2.
+
+    Leading 0.0 entries, trailing 1.0 entries, ties from snapping entries to a
+    grid (a coarse one, or the guide's own bucket edges j/m), and entries that
+    crowd into a narrow interval, as in a count CDF, all occur.
+    """
+    k = draw(st.integers(1, 12))
+    n = draw(st.sampled_from([2, 3, 2**k, 2**k + 1, 2**k + 2]))
+    m = 1 << (n - 2).bit_length()
+    zeros = draw(st.integers(0, n - 1))
+    ones = draw(st.integers(1, n - zeros))
+    width = draw(st.sampled_from([1.0, 1e-3, 1e-12]))
+    offset = draw(st.floats(0.0, 1.0 - width))
+    grid = draw(st.sampled_from([None, 4, m, 4 * m]))
+    middle = offset + width * np.random.default_rng(draw(st.integers(0, 2**32 - 1))).random(
+        n - zeros - ones
+    )
+    if grid is not None:
+        middle = np.floor(middle * grid) / grid
+    return np.concatenate([np.zeros(zeros), np.sort(np.minimum(middle, 1.0)), np.ones(ones)])
+
+
+def guided_uniforms(cdf, m):
+    """Every bucket edge j/m, each CDF value, their float neighbours and some random uniforms."""
+    edges = np.arange(m) / m
+    points = np.concatenate([edges, cdf, np.random.default_rng(len(cdf)).random(64)])
+    u = np.concatenate([points, np.nextafter(points, 0.0), np.nextafter(points, 1.0)])
+    return u[(u >= 0.0) & (u < 1.0)]
+
+
+class TestGuidedInversion:
+    """``_invert`` against its oracle, ``np.searchsorted(cdf, u, side="right")``."""
+
+    @given(guided_cdfs())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_binary_search(self, cdf):
+        guide = montecarlo._guide(cdf)
+        m = len(guide) - 1
+        assert m >= len(cdf) - 1 and m & (m - 1) == 0 and m < 2 * max(1, len(cdf) - 1)
+        assert guide.dtype == np.int32
+        assert np.array_equal(guide, np.searchsorted(cdf, np.arange(m + 1) / m, side="right"))
+        u = guided_uniforms(cdf, m)
+        assert np.array_equal(montecarlo._invert(cdf, guide, u), np.searchsorted(cdf, u, side="right"))
+        # The strided views ``_draw_totals`` passes: q group columns and the remainder column.
+        q = 2
+        grid = np.resize(u, (len(u) // (q + 1) + 1, q + 1))
+        for view in (grid[:, :q], grid[:, q]):
+            assert np.array_equal(
+                montecarlo._invert(cdf, guide, view), np.searchsorted(cdf, view, side="right")
+            )
+
+    @pytest.mark.parametrize("chunk", [1, 7, 1000])
+    def test_chunked_guide_equals_one_shot_guide(self, monkeypatch, chunk):
+        """Chunking the guide's build only bounds memory: the guide is identical."""
+        pmf = montecarlo._count_pmf(AccuracyPrior(0.87, 0.05), 75)
+        tables = montecarlo._power_cdfs(pmf, (218, 164))
+        tables.append(montecarlo._count_cdf(AccuracyPrior(0.8, 0.0), 2975))
+        one_shot = [montecarlo._guide(cdf) for cdf in tables]
+        monkeypatch.setattr(montecarlo, "_CDF_CHUNK", chunk)
+        for cdf, guide in zip(tables, one_shot):
+            assert np.array_equal(montecarlo._guide(cdf), guide)
+
+
 def chi_square_pvalue(totals, pmf):
     """Pearson chi-square of observed totals against ``pmf``.
 
@@ -479,6 +544,31 @@ class TestPinnedStream:
         )
         assert decomp.within_measured == pytest.approx(
             np.mean((counts / kq - a) ** 2), rel=1e-12
+        )
+
+    @pytest.mark.parametrize(
+        "a, std, kp, kq, seed, mean, var, var_se",
+        [
+            (0.87, 0.05, 120, 10, 9000, 0.8697383333333334, 0.00010409746817853372, 3.3884458383525843e-06),
+            (0.93, 0.028, 120, 10, 9001, 0.9303070833333333, 5.90383439983881e-05, 1.8719906375159592e-06),
+            (0.87, 0.05, 120, 75, 9002, 0.8702434444444445, 3.227069731161878e-05, 9.915848572797241e-07),
+            (0.93, 0.028, 120, 75, 9003, 0.9300546111111111, 1.3120386461749409e-05, 3.893551561934759e-07),
+            (0.87, 0.05, 120, 2975, 9004, 0.8699682661064426, 2.2024552937902145e-05, 6.80783542238429e-07),
+            (0.93, 0.028, 120, 2975, 9005, 0.9300632436974791, 6.712377184567142e-06, 2.1325339947001284e-07),
+            (0.87, 0.0, 120, 75, 9006, 0.8700867222222223, 1.2227179265558705e-05, 3.7797619713025934e-07),
+            (0.87, 0.05, 600, 75, 9007, 0.8699896333333333, 6.953871443252497e-06, 2.0999721004939647e-07),
+            (0.87, 0.05, 7, 20_000, 9008, 0.8693284285714286, 0.0003662560149768762, 1.1398776792179311e-05),
+        ],
+    )
+    def test_simulate_benchmark_designs(self, a, std, kp, kq, seed, mean, var, var_se):
+        """The benchmark's eight designs and one with a group per episode, 2000 replications.
+
+        Recorded with binary-search inversion and scipy.stats pmfs; a table or
+        lookup edit that moves any total fails here.
+        """
+        report = simulate(config(a, std, kp, kq, 2000, seed))
+        assert (report.empirical_mean, report.empirical_var, report.empirical_var_se) == (
+            mean, var, var_se
         )
 
     def test_episode_counts(self):
