@@ -32,7 +32,8 @@ _MAX_EXACT_EPISODES = 2**53
 # -1/+1 steps from ceil(v1 / target_var) could take ~Kp steps.
 _MIN_NORMAL = float(np.finfo(np.float64).tiny)
 
-# Kq values ``min_cost_design`` evaluates per numpy step; bounds memory only.
+# Kq values ``min_cost_design`` evaluates per numpy step, and so how often it
+# checks its early stop; bounds memory only, as results do not depend on it.
 _KQ_CHUNK = 1 << 13
 
 
@@ -160,12 +161,36 @@ def tradeoff_csv(cells: list[TradeoffCell]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _tail_cost_floor(
+    prior: AccuracyPrior, cost: CostModel, target_var: float, kq_low: int, kq_high: int
+) -> float:
+    """A lower bound on the computed cost of every design with Kq in [kq_low, kq_high].
+
+    v1(Kq) = sigma^2 + (a(1-a) - sigma^2) / Kq is monotone in Kq, so v1 at the
+    two ends bounds it over the range to within a few ulps; the 1e-12 margins
+    cover that rounding. The solver's Kp is then at least
+    floor(v1_low / target_var) - 1, and since rounding is monotone and both
+    rates are non-negative, ``cost.total`` at that Kp and kq_low is at most
+    the computed total of any design in the range. Returns -inf when the
+    solver could raise somewhere in the range (a count at or past 2**53, or a
+    positive v1 under a target below the smallest normal float), so that such
+    a range is never skipped.
+    """
+    v_low, v_high = sorted(_per_episode_variance(prior, float(kq)) for kq in (kq_low, kq_high))
+    if target_var < _MIN_NORMAL and v_high > 0.0:
+        return -math.inf
+    if not v_high / target_var * (1.0 + 1e-12) < _MAX_EXACT_EPISODES:
+        return -math.inf
+    kp_low = max(math.floor(v_low / target_var * (1.0 - 1e-12)) - 1, 1)
+    return cost.total(float(kp_low), float(kq_low))
+
+
 def min_cost_design(
     prior: AccuracyPrior, cost: CostModel, target_var: float, kq_max: int
 ) -> PlanResult:
     """Cheapest (Kp, Kq) with Kq <= kq_max meeting the variance target.
 
-    Exhaustive over Kq, with the matching Kp solved in closed form. Always
+    Scans Kq upward, with the matching Kp solved in closed form. Always
     feasible: variance vanishes as Kp grows. Cost ties prefer fewer episodes,
     then more queries (extra free queries only lower the achieved variance).
 
@@ -173,11 +198,22 @@ def min_cost_design(
     same episode-count solver as ``min_episodes_for_variance``, and each
     chunk's best row is kept by the key (cost, Kp, -Kq), so the answer equals
     calling the scalar solver per Kq.
+
+    Before the chunk starting at Kq = K, ``_tail_cost_floor`` bounds the cost
+    of every design with Kq in [K, kq_max] from below, and the scan stops when
+    that bound is strictly greater than the best cost so far. The stop is
+    exact: no skipped design could cost less or tie, and a tail on which the
+    solver could raise is never skipped, so the result and every error are
+    those of the full scan. With ``cost_per_query=0`` and sigma^2 <= a(1-a),
+    Kp never rises with Kq, so the bound never passes the best cost and the
+    scan still runs to ``kq_max``.
     """
     _check_target_var(target_var)
     _check_positive_int(kq_max, "kq_max")
     best: tuple[float, int, int] | None = None
     for start in range(1, kq_max + 1, _KQ_CHUNK):
+        if best is not None and _tail_cost_floor(prior, cost, target_var, start, kq_max) > best[0]:
+            break
         kq = np.arange(start, min(start + _KQ_CHUNK, kq_max + 1), dtype=np.float64)
         kp = _min_episodes(prior, kq, target_var)
         # kp and kq are exact floats, so kp * kq rounds as the integer product does.

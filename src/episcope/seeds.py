@@ -50,19 +50,17 @@ def philox_generator(key: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=int(key)))
 
 
-_ZERO4 = np.zeros(4, dtype=np.uint64)
-
-
 def rekey_philox(bit_generator: np.random.Philox, key: int) -> None:
     """Reset ``bit_generator`` to the stream Philox(key=key) would produce.
 
     State assignment skips the costly seeding path, which matters when a
-    sampler opens one substream per episode.
+    sampler opens one substream per episode. The state setter copies plain
+    int tuples word by word, so no per-call arrays are built.
     """
     bit_generator.state = {
         "bit_generator": "Philox",
-        "state": {"counter": _ZERO4, "key": np.array([key, 0], dtype=np.uint64)},
-        "buffer": _ZERO4,
+        "state": {"counter": (0, 0, 0, 0), "key": (key, 0)},
+        "buffer": (0, 0, 0, 0),
         "buffer_pos": 4,
         "has_uint32": 0,
         "uinteger": 0,

@@ -3,6 +3,7 @@
 import math
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,7 +18,13 @@ from episcope.planner import (
     tradeoff_csv,
     tradeoff_table,
 )
-from episcope.variance import AccuracyPrior, EvalDesign, estimator_variance, per_episode_variance
+from episcope.variance import (
+    STD_BOUND_SLACK,
+    AccuracyPrior,
+    EvalDesign,
+    estimator_variance,
+    per_episode_variance,
+)
 
 
 def reference_min_episodes(prior, kq, target):
@@ -342,3 +349,125 @@ class TestMinCostDesignExact:
         prior = AccuracyPrior(0.87, 0.05)
         with pytest.raises(ValueError, match=r"target_var=1e-30 .* Kq=1,"):
             min_cost_design(prior, CostModel(1.0, 1.0), 1e-30, 100)
+
+
+def unpruned_min_cost_design(prior, cost, target, kq_max):
+    """Reference: the chunked scan over every Kq up to kq_max, with no early stop.
+
+    Returns the best key (cost, Kp, -Kq), or the solver's error message.
+    """
+    best = None
+    try:
+        for start in range(1, kq_max + 1, planner._KQ_CHUNK):
+            kq = np.arange(start, min(start + planner._KQ_CHUNK, kq_max + 1), dtype=np.float64)
+            kp = planner._min_episodes(prior, kq, target)
+            total = cost.total(kp, kq)
+            i = np.lexsort((-kq, kp, total))[0]
+            key = (float(total[i]), int(kp[i]), -int(kq[i]))
+            if best is None or key < best:
+                best = key
+    except ValueError as exc:
+        return str(exc)
+    return best
+
+
+def pruned_outcome(prior, cost, target, kq_max):
+    try:
+        result = min_cost_design(prior, cost, target, kq_max)
+    except ValueError as exc:
+        return str(exc)
+    return (result.total_cost, result.episodes, -result.queries_per_episode)
+
+
+# The benchmark's planning inputs; the optimum is Kp = 631 at Kq = 66.
+BENCH_PRIOR = AccuracyPrior(0.87, 0.05)
+BENCH_COST = CostModel(cost_per_episode=100.0, cost_per_query=1.0)
+BENCH_TARGET = 6.62e-6
+
+
+class TestMinCostDesignEarlyStop:
+    def test_wide_range_solves_one_chunk(self, monkeypatch):
+        """Past the first chunk no Kq up to 1e6 can beat Kq = 66, so none is solved."""
+        solved = []
+        solve = planner._min_episodes
+
+        def spy(prior, kq, target):
+            solved.append(len(kq))
+            return solve(prior, kq, target)
+
+        monkeypatch.setattr(planner, "_min_episodes", spy)
+        result = min_cost_design(BENCH_PRIOR, BENCH_COST, BENCH_TARGET, 1_000_000)
+        assert (result.episodes, result.queries_per_episode) == (631, 66)
+        assert sum(solved) <= planner._KQ_CHUNK
+
+    @given(
+        st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0)),
+        st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+        st.one_of(st.just(0.0), st.floats(0.0, 0.99)),
+        st.sampled_from([0.0, 1e-9, 0.37, 1.0, 5.59, 100.0]),
+        st.sampled_from([0.0, 1e-9, 0.01, 1.0, 3.0]),
+        st.one_of(
+            st.floats(-30.0, -0.5).map(lambda e: 10.0**e),
+            st.sampled_from([1e-310, 1e-320]),
+            st.tuples(st.integers(1, 10**6), st.integers(1, 10**5)),
+        ),
+        st.integers(1, 200_000),
+        st.one_of(st.integers(1, 700), st.just(1 << 13)),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_equals_unpruned_scan(self, mean, std_fraction, slack, ce, cq, target, kq_max, chunk):
+        """Same design or same error as the full scan, including sigma^2 at and just past a(1-a).
+
+        ``slack`` moves sigma^2 up to 0.99 * STD_BOUND_SLACK past
+        std_fraction^2 * a(1-a), where v1 can rise with Kq. A (Kq, Kp) pair
+        stands for the forward-formula target v1(Kq) / Kp, which puts
+        v1 / target on whole numbers, where the episode-count bound is
+        tightest. Chunks are kept to at least kq_max / 256 values so that the
+        reference stays quick.
+        """
+        if ce == 0.0 and cq == 0.0:
+            cq = 1.0
+        bound = mean * (1.0 - mean)
+        prior = AccuracyPrior(mean, math.sqrt(std_fraction**2 * bound + slack * STD_BOUND_SLACK))
+        cost = CostModel(ce, cq)
+        if isinstance(target, tuple):
+            kq_probe, kp_probe = target
+            target = per_episode_variance(prior, kq_probe) / kp_probe
+            if target == 0.0:
+                target = 1e-3
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(planner, "_KQ_CHUNK", max(chunk, kq_max // 256))
+            expected = unpruned_min_cost_design(prior, cost, target, kq_max)
+            assert pruned_outcome(prior, cost, target, kq_max) == expected
+
+    def test_far_tail_past_2_53_episodes_is_scanned(self):
+        """v1 = (1 - 1/Kq) sigma^2 rises with Kq (a = 0), and only Kq >= ~50000 needs
+        2**53 episodes. The bound after the first chunk passes Kq = 1's cost, so
+        only the error check keeps the scan going to the Kq that raises.
+        """
+        prior = AccuracyPrior(0.0, 1e-6)
+        target = prior.variance * (1.0 - 1.0 / 50_000) / 2**53
+        cost = CostModel(1.0, 1.0)
+        near = min_cost_design(prior, cost, target, planner._KQ_CHUNK)
+        assert (near.episodes, near.queries_per_episode) == (1, 1)
+        message = unpruned_min_cost_design(prior, cost, target, 100_000)
+        assert "2**53" in message
+        assert int(message.split("Kq=")[1].split(",")[0]) > planner._KQ_CHUNK
+        with pytest.raises(ValueError) as exc:
+            min_cost_design(prior, cost, target, 100_000)
+        assert str(exc.value) == message
+
+    def test_far_tail_below_smallest_normal_target_is_scanned(self, monkeypatch):
+        """sigma^2 is the smallest subnormal: v1 is 0 at Kq = 1 and 2 and positive
+        from Kq = 3, so with two Kq per chunk only the second chunk raises.
+        """
+        monkeypatch.setattr(planner, "_KQ_CHUNK", 2)
+        prior = AccuracyPrior(0.0, 2.0**-537)
+        cost = CostModel(1.0, 1.0)
+        near = min_cost_design(prior, cost, 1e-320, 2)
+        assert (near.episodes, near.queries_per_episode) == (1, 1)
+        message = unpruned_min_cost_design(prior, cost, 1e-320, 10)
+        assert "smallest normal float" in message
+        with pytest.raises(ValueError) as exc:
+            min_cost_design(prior, cost, 1e-320, 10)
+        assert str(exc.value) == message
