@@ -84,10 +84,6 @@ class DatasetIndex:
             raise ValueError(f"{path}: dataset index must be a JSON object")
         return cls.from_mapping(mapping)
 
-    def save(self, path: str | Path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(dict(self.classes), fh)
-
 
 @dataclass(frozen=True)
 class ClassSplit:
@@ -529,6 +525,16 @@ def read_results_csv(path: str | Path) -> list[EpisodeResult]:
             raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
 
 
+def _csv_int(field: str) -> int:
+    """``int(field)``, refusing the underscores and non-ASCII digits ``int`` accepts.
+
+    Surrounding ASCII whitespace is still allowed, as ``int`` allows it.
+    """
+    if "_" in field or not field.isascii():
+        raise ValueError(field)
+    return int(field)
+
+
 def _results_from_rows(reader, path: str | Path) -> list[EpisodeResult]:
     header = next(reader, None)
     if header != RESULTS_CSV_HEADER:
@@ -540,7 +546,7 @@ def _results_from_rows(reader, path: str | Path) -> list[EpisodeResult]:
         if not row:
             continue
         try:
-            episode_id, correct, total = (int(field) for field in row)
+            episode_id, correct, total = (_csv_int(field) for field in row)
         except ValueError:
             raise ValueError(
                 f"{path}: line {reader.line_num}: expected 3 integer fields "

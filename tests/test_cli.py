@@ -415,6 +415,16 @@ class TestEpisodes:
         assert out == ""
         assert err.startswith("error: ") and "short.csv: line 3" in err
 
+    @pytest.mark.parametrize("row", ["0,1_0,75", "2,\u0663,75"])
+    def test_aggregate_rejects_underscore_and_non_ascii_digits(self, capsys, tmp_path, row):
+        results_path = tmp_path / "odd.csv"
+        results_path.write_text(
+            f"episode_id,correct,total\n1,70,75\n{row}\n", encoding="utf-8"
+        )
+        code, out, err = run(capsys, "episodes", "aggregate", "--results", str(results_path))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and "odd.csv: line 3: expected 3 integer fields" in err
+
 
 class TestFid:
     def test_same_file_is_zero(self, capsys, tmp_path):

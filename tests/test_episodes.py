@@ -84,11 +84,12 @@ class TestIndexValidation:
         with pytest.raises(ValueError, match=message):
             DatasetIndex(classes)
 
-    def test_load_save_round_trip(self, tmp_path):
-        index = tiny_index()
+    def test_load_reads_hand_written_index(self, tmp_path):
         path = tmp_path / "index.json"
-        index.save(path)
-        assert DatasetIndex.load(path) == index
+        path.write_text('{"k0": ["k0x0", "k0x1"], "k1": ["k1x0", "k1x1", "k1x2"]}')
+        assert DatasetIndex.load(path) == DatasetIndex(
+            (("k0", ("k0x0", "k0x1")), ("k1", ("k1x0", "k1x1", "k1x2")))
+        )
 
     def test_load_rejects_a_repeated_class(self, tmp_path):
         path = tmp_path / "index.json"
@@ -520,12 +521,23 @@ class TestSerialization:
         with pytest.raises(ValueError, match="header"):
             read_results_csv(path)
 
-    @pytest.mark.parametrize("row", ["1,4", "1,4,5,6", "1,x,5", "1,4.0,5"])
+    @pytest.mark.parametrize(
+        "row",
+        # ``int`` would read the last four as 10, 3, 4 and 5: an underscore,
+        # Arabic-Indic and fullwidth digits, and a trailing no-break space.
+        ["1,4", "1,4,5,6", "1,x,5", "1,4.0,5",
+         "0,1_0,75", "2,\u0663,75", "1,\uff14,5", "1,4,5\u00a0"],
+    )
     def test_results_csv_rejects_malformed_row(self, tmp_path, row):
         path = tmp_path / "short.csv"
-        path.write_text(f"episode_id,correct,total\n0,3,5\n{row}\n")
+        path.write_text(f"episode_id,correct,total\n0,3,5\n{row}\n", encoding="utf-8")
         with pytest.raises(ValueError, match=r"short\.csv: line 3: expected 3 integer fields"):
             read_results_csv(path)
+
+    def test_results_csv_allows_surrounding_spaces(self, tmp_path):
+        path = tmp_path / "spaced.csv"
+        path.write_text("episode_id,correct,total\n 0 , 3,5 \n1,\t4\t,5\n")
+        assert read_results_csv(path) == [EpisodeResult(0, 3, 5), EpisodeResult(1, 4, 5)]
 
     def test_results_csv_out_of_range_row_names_line(self, tmp_path):
         path = tmp_path / "range.csv"

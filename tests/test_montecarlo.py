@@ -222,6 +222,11 @@ class TestCountCdf:
             (0.87, 0.05, 2975, (5, 4)),
             (0.99, 0.005, 25, (655, 1)),
             (0.5, 0.1, 1, (2000, 3)),
+            # Powers on both sides of k = 100, where numpy's complex ``**``
+            # switches from multiplying to exp(k*log z).
+            (0.87, 0.05, 75, (101, 100)),
+            (0.93, 0.028, 10, (99, 1)),
+            (0.8, 0.0, 75, (100, 99)),
         ],
     )
     def test_power_tables_match_direct_convolution(self, a, std, kq, powers):
@@ -236,6 +241,24 @@ class TestCountCdf:
             assert np.all(np.diff(cdf) >= 0.0)
             assert cdf[-1] == 1.0
             assert np.max(np.abs(cdf - np.cumsum(direct) / np.sum(direct))) < 1e-12
+
+    def test_int_power_matches_numpy_power(self):
+        """Repeated squaring gives ``z**k`` to 1e-12 relative, for k = 1..300.
+
+        Entries with |z**k| <= 1e-200 are skipped: there both routes are
+        dominated by underflow rather than by round-off.
+        """
+        rng = np.random.default_rng(18)
+        radius = np.sqrt(rng.random(4096))
+        z = radius * np.exp(2j * np.pi * rng.random(4096))
+        original = z.copy()
+        for k in range(1, 301):
+            expected = z**k
+            kept = np.abs(expected) > 1e-200
+            got = montecarlo._int_power(z, k)
+            rel = np.abs(got[kept] - expected[kept]) / np.abs(expected[kept])
+            assert np.max(rel) < 1e-12, k
+        assert np.array_equal(z, original)
 
 
 @st.composite
