@@ -15,15 +15,22 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from episcope.cli import _int_list, _positive_int, _replications, _seed_int
+from episcope.cli import (
+    _int_list,
+    _nonnegative_float,
+    _positive_int,
+    _replications,
+    _seed_int,
+    _unit_closed,
+)
 from episcope.montecarlo import sweep
 from episcope.variance import AccuracyPrior, variance_asymptote
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--a", type=float, default=0.87)
-    parser.add_argument("--sigma", type=float, default=0.05)
+    parser.add_argument("--a", type=_unit_closed, default=0.87)
+    parser.add_argument("--sigma", type=_nonnegative_float, default=0.05)
     parser.add_argument("--kp", type=_positive_int, default=120)
     parser.add_argument("--kq", type=_int_list, default="1,5,15,75,595,2975")
     parser.add_argument("--reps", type=_replications, default=50_000)

@@ -23,7 +23,7 @@ from . import blend as blend_mod
 from . import episodes as ep
 from . import featureio, fid, montecarlo, planner
 from .seeds import check_seed
-from .variance import AccuracyPrior, EvalDesign, _check_positive_int, variance_report
+from .variance import AccuracyPrior, EvalDesign, _ascii_number, _check_positive_int, variance_report
 
 
 class CliUsageError(Exception):
@@ -76,20 +76,20 @@ def _flag_type(convert):
 
 @_flag_type
 def _positive_int(text: str) -> int:
-    number = int(text)
+    number = _ascii_number(text, int)
     _check_positive_int(number, "value")
     return number
 
 
 @_flag_type
 def _seed_int(text: str) -> int:
-    return check_seed(int(text), "value")
+    return check_seed(_ascii_number(text, int), "value")
 
 
-def _ranged(parse, test, where: str):
+def _ranged(kind: type[int] | type[float], test, where: str):
     @_flag_type
     def convert(text: str):
-        number = parse(text)
+        number = _ascii_number(text, kind)
         if not test(number):
             raise ValueError(f"must {where}, got {number}")
         return number

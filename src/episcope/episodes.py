@@ -23,7 +23,7 @@ import numpy as np
 from scipy import special
 
 from .seeds import check_seed, rekey_philox, substream_seeds
-from .variance import AccuracyPrior, _check_positive_int
+from .variance import AccuracyPrior, _ascii_number, _check_positive_int
 
 RESULTS_CSV_HEADER = ["episode_id", "correct", "total"]
 
@@ -525,16 +525,6 @@ def read_results_csv(path: str | Path) -> list[EpisodeResult]:
             raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
 
 
-def _csv_int(field: str) -> int:
-    """``int(field)``, refusing the underscores and non-ASCII digits ``int`` accepts.
-
-    Surrounding ASCII whitespace is still allowed, as ``int`` allows it.
-    """
-    if "_" in field or not field.isascii():
-        raise ValueError(field)
-    return int(field)
-
-
 def _results_from_rows(reader, path: str | Path) -> list[EpisodeResult]:
     header = next(reader, None)
     if header != RESULTS_CSV_HEADER:
@@ -546,7 +536,7 @@ def _results_from_rows(reader, path: str | Path) -> list[EpisodeResult]:
         if not row:
             continue
         try:
-            episode_id, correct, total = (_csv_int(field) for field in row)
+            episode_id, correct, total = (_ascii_number(field, int) for field in row)
         except ValueError:
             raise ValueError(
                 f"{path}: line {reader.line_num}: expected 3 integer fields "

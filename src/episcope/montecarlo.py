@@ -59,27 +59,30 @@ _BLOCK_DRAWS = 1 << 14
 # Counts per pmf evaluation in ``_count_pmf``; bounds memory only.
 _CDF_CHUNK = 1 << 16
 
+# Largest |sum(pmf) - 1| ``_count_pmf`` accepts. Ordinary priors stay under
+# 4e-9 (std >= 1e-3, Kq <= 1e6, means 0.01-0.999); std 1e-5 at Kq 75 is off
+# by 5e-6.
+_PMF_SUM_SLACK = 1e-6
+
 # Stream constant: ``simulate`` groups g = min(Kp, max(1, _GROUP_COUNTS // Kq))
 # episodes per uniform, so each group table has at most _GROUP_COUNTS + 1
 # entries. Changing it changes the stream.
 _GROUP_COUNTS = 1 << 14
 
 
-class DegeneratePriorError(ValueError):
-    """A zero-variance prior has no Beta fit; sample the point mass instead."""
-
-
-def fit_beta(prior: AccuracyPrior) -> tuple[float, float]:
+def fit_beta(prior: AccuracyPrior) -> tuple[float, float] | None:
     """Moment-matched Beta(alpha, beta) for the prior's mean and variance.
 
-    With nu = mean*(1-mean)/var - 1, alpha = mean*nu and beta = (1-mean)*nu
-    reproduce both moments exactly.
+    Returns None when the prior's variance is 0 in float (std 0, or std below
+    ~1.5e-162, whose square underflows): its law is the point mass at the
+    mean. Otherwise, with nu = mean*(1-mean)/var - 1, alpha = mean*nu and beta
+    = (1-mean)*nu reproduce both moments exactly. Raises ``ValueError`` when
+    no interior Beta has these moments, or when a subnormal variance makes
+    alpha or beta overflow.
     """
     mean, var = prior.mean, prior.variance
     if var == 0.0:
-        raise DegeneratePriorError(
-            "prior std is 0; there is no Beta fit (use the point mass at the mean)"
-        )
+        return None
     if not 0.0 < mean < 1.0:
         raise ValueError(f"Beta fit needs 0 < mean < 1, got {mean}")
     bound = mean * (1.0 - mean)
@@ -89,6 +92,11 @@ def fit_beta(prior: AccuracyPrior) -> tuple[float, float]:
             f"{bound:.6g}; no interior Beta distribution has these moments"
         )
     nu = bound / var - 1.0
+    if not math.isfinite(nu):
+        raise ValueError(
+            f"prior std {prior.std:.6g} is too small for a Beta fit (alpha and beta "
+            "overflow); use std 0, the point mass at the mean"
+        )
     return mean * nu, (1.0 - mean) * nu
 
 
@@ -106,9 +114,7 @@ class SimConfig:
         if self.replications < 2:
             raise ValueError("replications must be >= 2 (sample variance needs two points)")
         check_seed(self.master_seed, "master_seed")
-        if self.prior.std > 0.0:
-            # Raises unless an interior Beta fit exists.
-            fit_beta(self.prior)
+        fit_beta(self.prior)  # raises unless the prior is a point mass or has a Beta fit
 
 
 @dataclass(frozen=True)
@@ -167,14 +173,22 @@ def _count_pmf(prior: AccuracyPrior, kq: int) -> np.ndarray:
     """Pmf of one episode's correct count over 0..Kq.
 
     The count is BetaBinomial(Kq, alpha, beta) under the Beta fit, or
-    Binomial(Kq, mean) for the point mass. With n = Kq, the Beta-Binomial pmf
+    Binomial(Kq, mean) for the point mass, where ``fit_beta`` returns None.
+    With n = Kq, the Beta-Binomial pmf
     is exp(-log(n+1) - betaln(n-k+1, k+1) + betaln(k+a, n-k+b) - betaln(a, b)),
     evaluated left to right: that is how ``scipy.stats.betabinom.pmf``
     computes it, so the table is bit-identical to it without importing
     ``scipy.stats``. The pmf is evaluated over ``_CDF_CHUNK`` counts at a
     time, so its temporaries scale with the chunk rather than with Kq.
+
+    The betaln differences lose precision as alpha + beta ~ mean*(1-mean)/var
+    grows, that is as the std shrinks towards 0 (~1e13 at mean 0.87, std
+    1e-7). Raises ``ValueError`` when the pmf holds a non-finite value or its
+    sum is more than ``_PMF_SUM_SLACK`` away from 1, rather than sample a
+    wrong law.
     """
-    if prior.std == 0.0:
+    alpha_beta = fit_beta(prior)
+    if alpha_beta is None:
         # Imported here, not at module level: scipy.stats takes most of a
         # second to import, and only the point mass's binomial pmf needs it.
         from scipy import stats
@@ -182,7 +196,7 @@ def _count_pmf(prior: AccuracyPrior, kq: int) -> np.ndarray:
         def pmf_of(k: np.ndarray) -> np.ndarray:
             return stats.binom.pmf(k, kq, prior.mean)
     else:
-        a, b = fit_beta(prior)
+        a, b = alpha_beta
         norm = special.betaln(a, b)
 
         def pmf_of(k: np.ndarray) -> np.ndarray:
@@ -192,6 +206,13 @@ def _count_pmf(prior: AccuracyPrior, kq: int) -> np.ndarray:
     for start in range(0, kq + 1, _CDF_CHUNK):
         stop = min(start + _CDF_CHUNK, kq + 1)
         pmf[start:stop] = pmf_of(np.arange(start, stop))
+    total = float(pmf.sum())
+    if not abs(total - 1.0) <= _PMF_SUM_SLACK:  # also true for a NaN or infinite sum
+        raise ValueError(
+            f"prior std {prior.std:.6g} is too small for an accurate Beta-Binomial "
+            f"count pmf at Kq = {kq} (it sums to {total:.6g}, not 1); use std 0 "
+            "(--sigma 0), the point mass whose law it nears"
+        )
     return pmf
 
 
@@ -204,11 +225,6 @@ def _cdf_of(pmf: np.ndarray) -> np.ndarray:
     cdf = np.cumsum(pmf, out=pmf)
     cdf /= cdf[-1]
     return cdf
-
-
-def _count_cdf(prior: AccuracyPrior, kq: int) -> np.ndarray:
-    """CDF of one episode's correct count over 0..Kq (see ``_count_pmf``)."""
-    return _cdf_of(_count_pmf(prior, kq))
 
 
 def _int_power(z: np.ndarray, k: int) -> np.ndarray:
@@ -316,10 +332,8 @@ def _draw_totals(config: SimConfig) -> np.ndarray:
     reps = config.replications
     group = min(kp, max(1, _GROUP_COUNTS // kq))
     q, r = divmod(kp, group)
-    if group == 1:
-        tables = [_count_cdf(config.prior, kq)]
-    else:
-        tables = _power_cdfs(_count_pmf(config.prior, kq), (group, r) if r else (group,))
+    pmf = _count_pmf(config.prior, kq)
+    tables = [_cdf_of(pmf)] if group == 1 else _power_cdfs(pmf, (group, r) if r else (group,))
     guides = [_guide(table) for table in tables]
     draws = q + (r > 0)
     rng = philox_generator(config.master_seed)
@@ -349,10 +363,12 @@ def simulate(config: SimConfig) -> SimReport:
     r-episode group last. They are drawn in blocks of whole replications, and
     the block size is not part of the stream; ``_GROUP_COUNTS`` is. At Kq >=
     _GROUP_COUNTS, g = 1 and each episode inverts its own uniform through
-    ``_count_cdf``. Inverting u through a CDF means the count of its entries
+    the count CDF. Inverting u through a CDF means the count of its entries
     <= u, ``np.searchsorted(cdf, u, side="right")``; ``_invert`` finds it
     through a guide table in about one comparison instead of a binary search,
     with the same result for every u, so the lookup is not part of the stream.
+    A prior whose std is too small for an accurate count pmf raises
+    ``ValueError`` (see ``_count_pmf``).
 
     Reported variance uses divisor replications-1; ``empirical_var_se`` is
     its standard error from the sample fourth central moment, and ``var_z``
@@ -417,7 +433,7 @@ def decompose_variance(config: SimConfig) -> VarianceDecomposition:
     replication after replication.
     """
     prior, kp, kq = config.prior, config.design.episodes, config.design.queries_per_episode
-    alpha_beta = None if prior.std == 0.0 else fit_beta(prior)
+    alpha_beta = fit_beta(prior)
     rng = philox_generator(config.master_seed)
     # Accumulate deviations from the known prior mean: numerically stable and
     # exactly zero for the point-mass case.
@@ -453,9 +469,8 @@ def episode_counts(prior: AccuracyPrior, design: EvalDesign, seed: int) -> np.nd
     episode p contributes (counts[p], Kq).
     """
     check_seed(seed, "seed")
-    alpha_beta = None if prior.std == 0.0 else fit_beta(prior)
     _, counts = _draw_episodes(
-        philox_generator(seed), alpha_beta, prior.mean,
+        philox_generator(seed), fit_beta(prior), prior.mean,
         design.episodes, design.queries_per_episode,
     )
     return counts

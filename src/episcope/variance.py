@@ -78,6 +78,19 @@ def _check_positive_int(value: int, name: str) -> None:
         raise ValueError(f"{name} must be >= 1, got {value}")
 
 
+def _ascii_number(text: str, kind: type[int] | type[float]) -> int | float:
+    """``kind(text)``, refusing the underscores and non-ASCII digits it accepts.
+
+    ``int`` and ``float`` read "6_00" as 600 and Arabic-Indic or fullwidth
+    digits as their ASCII values; every number read from text (flags, config
+    values, the results CSV) goes through here. Surrounding ASCII whitespace
+    is still allowed, as ``kind`` allows it.
+    """
+    if "_" in text or not text.isascii():
+        raise ValueError(f"expected a number in ASCII digits with no '_', got {text!r}")
+    return kind(text)
+
+
 def queries_total(queries_per_class: int, ways: int) -> int:
     """Total queries per episode from a per-class count and episode width.
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import shlex
 import sys
 from collections import Counter
@@ -15,6 +16,9 @@ from episcope import montecarlo
 from episcope.cli import build_parser, main
 from episcope.episodes import EpisodeResult, read_episodes, write_results_csv
 from episcope.featureio import save_features_csv, save_features_fsfe
+
+
+SIMULATE_BASE = ["simulate", "--a", "0.5", "--sigma", "0", "--kp", "2", "--kq", "2"]
 
 
 def run(capsys, *argv):
@@ -87,6 +91,24 @@ class TestVariance:
         )
         assert code == 2
         assert "--a" in err
+
+    @pytest.mark.parametrize(
+        "flag, value, argv",
+        [
+            ("--a", "0.8_7", ["variance", "--sigma", "0", "--kp", "1", "--kq", "1"]),
+            ("--a", "\u0660.\u0668\u0667", ["variance", "--sigma", "0", "--kp", "1", "--kq", "1"]),
+            ("--kp", "6_00", ["variance", "--a", "0.5", "--sigma", "0", "--kq", "1"]),
+            ("--kp", "\uff16\uff10\uff10", ["variance", "--a", "0.5", "--sigma", "0", "--kq", "1"]),
+            ("--reps", "1_000", SIMULATE_BASE + ["--seed", "1"]),
+            ("--seed", "\u0661", SIMULATE_BASE + ["--reps", "100"]),
+        ],
+        ids=["a_underscore", "a_arabic_indic", "kp_underscore", "kp_fullwidth", "reps", "seed"],
+    )
+    def test_underscore_or_non_ascii_number_names_the_flag(self, capsys, flag, value, argv):
+        """int() and float() accept these; every numeric flag refuses them."""
+        code, out, err = run(capsys, *argv, flag, value)
+        assert (code, out) == (2, "")
+        assert f"argument {flag}: " in err and "ASCII digits" in err
 
 
 class TestPlan:
@@ -270,6 +292,34 @@ class TestSimulate:
         )
         assert (code, out) == (2, "")
         assert "--a/--sigma" in err and "--reps" not in err
+
+    @pytest.mark.parametrize(
+        "sigma, code",
+        [("1e-4", 0), ("3e-7", 1), ("1e-8", 1), ("1e-100", 1), ("1e-160", 2), ("1e-170", 0)],
+    )
+    def test_tiny_sigma_runs_or_names_the_std(self, capsys, sigma, code):
+        """Finite output, or a message naming the std: never a traceback.
+
+        Exit 1 is a count pmf too inaccurate to sample; exit 2 is a std whose
+        square is subnormal, so no Beta fit exists.
+        """
+        got, out, err = run(
+            capsys,
+            "simulate", "--a", "0.87", "--sigma", sigma, "--kp", "600", "--kq", "75",
+            "--reps", "200", "--seed", "5", "--json",
+        )
+        assert got == code
+        if code == 0:
+            assert all(math.isfinite(value) for value in json.loads(out).values())
+        else:
+            assert out == "" and err.startswith("error: ")
+            assert f"std {float(sigma):.6g} is too small" in err
+            assert ("--a/--sigma: " if code == 2 else "(--sigma 0)") in err
+
+    def test_sigma_squaring_to_zero_is_the_point_mass(self, capsys):
+        argv = ["simulate", "--a", "0.87", "--kp", "600", "--kq", "75", "--reps", "500"]
+        runs = [run(capsys, *argv, "--seed", "5", "--sigma", sigma) for sigma in ("1e-170", "0")]
+        assert runs[0] == runs[1] and runs[0][0] == 0
 
     @pytest.mark.parametrize("seed", ["-1", str(2**64)])
     def test_seed_outside_64_bits_names_seed(self, capsys, seed):
@@ -733,6 +783,12 @@ class TestConfigKeys:
         code, out, err = run(capsys, "variance", "--config", path)
         assert code == 2 and out == ""
         assert "--kp" in err and ">= 1" in err
+
+    def test_config_string_value_refuses_underscore(self, capsys, tmp_path):
+        path = write_config(tmp_path, {"a": 0.5, "sigma": 0, "kp": 1, "kq": "7_5"})
+        code, out, err = run(capsys, "variance", "--config", path)
+        assert code == 2 and out == ""
+        assert "argument --kq: " in err and "'7_5'" in err
 
     def test_lists_as_arrays_or_strings(self, capsys, tmp_path):
         base = ["plan", "table", "--a", "0.9", "--sigma", "0.02", "--config"]

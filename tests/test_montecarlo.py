@@ -11,7 +11,6 @@ from scipy import stats
 
 from episcope import montecarlo
 from episcope.montecarlo import (
-    DegeneratePriorError,
     SimConfig,
     decompose_variance,
     episode_counts,
@@ -56,20 +55,27 @@ class TestFitBeta:
             assert got_var == pytest.approx(std**2, rel=1e-12)
 
     def test_zero_std_is_degenerate(self):
-        with pytest.raises(DegeneratePriorError):
-            fit_beta(AccuracyPrior(0.9, 0.0))
+        assert fit_beta(AccuracyPrior(0.9, 0.0)) is None
 
     def test_boundary_variance_rejected(self):
         """std^2 = mean*(1-mean) is the two-point distribution, not a Beta."""
         with pytest.raises(ValueError, match="boundary"):
             fit_beta(AccuracyPrior(0.5, 0.5))
 
+    def test_underflowing_variance_is_the_point_mass(self):
+        """std 1e-170 squares to 0 in float: the same law as std 0."""
+        assert AccuracyPrior(0.87, 1e-170).variance == 0.0
+        assert fit_beta(AccuracyPrior(0.87, 1e-170)) is None
+
+    def test_subnormal_variance_names_the_std(self):
+        """std 1e-160 squares to a subnormal, and alpha and beta overflow."""
+        with pytest.raises(ValueError, match="std 1e-160 is too small for a Beta fit"):
+            fit_beta(AccuracyPrior(0.87, 1e-160))
+
     def test_boundary_mean_goes_down_degenerate_path(self):
         """mean 0 or 1 forces std 0, so the point-mass signal fires first."""
-        with pytest.raises(DegeneratePriorError):
-            fit_beta(AccuracyPrior(1.0, 0.0))
-        with pytest.raises(DegeneratePriorError):
-            fit_beta(AccuracyPrior(0.0, 0.0))
+        assert fit_beta(AccuracyPrior(1.0, 0.0)) is None
+        assert fit_beta(AccuracyPrior(0.0, 0.0)) is None
 
 
 class TestSimConfigValidation:
@@ -183,7 +189,7 @@ class TestCountCdf:
     def test_pmf_moments_match_closed_form(self, a, std_fraction, kq):
         """Mean/Kq is a and variance/Kq^2 is the Kp=1 estimator variance."""
         prior = AccuracyPrior(a, std_fraction * math.sqrt(a * (1.0 - a)))
-        pmf = np.diff(montecarlo._count_cdf(prior, kq), prepend=0.0)
+        pmf = np.diff(montecarlo._cdf_of(montecarlo._count_pmf(prior, kq)), prepend=0.0)
         k = np.arange(kq + 1)
         mean = float(k @ pmf)
         var = float(((k - mean) ** 2) @ pmf)
@@ -204,11 +210,11 @@ class TestCountCdf:
                 pmf = stats.betabinom.pmf(k, kq, *fit_beta(prior))
             one_shot = np.cumsum(pmf)
             one_shot /= one_shot[-1]
-            assert np.array_equal(montecarlo._count_cdf(prior, kq), one_shot)
+            assert np.array_equal(montecarlo._cdf_of(montecarlo._count_pmf(prior, kq)), one_shot)
 
     def test_table_is_a_cdf(self):
         for a, std in [(0.02, 0.01), (0.87, 0.05), (0.8, 0.0)]:
-            cdf = montecarlo._count_cdf(AccuracyPrior(a, std), 2975)
+            cdf = montecarlo._cdf_of(montecarlo._count_pmf(AccuracyPrior(a, std), 2975))
             assert cdf.shape == (2976,)
             assert np.all(np.diff(cdf) >= 0.0)
             assert cdf[-1] == 1.0
@@ -293,6 +299,43 @@ def guided_uniforms(cdf, m):
     return u[(u >= 0.0) & (u < 1.0)]
 
 
+class TestTinyStd:
+    """Stds near 0 give finite numbers or a ValueError naming the std, nothing else."""
+
+    @pytest.mark.parametrize("std", [1e-4, 3e-7, 1e-8, 1e-100, 1e-160, 1e-170])
+    @pytest.mark.parametrize("call", ["simulate", "decompose_variance", "episode_counts"])
+    def test_finite_or_named_error(self, call, std):
+        try:
+            if call == "episode_counts":
+                values = episode_counts(AccuracyPrior(0.87, std), EvalDesign(600, 75), 5)
+            else:
+                c = config(0.87, std, 600, 75, 50, 5)
+                report = simulate(c) if call == "simulate" else decompose_variance(c)
+                values = list(asdict(report).values())
+        except ValueError as exc:
+            assert f"std {std:.6g} is too small" in str(exc)
+        else:
+            assert np.all(np.isfinite(values))
+
+    @pytest.mark.parametrize("std, kq", [(1e-5, 75), (1e-6, 2975), (1e-8, 75), (1e-100, 75)])
+    def test_inaccurate_pmf_is_refused(self, std, kq):
+        """A pmf whose sum drifts from 1 would be renormalised into a wrong law.
+
+        The betaln differences lose precision as alpha + beta grows; at std
+        1e-6, Kq 2975, the sum is off 1 by ~6e-4.
+        """
+        with pytest.raises(ValueError, match=rf"std {std:.6g} is too small.*\(--sigma 0\)"):
+            montecarlo._count_pmf(AccuracyPrior(0.87, std), kq)
+
+    def test_std_squaring_to_zero_is_the_point_mass(self):
+        tiny, zero = config(0.87, 1e-170, 60, 75, 300, 5), config(0.87, 0.0, 60, 75, 300, 5)
+        assert simulate(tiny) == simulate(zero)
+        assert decompose_variance(tiny) == decompose_variance(zero)
+        assert np.array_equal(
+            episode_counts(tiny.prior, tiny.design, 5), episode_counts(zero.prior, zero.design, 5)
+        )
+
+
 class TestGuidedInversion:
     """``_invert`` against its oracle, ``np.searchsorted(cdf, u, side="right")``."""
 
@@ -319,7 +362,7 @@ class TestGuidedInversion:
         """Chunking the guide's build only bounds memory: the guide is identical."""
         pmf = montecarlo._count_pmf(AccuracyPrior(0.87, 0.05), 75)
         tables = montecarlo._power_cdfs(pmf, (218, 164))
-        tables.append(montecarlo._count_cdf(AccuracyPrior(0.8, 0.0), 2975))
+        tables.append(montecarlo._cdf_of(montecarlo._count_pmf(AccuracyPrior(0.8, 0.0), 2975)))
         one_shot = [montecarlo._guide(cdf) for cdf in tables]
         monkeypatch.setattr(montecarlo, "_CDF_CHUNK", chunk)
         for cdf, guide in zip(tables, one_shot):
@@ -410,7 +453,8 @@ class TestDeterminism:
         kp, reps = 7, 300
         c = config(0.87, std, kp, kq, reps, 41)
         u = philox_generator(41).random(reps * kp)
-        counts = np.searchsorted(montecarlo._count_cdf(c.prior, kq), u, side="right")
+        cdf = montecarlo._cdf_of(montecarlo._count_pmf(c.prior, kq))
+        counts = np.searchsorted(cdf, u, side="right")
         a_tilde = counts.reshape(reps, kp).sum(axis=1) / (kp * kq)
         report = simulate(c)
         assert report.empirical_mean == float(np.mean(a_tilde))

@@ -85,6 +85,15 @@ def test_blend_norm_effect():
         ("plan_evaluation.py", ("--cost-per-episode", "-1"), "--cost-per-episode"),
         ("plan_evaluation.py", ("--cost-per-episode", "0"), "--cost-per-episode"),
         ("plan_evaluation.py", ("--ref-a", "2"), "--ref-a"),
+        # int() and float() read underscores and non-ASCII digits; no flag does.
+        ("validate_variance_model.py", ("--a", "0.8_7"), "--a"),
+        ("validate_variance_model.py", ("--sigma", "\u0660.\u0660\u0665"), "--sigma"),
+        ("validate_variance_model.py", ("--a", "2"), "--a"),
+        ("validate_variance_model.py", ("--sigma", "-0.1"), "--sigma"),
+        ("validate_variance_model.py", ("--reps", "1_000"), "--reps"),
+        ("plan_evaluation.py", ("--ref-kp", "\uff16\uff10\uff10"), "--ref-kp"),
+        ("plan_evaluation.py", ("--new-sigma", "0.0_28"), "--new-sigma"),
+        ("blend_norm_effect.py", ("--seed", "\u0661"), "--seed"),
     ],
 )
 def test_bad_flag_exits_2_naming_it(name, args, flag, capsys, monkeypatch):
@@ -102,6 +111,9 @@ def test_bad_flag_exits_2_naming_it(name, args, flag, capsys, monkeypatch):
         # A zero-variance reference leaves no target to meet.
         ("plan_evaluation.py", ("--ref-a", "1", "--ref-sigma", "0"), "--ref-a/--ref-sigma"),
         ("plan_evaluation.py", ("--target-var", "1e-40"), "--target-var"),
+        # Too small a std for an accurate count pmf, and one whose square is subnormal.
+        ("validate_variance_model.py", ("--sigma", "1e-8", "--kq", "75"), "--a/--sigma"),
+        ("validate_variance_model.py", ("--sigma", "1e-160", "--kq", "75"), "--a/--sigma"),
     ],
 )
 def test_bad_flag_combination_exits_2_naming_it(name, args, flags, capsys, monkeypatch):
