@@ -373,7 +373,12 @@ def sample_episodes(
 
 
 def aggregate(results: list[EpisodeResult]) -> AggregateReport:
-    """Mean, inter-episode sample std and t-based 95% half-width."""
+    """Mean, inter-episode sample std and t-based 95% half-width.
+
+    All three are of the per-episode accuracies correct/total, each episode
+    weighted equally: when totals differ, the mean is not the pooled
+    sum(correct)/sum(total).
+    """
     if len(results) < 2:
         raise ValueError("aggregation needs at least 2 episode results")
     counts = Counter(r.episode_id for r in results)

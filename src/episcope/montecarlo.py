@@ -9,8 +9,9 @@ replications is compared against the formula.
 
 Under that model one episode's correct count is exactly BetaBinomial(Kq,
 alpha, beta), or Binomial(Kq, mean) for a zero-variance prior, and a
-replication's total is a sum of Kp iid such counts. ``simulate`` needs only
-that total. It draws it as a few group totals of g episodes each, inverting
+replication's total is a sum of Kp iid such counts. One ratio recurrence
+gives both count pmfs (``_count_pmf``). ``simulate`` needs only that total.
+It draws it as a few group totals of g episodes each, inverting
 one uniform per group through the exact CDF of the g-fold convolution power
 of the count pmf, all from one Philox stream keyed by the master seed (the
 layout is in ``simulate``'s docstring). Results are bit-identical for a given
@@ -43,7 +44,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft, special
+from scipy import fft
 
 from .seeds import check_seed, philox_generator, substream_seeds
 from .variance import AccuracyPrior, EvalDesign, _check_positive_int, estimator_variance
@@ -58,11 +59,6 @@ _BLOCK_DRAWS = 1 << 14
 
 # Counts per pmf evaluation in ``_count_pmf``; bounds memory only.
 _CDF_CHUNK = 1 << 16
-
-# Largest |sum(pmf) - 1| ``_count_pmf`` accepts. Ordinary priors stay under
-# 4e-9 (std >= 1e-3, Kq <= 1e6, means 0.01-0.999); std 1e-5 at Kq 75 is off
-# by 5e-6.
-_PMF_SUM_SLACK = 1e-6
 
 # Stream constant: ``simulate`` groups g = min(Kp, max(1, _GROUP_COUNTS // Kq))
 # episodes per uniform, so each group table has at most _GROUP_COUNTS + 1
@@ -173,46 +169,50 @@ def _count_pmf(prior: AccuracyPrior, kq: int) -> np.ndarray:
     """Pmf of one episode's correct count over 0..Kq.
 
     The count is BetaBinomial(Kq, alpha, beta) under the Beta fit, or
-    Binomial(Kq, mean) for the point mass, where ``fit_beta`` returns None.
-    With n = Kq, the Beta-Binomial pmf
-    is exp(-log(n+1) - betaln(n-k+1, k+1) + betaln(k+a, n-k+b) - betaln(a, b)),
-    evaluated left to right: that is how ``scipy.stats.betabinom.pmf``
-    computes it, so the table is bit-identical to it without importing
-    ``scipy.stats``. The pmf is evaluated over ``_CDF_CHUNK`` counts at a
-    time, so its temporaries scale with the chunk rather than with Kq.
-
-    The betaln differences lose precision as alpha + beta ~ mean*(1-mean)/var
-    grows, that is as the std shrinks towards 0 (~1e13 at mean 0.87, std
-    1e-7). Raises ``ValueError`` when the pmf holds a non-finite value or its
-    sum is more than ``_PMF_SUM_SLACK`` away from 1, rather than sample a
-    wrong law.
+    Binomial(Kq, p), p the mean, for the point mass, where ``fit_beta``
+    returns None. Both follow one ratio recurrence (cf. Loader 2000):
+    pmf[k+1] / pmf[k] = (Kq-k)/(k+1) * s_k, with s_k = (k+alpha)/(Kq-k-1+beta)
+    under the Beta fit and p/(1-p) for the point mass. The log ratios are
+    summed outward from the entry at round(p*Kq); the maximum is subtracted
+    and the exponentials are normalised. No terms cancel, so the table stays
+    accurate however small the std. Every fit has alpha, beta > 1e-12 and
+    alpha/beta = mean/(1-mean), so a Beta ratio is far from under- or
+    overflow and takes one log; the point mass adds log p - log1p(-p),
+    finite even for a subnormal p. p = 0 or 1 gives a one-hot table. The
+    ratios are evaluated ``_CDF_CHUNK`` counts at a time and summed in
+    place, so beyond the table only chunk-sized temporaries are held.
     """
     alpha_beta = fit_beta(prior)
+    p = prior.mean
+    anchor = round(p * kq)
+    pmf = np.zeros(kq + 1)
     if alpha_beta is None:
-        # Imported here, not at module level: scipy.stats takes most of a
-        # second to import, and only the point mass's binomial pmf needs it.
-        from scipy import stats
-
-        def pmf_of(k: np.ndarray) -> np.ndarray:
-            return stats.binom.pmf(k, kq, prior.mean)
+        if p in (0.0, 1.0):
+            pmf[anchor] = 1.0
+            return pmf
+        log_odds = math.log(p) - math.log1p(-p)
     else:
         a, b = alpha_beta
-        norm = special.betaln(a, b)
 
-        def pmf_of(k: np.ndarray) -> np.ndarray:
-            log_choose = -np.log(kq + 1) - special.betaln(kq - k + 1, k + 1)
-            return np.exp(log_choose + special.betaln(k + a, kq - k + b) - norm)
-    pmf = np.empty(kq + 1)
-    for start in range(0, kq + 1, _CDF_CHUNK):
-        stop = min(start + _CDF_CHUNK, kq + 1)
-        pmf[start:stop] = pmf_of(np.arange(start, stop))
-    total = float(pmf.sum())
-    if not abs(total - 1.0) <= _PMF_SUM_SLACK:  # also true for a NaN or infinite sum
-        raise ValueError(
-            f"prior std {prior.std:.6g} is too small for an accurate Beta-Binomial "
-            f"count pmf at Kq = {kq} (it sums to {total:.6g}, not 1); use std 0 "
-            "(--sigma 0), the point mass whose law it nears"
-        )
+    def log_ratio(k: np.ndarray) -> np.ndarray:
+        """log pmf[k+1] - log pmf[k]."""
+        choose = (kq - k) / (k + 1.0)
+        if alpha_beta is None:
+            return np.log(choose) + log_odds
+        return np.log(choose * ((k + a) / (kq - 1 - k + b)))
+
+    # Entry k < anchor holds -log_ratio(k) and entry k + 1 > anchor holds
+    # log_ratio(k), so running sums away from the anchor give log pmf[k] -
+    # log pmf[anchor].
+    for lo, hi, sign, shift in ((0, anchor, -1.0, 0), (anchor, kq, 1.0, 1)):
+        for start in range(lo, hi, _CDF_CHUNK):
+            stop = min(start + _CDF_CHUNK, hi)
+            pmf[start + shift:stop + shift] = sign * log_ratio(np.arange(start, stop))
+    for side in (pmf[anchor:], pmf[anchor::-1]):
+        np.cumsum(side, out=side)
+    pmf -= pmf.max()
+    np.exp(pmf, out=pmf)
+    pmf /= pmf.sum()
     return pmf
 
 
@@ -367,8 +367,6 @@ def simulate(config: SimConfig) -> SimReport:
     <= u, ``np.searchsorted(cdf, u, side="right")``; ``_invert`` finds it
     through a guide table in about one comparison instead of a binary search,
     with the same result for every u, so the lookup is not part of the stream.
-    A prior whose std is too small for an accurate count pmf raises
-    ``ValueError`` (see ``_count_pmf``).
 
     Reported variance uses divisor replications-1; ``empirical_var_se`` is
     its standard error from the sample fourth central moment, and ``var_z``

@@ -56,8 +56,8 @@ def test_beta_prior_simulate_leaves_scipy_stats_unloaded():
     assert "scipy.stats" not in modules_after(cli_run(SIMULATE.format(sigma=0.05)))
 
 
-def test_point_mass_simulate_loads_scipy_stats():
-    assert "scipy.stats" in modules_after(cli_run(SIMULATE.format(sigma=0)))
+def test_point_mass_simulate_leaves_scipy_stats_unloaded():
+    assert "scipy.stats" not in modules_after(cli_run(SIMULATE.format(sigma=0)))
 
 
 def test_fid_name_is_the_module():

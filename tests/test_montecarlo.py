@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import asdict
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -29,6 +30,28 @@ def config(mean, std, kp, kq, reps, seed):
         replications=reps,
         master_seed=seed,
     )
+
+
+def exact_cdf(prior, kq):
+    """The count CDF in exact rational arithmetic, each entry rounded once to float.
+
+    The same recurrence as ``_count_pmf``, pmf[k+1] / pmf[k] = (Kq-k)/(k+1) *
+    s_k, over ``Fraction``: alpha, beta and the mean are floats, so their
+    fractions are exact, and so is every later step.
+    """
+    alpha_beta = fit_beta(prior)
+    p = Fraction(prior.mean)
+    if alpha_beta is not None:
+        a, b = map(Fraction, alpha_beta)
+    pmf = [Fraction(1)]
+    for k in range(kq):
+        s = p / (1 - p) if alpha_beta is None else (k + a) / (kq - k - 1 + b)
+        pmf.append(pmf[-1] * Fraction(kq - k, k + 1) * s)
+    total, running, cdf = sum(pmf), Fraction(0), []
+    for term in pmf:
+        running += term
+        cdf.append(float(running / total))
+    return np.array(cdf)
 
 
 class TestFitBeta:
@@ -140,6 +163,23 @@ class TestSimulate:
             "replications",
         ]
 
+    @pytest.mark.parametrize("kq", [1, 75, 2975])
+    @pytest.mark.parametrize(
+        "a, std",
+        [(0.0, 0.0), (5e-324, 0.0), (1e-300, 0.0), (1.0 - 2.0**-53, 0.0), (1.0, 0.0),
+         (0.5, 0.4999), (0.001, 0.0316)]
+        + [(0.87, 10.0**-e) for e in (150, 100, 50, 20, 10, 8, 7, 6, 5)],
+    )
+    def test_edge_priors_draw_without_warnings(self, a, std, kq):
+        """Point masses at and next to 0 and 1, U-shaped Betas and tiny stds.
+
+        A RuntimeWarning (log of 0, overflow, NaN) fails the test, as in every
+        test here; each total must lie in 0..Kp*Kq.
+        """
+        kp = 3
+        totals = montecarlo._draw_totals(config(a, std, kp, kq, 200, 8))
+        assert totals.min() >= 0 and totals.max() <= kp * kq
+
 
 class TestVarianceStandardError:
     def test_se_from_fourth_central_moment(self):
@@ -182,7 +222,7 @@ class TestCountCdf:
 
     @given(
         st.floats(0.01, 0.99),
-        st.one_of(st.just(0.0), st.floats(0.01, 0.95)),
+        st.one_of(st.just(0.0), st.floats(1e-9, 0.95)),
         st.integers(1, 100_000),
     )
     @settings(max_examples=60, deadline=None)
@@ -200,17 +240,50 @@ class TestCountCdf:
     @pytest.mark.parametrize("chunk", [1, 7, 1000])
     def test_chunked_table_equals_one_shot_table(self, monkeypatch, chunk):
         """Chunking the pmf only bounds memory: the table is bit-identical."""
+        cases = [(0.87, 0.05, 2975), (0.8, 0.0, 2975), (0.02, 0.01, 1000), (0.5, 0.1, 1)]
+        priors = [(AccuracyPrior(a, std), kq) for a, std, kq in cases]
+        one_shot = [montecarlo._cdf_of(montecarlo._count_pmf(prior, kq)) for prior, kq in priors]
         monkeypatch.setattr(montecarlo, "_CDF_CHUNK", chunk)
-        for a, std, kq in [(0.87, 0.05, 2975), (0.8, 0.0, 2975), (0.02, 0.01, 1000), (0.5, 0.1, 1)]:
-            prior = AccuracyPrior(a, std)
-            k = np.arange(kq + 1)
-            if std == 0.0:
-                pmf = stats.binom.pmf(k, kq, a)
-            else:
-                pmf = stats.betabinom.pmf(k, kq, *fit_beta(prior))
-            one_shot = np.cumsum(pmf)
-            one_shot /= one_shot[-1]
-            assert np.array_equal(montecarlo._cdf_of(montecarlo._count_pmf(prior, kq)), one_shot)
+        for (prior, kq), table in zip(priors, one_shot):
+            assert np.array_equal(montecarlo._cdf_of(montecarlo._count_pmf(prior, kq)), table)
+
+    @pytest.mark.parametrize(
+        "a, std, kq",
+        [
+            (0.87, 0.05, 75),
+            (0.87, 0.05, 300),
+            (0.99, 0.005, 25),
+            (0.8, 0.0, 300),
+            (0.5, 0.4999, 75),  # alpha, beta < 1: a U-shaped pmf
+            # Tiny stds, where alpha + beta ~ 1e10 to 1e199.
+            (0.87, 1e-5, 75),
+            (0.87, 1e-6, 300),
+            (0.87, 1e-7, 75),
+            (0.87, 1e-8, 75),
+            (0.87, 1e-100, 75),
+        ],
+    )
+    def test_table_matches_exact_oracle(self, a, std, kq):
+        """Every CDF entry within 1e-15 of the exact rational CDF.
+
+        No terms of the ratio recurrence cancel, however large alpha + beta grows.
+        """
+        prior = AccuracyPrior(a, std)
+        cdf = montecarlo._cdf_of(montecarlo._count_pmf(prior, kq))
+        assert np.max(np.abs(cdf - exact_cdf(prior, kq))) <= 1e-15
+
+    @pytest.mark.parametrize("a, std", [(0.87, 0.05), (0.93, 0.028), (0.02, 0.01), (0.8, 0.0)])
+    def test_pmf_matches_scipy_stats(self, a, std):
+        """``betabinom`` or ``binom`` at Kq 2975: normalised CDFs within 1e-12."""
+        prior, kq = AccuracyPrior(a, std), 2975
+        k = np.arange(kq + 1)
+        alpha_beta = fit_beta(prior)
+        if alpha_beta is None:
+            reference = stats.binom.pmf(k, kq, a)
+        else:
+            reference = stats.betabinom.pmf(k, kq, *alpha_beta)
+        cdf = montecarlo._cdf_of(montecarlo._count_pmf(prior, kq))
+        assert np.max(np.abs(cdf - montecarlo._cdf_of(reference))) <= 1e-12
 
     def test_table_is_a_cdf(self):
         for a, std in [(0.02, 0.01), (0.87, 0.05), (0.8, 0.0)]:
@@ -316,16 +389,6 @@ class TestTinyStd:
             assert f"std {std:.6g} is too small" in str(exc)
         else:
             assert np.all(np.isfinite(values))
-
-    @pytest.mark.parametrize("std, kq", [(1e-5, 75), (1e-6, 2975), (1e-8, 75), (1e-100, 75)])
-    def test_inaccurate_pmf_is_refused(self, std, kq):
-        """A pmf whose sum drifts from 1 would be renormalised into a wrong law.
-
-        The betaln differences lose precision as alpha + beta grows; at std
-        1e-6, Kq 2975, the sum is off 1 by ~6e-4.
-        """
-        with pytest.raises(ValueError, match=rf"std {std:.6g} is too small.*\(--sigma 0\)"):
-            montecarlo._count_pmf(AccuracyPrior(0.87, std), kq)
 
     def test_std_squaring_to_zero_is_the_point_mass(self):
         tiny, zero = config(0.87, 1e-170, 60, 75, 300, 5), config(0.87, 0.0, 60, 75, 300, 5)
