@@ -111,6 +111,8 @@ def test_bad_flag_exits_2_naming_it(name, args, flag, capsys, monkeypatch):
         # A zero-variance reference leaves no target to meet.
         ("plan_evaluation.py", ("--ref-a", "1", "--ref-sigma", "0"), "--ref-a/--ref-sigma"),
         ("plan_evaluation.py", ("--target-var", "1e-40"), "--target-var"),
+        # Variance exactly at the two-point boundary: only a two-point law, no Beta, has it.
+        ("validate_variance_model.py", ("--a", "0.5", "--sigma", "0.5"), "--a/--sigma"),
         # A std whose square is subnormal: no Beta fit exists.
         ("validate_variance_model.py", ("--sigma", "1e-160", "--kq", "75"), "--a/--sigma"),
     ],
