@@ -59,16 +59,13 @@ def blend_norm_corrected(z, noise, alpha: float) -> np.ndarray:
     """
     mixed = blend_raw(z, noise, alpha)
     z, n, alpha = np.asarray(z, np.float64), np.asarray(noise, np.float64), float(alpha)
-    with np.errstate(over="ignore"):  # a sum of squares that overflows is rescaled below
-        mixed_norm = float(np.linalg.norm(mixed))
+    with np.errstate(over="ignore"):  # a sum of squares that overflows is rescaled in _norm
+        mixed_norm = _norm(mixed)
         target = (1.0 - alpha) * _norm(z) + alpha * _norm(n)
     if mixed_norm < DEGENERATE_NORM:
         raise DegenerateBlendError(
             f"blended vector norm {mixed_norm:.3e} is numerically zero at alpha={alpha}"
         )
-    if math.isinf(mixed_norm):
-        mixed = mixed / np.max(np.abs(mixed))  # same direction, norm at most sqrt(dim)
-        mixed_norm = float(np.linalg.norm(mixed))
     if not math.isfinite(target):
         raise ValueError(
             f"target norm (1-alpha)*||z|| + alpha*||noise|| exceeds the float64 range "

@@ -19,9 +19,8 @@ import math
 import sys
 from pathlib import Path
 
-from . import blend as blend_mod
 from . import episodes as ep
-from . import featureio, fid, montecarlo, planner
+from . import planner
 from .seeds import check_seed
 from .variance import AccuracyPrior, EvalDesign, _ascii_number, _check_positive_int, variance_report
 
@@ -78,6 +77,12 @@ def _flag_type(convert):
 def _positive_int(text: str) -> int:
     number = _ascii_number(text, int)
     _check_positive_int(number, "value")
+    try:
+        float(number)  # the variance model and the planner compute in floats
+    except OverflowError:
+        raise ValueError(
+            f"too large for a float (max ~1.8e308), got a {len(str(number))}-digit integer"
+        ) from None
     return number
 
 
@@ -133,6 +138,8 @@ def _write_text(out: str | None, text: str) -> None:
 
 
 # --- subcommand handlers ----------------------------------------------------
+# montecarlo, fid, featureio and blend are imported inside the handlers that
+# use them, so the other commands start without loading them or scipy.
 
 
 def _cmd_variance(args) -> int:
@@ -182,6 +189,8 @@ def _cmd_plan_table(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    from . import montecarlo
+
     prior = _build_prior(args)
     try:
         sim_config = montecarlo.SimConfig(
@@ -227,6 +236,8 @@ def _cmd_episodes_aggregate(args) -> int:
 
 
 def _cmd_fid(args) -> int:
+    from . import featureio, fid
+
     features_a, features_b = featureio.load_features(args.a), featureio.load_features(args.b)
     value = fid.fid(features_a, features_b)
     if args.json:
@@ -238,8 +249,10 @@ def _cmd_fid(args) -> int:
 
 
 def _cmd_blend(args) -> int:
+    from . import blend, featureio
+
     latents = featureio.load_features(args.latents)
-    samples = blend_mod.sample_blend_batch(list(latents), args.alpha, args.seed, args.count)
+    samples = blend.sample_blend_batch(list(latents), args.alpha, args.seed, args.count)
     out = sys.stdout if args.out in (None, "-") else args.out
     featureio.save_features_csv(out, [vec for _, vec in samples])
     return 0

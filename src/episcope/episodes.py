@@ -20,7 +20,6 @@ from pathlib import Path
 from typing import IO, Iterable
 
 import numpy as np
-from scipy import special
 
 from .seeds import check_seed, rekey_philox, substream_seeds
 from .variance import AccuracyPrior, _ascii_number, _check_positive_int
@@ -388,6 +387,8 @@ def aggregate(results: list[EpisodeResult]) -> AggregateReport:
     acc = np.array([r.accuracy for r in results])
     n = len(acc)
     std = float(np.std(acc, ddof=1))
+    from scipy import special  # ~0.2 s to import, and no other function here needs scipy
+
     t975 = float(special.stdtrit(n - 1, 0.975))
     return AggregateReport(
         episodes=n,
@@ -503,13 +504,16 @@ def read_episodes(path: str | Path) -> list[EpisodeSpec]:
     """Episodes from a JSON Lines file; a malformed line raises ValueError naming it."""
     episodes = []
     with open(path, encoding="utf-8") as fh:
-        for number, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                episodes.append(episode_from_json(line))
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {number}: {exc}") from None
+        try:
+            for number, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    episodes.append(episode_from_json(line))
+                except ValueError as exc:
+                    raise ValueError(f"{path}: line {number}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: not a UTF-8 text file: {exc}") from None
     return episodes
 
 
@@ -528,6 +532,8 @@ def read_results_csv(path: str | Path) -> list[EpisodeResult]:
             return _results_from_rows(reader, path)
         except csv.Error as exc:  # e.g. a field longer than csv.field_size_limit()
             raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: not a UTF-8 text file: {exc}") from None
 
 
 def _results_from_rows(reader, path: str | Path) -> list[EpisodeResult]:

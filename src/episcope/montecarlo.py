@@ -44,7 +44,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft
 
 from .seeds import check_seed, philox_generator, substream_seeds
 from .variance import AccuracyPrior, EvalDesign, _check_positive_int, estimator_variance
@@ -251,20 +250,24 @@ def _power_cdfs(pmf: np.ndarray, powers: tuple[int, ...]) -> list[np.ndarray]:
     """CDFs of the k-fold convolution powers of ``pmf``, one per k in ``powers``.
 
     The k-fold power is the law of a sum of k iid counts, over 0..k*(len-1).
-    One real FFT of length n >= max(k)*(len-1) + 1 holds every power without
-    wrap-around, so each table is ``irfft(F**k)`` cut to k*(len-1) + 1 entries,
-    with round-off negatives clipped to 0 before the running sum. F**k comes
-    from repeated squaring (``_int_power``). Table round-off is not part of
-    the stream, which fixes the uniforms and the exact CDFs they invert
-    through; a draw can move only for a uniform within round-off (~1e-14) of
-    a table entry.
+    One real FFT of length n >= m = max(k)*(len-1) + 1 holds every power
+    without wrap-around. n is m rounded up to its top four bits, c * 2**s with
+    8 <= c <= 16 (n = m below 16), so n < 1.125*m and the transform is mostly
+    radix 2. Each table is ``irfft(F**k)`` cut to k*(len-1) + 1 entries, with
+    round-off negatives clipped to 0 before the running sum. F**k comes from
+    repeated squaring (``_int_power``). Table round-off is not part of the
+    stream, which fixes the uniforms and the exact CDFs they invert through; a
+    draw can move only for a uniform within round-off (~1e-14) of a table
+    entry.
     """
     kq = len(pmf) - 1
-    n = fft.next_fast_len(max(powers) * kq + 1, real=True)
-    spectrum = fft.rfft(pmf, n)
+    m = max(powers) * kq + 1
+    shift = max(0, m.bit_length() - 4)
+    n = -(-m >> shift) << shift
+    spectrum = np.fft.rfft(pmf, n)
     tables = []
     for k in powers:
-        power = fft.irfft(_int_power(spectrum, k), n)[:k * kq + 1]
+        power = np.fft.irfft(_int_power(spectrum, k), n)[:k * kq + 1]
         tables.append(_cdf_of(np.maximum(power, 0.0, out=power)))
     return tables
 

@@ -57,8 +57,10 @@ class TestBlendNormCorrected:
         out = blend_norm_corrected(z, n, 0.5)
         assert np.linalg.norm(out) == pytest.approx(9.0, rel=1e-12)
 
-    def test_endpoints_bit_exact(self):
-        z, n = random_pair(2, 64, scale_z=3.0)
+    # 1e300 squares past the float range, so the norms take _norm's rescaled route.
+    @pytest.mark.parametrize("scale", [1.0, 1e300])
+    def test_endpoints_bit_exact(self, scale):
+        z, n = random_pair(2, 64, scale_z=3.0 * scale, scale_n=scale)
         np.testing.assert_array_equal(blend_norm_corrected(z, n, 0.0), z)
         np.testing.assert_array_equal(blend_norm_corrected(z, n, 1.0), n)
 

@@ -93,22 +93,44 @@ class TestVariance:
         assert "--a" in err
 
     @pytest.mark.parametrize(
-        "flag, value, argv",
+        "flag, value, argv, reason",
         [
-            ("--a", "0.8_7", ["variance", "--sigma", "0", "--kp", "1", "--kq", "1"]),
-            ("--a", "\u0660.\u0668\u0667", ["variance", "--sigma", "0", "--kp", "1", "--kq", "1"]),
-            ("--kp", "6_00", ["variance", "--a", "0.5", "--sigma", "0", "--kq", "1"]),
-            ("--kp", "\uff16\uff10\uff10", ["variance", "--a", "0.5", "--sigma", "0", "--kq", "1"]),
-            ("--reps", "1_000", SIMULATE_BASE + ["--seed", "1"]),
-            ("--seed", "\u0661", SIMULATE_BASE + ["--reps", "100"]),
+            ("--a", "0.8_7", ["variance", "--sigma", "0", "--kp", "1", "--kq", "1"],
+             "ASCII digits"),
+            ("--a", "\u0660.\u0668\u0667", ["variance", "--sigma", "0", "--kp", "1", "--kq", "1"],
+             "ASCII digits"),
+            ("--kp", "6_00", ["variance", "--a", "0.5", "--sigma", "0", "--kq", "1"],
+             "ASCII digits"),
+            ("--kp", "\uff16\uff10\uff10", ["variance", "--a", "0.5", "--sigma", "0", "--kq", "1"],
+             "ASCII digits"),
+            ("--reps", "1_000", SIMULATE_BASE + ["--seed", "1"], "ASCII digits"),
+            ("--seed", "\u0661", SIMULATE_BASE + ["--reps", "100"], "ASCII digits"),
+            # int() reads 401 digits, but no float holds them (int() refuses 4,301 and more).
+            ("--kp", "9" * 401, ["variance", "--a", "0.5", "--sigma", "0", "--kq", "1"],
+             "too large for a float"),
+            ("--kq", "9" * 401, ["variance", "--a", "0.5", "--sigma", "0", "--kp", "1"],
+             "too large for a float"),
+            ("--kq", "9" * 401,
+             ["plan", "episodes", "--a", "0.5", "--sigma", "0.1", "--target-var", "1e-3"],
+             "too large for a float"),
+            ("--kq-max", "9" * 401,
+             ["plan", "cost", "--a", "0.5", "--sigma", "0.1", "--cost-episode", "1",
+              "--cost-query", "1", "--target-var", "1e-3"],
+             "too large for a float"),
+            ("--kp-list", "1," + "9" * 401,
+             ["plan", "table", "--a", "0.5", "--sigma", "0.1", "--kq-list", "3"],
+             "too large for a float"),
         ],
-        ids=["a_underscore", "a_arabic_indic", "kp_underscore", "kp_fullwidth", "reps", "seed"],
+        ids=["a_underscore", "a_arabic_indic", "kp_underscore", "kp_fullwidth", "reps", "seed",
+             "kp_401_digits", "kq_401_digits", "plan_kq_401_digits", "kq_max_401_digits",
+             "kp_list_401_digits"],
     )
-    def test_underscore_or_non_ascii_number_names_the_flag(self, capsys, flag, value, argv):
-        """int() and float() accept these; every numeric flag refuses them."""
+    def test_underscore_or_non_ascii_number_names_the_flag(self, capsys, flag, value, argv, reason):
+        """int() and float() accept these, or a float cannot hold them; every numeric flag
+        refuses them."""
         code, out, err = run(capsys, *argv, flag, value)
         assert (code, out) == (2, "")
-        assert f"argument {flag}: " in err and "ASCII digits" in err
+        assert f"argument {flag}: " in err and reason in err
 
 
 class TestPlan:

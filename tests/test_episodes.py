@@ -450,6 +450,12 @@ class TestSerialization:
         with pytest.raises(ValueError, match=r"bad\.jsonl: line 2: not valid JSON"):
             read_episodes(path)
 
+    def test_read_non_utf8_names_file(self, tmp_path):
+        path = tmp_path / "latin1.jsonl"
+        path.write_bytes(episode_to_json(_one_episode()).encode("utf-8") + b"\n\xff\n")
+        with pytest.raises(ValueError, match=r"latin1\.jsonl: not a UTF-8 text file: .*0xff"):
+            read_episodes(path)
+
     def test_read_deep_nesting_names_file_and_line(self, tmp_path):
         path = tmp_path / "deep.jsonl"
         path.write_text("[" * 200_000 + "\n")
@@ -532,6 +538,12 @@ class TestSerialization:
         path = tmp_path / "short.csv"
         path.write_text(f"episode_id,correct,total\n0,3,5\n{row}\n", encoding="utf-8")
         with pytest.raises(ValueError, match=r"short\.csv: line 3: expected 3 integer fields"):
+            read_results_csv(path)
+
+    def test_results_csv_non_utf8_names_file(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"episode_id,correct,total\n0,3,5\n1,4,5\xff\n")
+        with pytest.raises(ValueError, match=r"latin1\.csv: not a UTF-8 text file: .*0xff"):
             read_results_csv(path)
 
     def test_results_csv_allows_surrounding_spaces(self, tmp_path):

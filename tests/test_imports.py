@@ -1,9 +1,10 @@
 """The import graph: each entry point loads only what it runs.
 
-``scipy.stats`` takes most of a second to import, and numpy and scipy most of
-the rest, so a command that loads them without using them spends most of its
-time starting up. Each probe runs in a fresh interpreter, because the test
-process has long since imported everything.
+Each scipy module takes 0.2-0.4 s to import, numpy about 0.1 s, so a command
+that loads them without using them spends most of its time starting up. Only
+``episodes aggregate`` (``scipy.special``, for one t quantile) and ``fid``
+(``scipy.linalg``) use scipy. Each probe runs in a fresh interpreter, because
+the test process has long since imported everything.
 """
 
 import inspect
@@ -13,11 +14,22 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 VARIANCE = "variance --a 0.87 --sigma 0.05 --kp 600 --kq 75 --json"
+PLAN_COST = (
+    "plan cost --a 0.93 --sigma 0.028 --cost-episode 5 --cost-query 0.1 --target-var 7e-6"
+    " --kq-max 2975"
+)
 SIMULATE = "simulate --a 0.87 --sigma {sigma} --kp 600 --kq 75 --reps 100 --seed 1"
+SAMPLE = (
+    "episodes sample --index {dir}/index.json --ways 5 --shots 1 --queries 15 --count 10"
+    " --seed 1 --out {dir}/episodes.jsonl"
+)
+AGGREGATE = "episodes aggregate --results {dir}/results.csv --prior"
+FID = "fid --a {dir}/a.csv --b {dir}/b.csv"
 
 
 def modules_after(code: str) -> set[str]:
@@ -36,6 +48,21 @@ def cli_run(argv: str) -> str:
     return f"from episcope.cli import main\nif main({argv.split()!r}):\n    raise SystemExit(1)"
 
 
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory) -> Path:
+    """An index, a results CSV and two feature files for the probes' ``{dir}``."""
+    root = tmp_path_factory.mktemp("inputs")
+    index = {f"c{i}": [f"c{i}_e{j}" for j in range(20)] for i in range(5)}
+    (root / "index.json").write_text(json.dumps(index), encoding="utf-8")
+    (root / "results.csv").write_text(
+        "episode_id,correct,total\n0,70,75\n1,64,75\n2,68,75\n", encoding="utf-8"
+    )
+    rng = np.random.default_rng(0)
+    for name in ("a", "b"):
+        np.savetxt(root / f"{name}.csv", rng.normal(size=(20, 4)), delimiter=",")
+    return root
+
+
 def test_package_import_loads_no_submodule_and_no_numpy():
     loaded = modules_after("import episcope")
     assert sorted(name for name in loaded if name.startswith("episcope.")) == []
@@ -47,17 +74,30 @@ def test_variance_module_needs_neither_numpy_nor_scipy():
     assert "numpy" not in loaded and "scipy" not in loaded
 
 
-@pytest.mark.parametrize("code", ["import episcope.cli", cli_run(VARIANCE)], ids=["import", "run"])
-def test_cli_leaves_scipy_stats_unloaded(code):
-    assert "scipy.stats" not in modules_after(code)
+NO_SCIPY = {
+    "import_montecarlo": "import episcope.montecarlo",
+    "import_episodes": "import episcope.episodes",
+    "import_cli": "import episcope.cli",
+    "variance": cli_run(VARIANCE),
+    "plan_cost": cli_run(PLAN_COST),
+    "simulate_beta": cli_run(SIMULATE.format(sigma=0.05)),
+    "simulate_point_mass": cli_run(SIMULATE.format(sigma=0)),
+    "episodes_sample": cli_run(SAMPLE),
+}
 
 
-def test_beta_prior_simulate_leaves_scipy_stats_unloaded():
-    assert "scipy.stats" not in modules_after(cli_run(SIMULATE.format(sigma=0.05)))
+@pytest.mark.parametrize("code", NO_SCIPY.values(), ids=NO_SCIPY.keys())
+def test_loads_no_scipy(code, inputs):
+    assert "scipy" not in modules_after(code.format(dir=inputs))
 
 
-def test_point_mass_simulate_leaves_scipy_stats_unloaded():
-    assert "scipy.stats" not in modules_after(cli_run(SIMULATE.format(sigma=0)))
+def test_aggregate_loads_scipy_special_but_not_linalg(inputs):
+    loaded = modules_after(cli_run(AGGREGATE).format(dir=inputs))
+    assert "scipy.special" in loaded and "scipy.linalg" not in loaded
+
+
+def test_fid_loads_scipy_linalg(inputs):
+    assert "scipy.linalg" in modules_after(cli_run(FID).format(dir=inputs))
 
 
 def test_fid_name_is_the_module():
