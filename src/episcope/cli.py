@@ -14,6 +14,7 @@ be JSON arrays or comma-separated strings; ``null`` means absent.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -39,6 +40,8 @@ class _UsageParser(argparse.ArgumentParser):
     argparse checks required flags before it hands back unrecognised tokens,
     so a missing flag is collected in the namespace's ``missing_flags``
     instead of raised, and ``_parse_args`` can name both in one message.
+    ``_missing`` is emptied at the start of every parse, so a parser shared
+    between calls carries nothing from one parse to the next.
     """
 
     def __init__(self, **kwargs) -> None:
@@ -106,7 +109,31 @@ _nonnegative_float = _ranged(float, lambda x: 0 <= x < math.inf, "be finite and 
 _positive_float = _ranged(float, lambda x: 0 < x < math.inf, "be finite and > 0")
 _unit_open = _ranged(float, lambda x: 0.0 < x < 1.0, "lie in (0, 1)")
 _unit_closed = _ranged(float, lambda x: 0.0 <= x <= 1.0, "lie in [0, 1]")
-_replications = _ranged(int, lambda n: n >= 2, "be >= 2 (sample variance needs two points)")
+
+# The longest array of 8-byte items numpy can size. A longer count could only
+# fail inside numpy, with a message that names no flag; below it, a count whose
+# memory cannot be had still fails at run time.
+_MAX_ITEMS = (2**63 - 1) // 8
+
+
+def _array_length(convert):
+    """``convert``, refusing a count above ``_MAX_ITEMS``."""
+
+    def capped(text: str) -> int:
+        number = convert(text)
+        if number > _MAX_ITEMS:
+            raise argparse.ArgumentTypeError(
+                f"must be <= {_MAX_ITEMS} (the longest array numpy can size),"
+                f" got a {len(str(number))}-digit integer"
+            )
+        return number
+
+    return capped
+
+
+_replications = _array_length(
+    _ranged(int, lambda n: n >= 2, "be >= 2 (sample variance needs two points)")
+)
 
 
 @_flag_type
@@ -275,6 +302,7 @@ def _add_prior_flags(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A fresh parser tree for every subcommand; ``main`` builds one per process."""
     parser = argparse.ArgumentParser(
         prog="episcope",
         description="Plan, simulate and summarize episode-based few-shot evaluations.",
@@ -343,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--queries", type=_queries_spec, required=True,
         help="queries per class, or 'all' for the full remainder",
     )
-    p.add_argument("--count", type=_positive_int, required=True)
+    p.add_argument("--count", type=_array_length(_positive_int), required=True)
     p.add_argument("--seed", type=_seed_int, required=True)
     p.add_argument("--out", required=True, help="output path, or - for stdout")
     _add_common(p)
@@ -372,6 +400,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_blend)
 
     return parser
+
+
+# Building the tree takes several times as long as a small command's own work,
+# so ``main`` builds it on its first call and reuses it; importing builds nothing.
+_shared_parser = functools.cache(build_parser)
+
+
+@functools.cache
+def _config_parser() -> _UsageParser:
+    """Reads only ``--config``, ahead of the full parse."""
+    pre = _UsageParser(add_help=False)
+    pre.add_argument("--config")
+    return pre
 
 
 def _config_tokens(path: str) -> tuple[dict[str, str], list[str]]:
@@ -411,14 +452,15 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
     """Parse argv with the ``--config`` entries spliced in ahead of its flags.
 
     Config values pass the same checks as flags; argparse keeps the last of a
-    repeated flag, so an explicit flag wins.
+    repeated flag, so an explicit flag wins. Both parsers are shared by every
+    call in the process, and nothing carries over from one parse to the next:
+    each parse gets a new namespace, and the one per-parse state,
+    ``_UsageParser._missing``, is reset whenever a parse enters a parser.
     """
-    pre = _UsageParser(add_help=False)
-    pre.add_argument("--config")
-    config_path = pre.parse_known_args(argv)[0].config
+    config_path = _config_parser().parse_known_args(argv)[0].config
     tokens, switched_off = _config_tokens(config_path) if config_path else ({}, [])
     at = next((i for i, token in enumerate(argv) if token.startswith("-")), len(argv))
-    args, extra = build_parser().parse_known_args(argv[:at] + list(tokens) + argv[at:])
+    args, extra = _shared_parser().parse_known_args(argv[:at] + list(tokens) + argv[at:])
     named = [f"--config key {tokens[t]!r}" if t in tokens else t for t in extra]
     problems = [f"unrecognized arguments: {' '.join(named)}"] if named else []
     if problems or args.missing_flags:
@@ -430,6 +472,12 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command and return its exit status; see the module docstring.
+
+    A bad or missing subcommand raises argparse's ``SystemExit(2)``. The parser
+    tree is built on the first call and reused by later ones in the same
+    process. ``main`` is not meant for concurrent calls from several threads.
+    """
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = _parse_args(argv)

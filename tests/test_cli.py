@@ -11,9 +11,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from episcope import cli
 from episcope import episodes as episodes_mod
 from episcope import montecarlo
-from episcope.cli import build_parser, main
+from episcope.cli import CliUsageError, build_parser, main
 from episcope.episodes import EpisodeResult, read_episodes, write_results_csv
 from episcope.featureio import save_features_csv, save_features_fsfe
 
@@ -840,6 +841,131 @@ class TestSimulateReps:
         )
         assert code == 2 and out == ""
         assert "--reps" in err and ">= 2" in err
+
+
+# The longest array of 8-byte items numpy can size.
+MAX_ITEMS = (2**63 - 1) // 8
+CAP_MESSAGE = f"must be <= {MAX_ITEMS} (the longest array numpy can size)"
+
+
+def unreachable(*args, **kwargs):
+    raise AssertionError("a count above the numpy limit must be refused before the run")
+
+
+def sample_argv(index_file, count):
+    return [
+        "episodes", "sample", "--index", index_file, "--ways", "2", "--shots", "1",
+        "--queries", "1", "--count", count, "--seed", "0", "--out", "-",
+    ]
+
+
+class TestCountsNumpyCannotSize:
+    """``--reps`` and ``episodes sample --count`` refuse what no numpy array can hold.
+
+    No value here is ever run: the bound is tested at parse level, and the
+    library calls are replaced by ones that fail the test if reached.
+    """
+
+    def test_reps_bound_at_parse_level(self):
+        argv = [*SIMULATE_BASE, "--seed", "1", "--reps"]
+        assert build_parser().parse_args([*argv, str(MAX_ITEMS)]).reps == MAX_ITEMS
+        with pytest.raises(CliUsageError, match=r"^argument --reps: must be <= "):
+            build_parser().parse_args([*argv, str(MAX_ITEMS + 1)])
+
+    def test_count_bound_at_parse_level(self):
+        argv = sample_argv("index.json", str(MAX_ITEMS))
+        assert build_parser().parse_args(argv).count == MAX_ITEMS
+        argv[argv.index("--count") + 1] = str(MAX_ITEMS + 1)
+        with pytest.raises(CliUsageError, match=r"^argument --count: must be <= "):
+            build_parser().parse_args(argv)
+
+    @pytest.mark.parametrize("reps, digits", [(str(MAX_ITEMS + 1), 19), ("1" + "0" * 21, 22)])
+    def test_reps_names_flag_and_limit(self, capsys, monkeypatch, reps, digits):
+        monkeypatch.setattr(montecarlo, "simulate", unreachable)
+        code, out, err = run(capsys, *SIMULATE_BASE, "--reps", reps, "--seed", "1")
+        assert (code, out) == (2, "")
+        assert err == f"error: argument --reps: {CAP_MESSAGE}, got a {digits}-digit integer\n"
+
+    @pytest.mark.parametrize("count, digits", [(str(MAX_ITEMS + 1), 19), ("1" + "0" * 23, 24)])
+    def test_sample_count_names_flag_and_limit(
+        self, capsys, monkeypatch, index_file, count, digits
+    ):
+        monkeypatch.setattr(episodes_mod, "sample_episodes", unreachable)
+        code, out, err = run(capsys, *sample_argv(index_file, count))
+        assert (code, out) == (2, "")
+        assert err == f"error: argument --count: {CAP_MESSAGE}, got a {digits}-digit integer\n"
+
+
+class TestSharedParser:
+    """``main`` reuses one parser tree, and no call's outcome depends on the calls before it."""
+
+    @staticmethod
+    def outcome(capsys, argv):
+        """(exit code, stdout, stderr) of one ``main`` call, argparse's own exits included."""
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    @staticmethod
+    def drop_parsers():
+        """Make the next ``main`` call build both parsers anew."""
+        cli._shared_parser.cache_clear()
+        cli._config_parser.cache_clear()
+
+    def fresh_outcome(self, capsys, argv):
+        """The outcome of ``argv`` on a newly built parser tree."""
+        self.drop_parsers()
+        return self.outcome(capsys, argv)
+
+    @pytest.fixture
+    def table(self, tmp_path, index_file):
+        variance = ["variance", "--a", "0.5", "--sigma", "0", "--kp", "1", "--kq", "1"]
+        repeated = tmp_path / "repeated.json"
+        repeated.write_text('{"a": 0.5, "sigma": 0, "kp": 1, "kq": 1, "kq": 4}')
+        episodes_keys = {"a": 0.93, "sigma": 0.028, "kq": 2975}
+        table_keys = {"a": 0.9, "sigma": 0.02, "kp_list": [100], "kq_list": [10], "out": False}
+        return [
+            ["plan", "cost", *COST_FLAGS, "--kq-max", "2975"],
+            ["plan", "episodes", "--a", "0.93", "--sigma", "0.028", "--kq", "2975",
+             "--target-var", "7e-6"],
+            ["variance", "--a", "0.87", "--sigma", "0.05", "--kp", "600", "--kq", "75", "--json"],
+            ["episodes", "sample", "--index", index_file, "--ways", "5", "--shots", "1",
+             "--queries", "15", "--count", "3", "--seed", "7", "--out", "-"],
+            ["plan", "cost", "--a", "0.87", "--sigma", "0.05"],
+            ["plan", "episodes", "--a", "0.93", "--sigma", "0.028", "--kq", "2975"],
+            ["variance", "--a", "zero", "--sigma", "0", "--kp", "1", "--kq", "1"],
+            [*variance, "--bogus", "1"],
+            ["variance", "--a", "0.5", "--sig", "0", "--kp", "1", "--kq", "1"],
+            ["plan", "episodes", "--config", write_config(tmp_path, episodes_keys),
+             "--target-var", "7e-6"],
+            ["variance", "--config", str(repeated)],
+            ["plan", "table", "--config", write_config(tmp_path, table_keys, name="table.json")],
+            ["frobnicate"],
+        ]
+
+    def test_outcome_does_not_depend_on_earlier_calls(self, capsys, table):
+        expected = [self.fresh_outcome(capsys, argv) for argv in table]
+        assert sorted({code for code, _, _ in expected}) == [0, 2]
+        self.drop_parsers()
+        forward = [self.outcome(capsys, argv) for argv in table]
+        backward = [self.outcome(capsys, argv) for argv in reversed(table)]
+        assert forward == expected
+        assert backward == expected[::-1]
+        assert cli._shared_parser.cache_info().misses == 1
+
+    def test_missing_flags_do_not_carry_over(self, capsys):
+        code, out, err = self.outcome(capsys, ["plan", "cost", *COST_FLAGS])
+        assert (code, out) == (2, "")
+        assert "the following arguments are required: --kq-max" in err
+        code, out, err = self.outcome(capsys, ["plan", "cost", *COST_FLAGS, "--kq-max", "2975"])
+        assert (code, err) == (0, "")
+        assert json.loads(out)["queries_per_episode"] == 66
+
+    def test_build_parser_returns_a_new_tree(self):
+        assert build_parser() is not build_parser()
 
 
 class TestDeepJson:

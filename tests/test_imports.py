@@ -4,7 +4,8 @@ Each scipy module takes 0.2-0.4 s to import, numpy about 0.1 s, so a command
 that loads them without using them spends most of its time starting up. Only
 ``episodes aggregate`` (``scipy.special``, for one t quantile) and ``fid``
 (``scipy.linalg``) use scipy. Each probe runs in a fresh interpreter, because
-the test process has long since imported everything.
+the test process has long since imported everything. One more probe checks
+that importing the CLI builds no argument parser, only its first ``main`` call.
 """
 
 import inspect
@@ -32,16 +33,20 @@ AGGREGATE = "episodes aggregate --results {dir}/results.csv --prior"
 FID = "fid --a {dir}/a.csv --b {dir}/b.csv"
 
 
-def modules_after(code: str) -> set[str]:
-    """Names in ``sys.modules`` after a fresh interpreter runs ``code``."""
+def probe(code: str):
+    """The JSON value a fresh interpreter prints on its last line after running ``code``."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    probe = code + "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))"
     proc = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=120
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
-    return set(json.loads(proc.stdout.splitlines()[-1]))
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def modules_after(code: str) -> set[str]:
+    """Names in ``sys.modules`` after a fresh interpreter runs ``code``."""
+    return set(probe(code + "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))"))
 
 
 def cli_run(argv: str) -> str:
@@ -98,6 +103,36 @@ def test_aggregate_loads_scipy_special_but_not_linalg(inputs):
 
 def test_fid_loads_scipy_linalg(inputs):
     assert "scipy.linalg" in modules_after(cli_run(FID).format(dir=inputs))
+
+
+PARSERS_BUILT = f"""
+import argparse, contextlib, io, json
+built = []
+init = argparse.ArgumentParser.__init__
+
+def counted(self, *args, **kwargs):
+    init(self, *args, **kwargs)
+    built.append(self.prog)
+
+argparse.ArgumentParser.__init__ = counted
+import episcope.cli
+after_import = len(built)
+after_calls = []
+for _ in range(3):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert episcope.cli.main({PLAN_COST.split()!r}) == 0
+    after_calls.append((built.count("episcope"), len(built)))
+print(json.dumps([after_import, after_calls]))
+"""
+
+
+def test_cli_builds_its_parser_tree_on_the_first_main_call_only():
+    """Import builds no parser; the first ``main`` builds one tree, and later calls build none."""
+    after_import, after_calls = probe(PARSERS_BUILT)
+    assert after_import == 0
+    (trees, parsers), *later = after_calls
+    assert trees == 1 and parsers > 1
+    assert later == [[trees, parsers]] * 2
 
 
 def test_fid_name_is_the_module():

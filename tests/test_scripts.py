@@ -121,3 +121,15 @@ def test_bad_flag_combination_exits_2_naming_it(name, args, flags, capsys, monke
     err = usage_error(name, args, capsys, monkeypatch)
     assert f"error: {flags}: " in err
     assert "Traceback" not in err
+
+
+def test_reps_numpy_cannot_size_exits_2_naming_the_limit(capsys, monkeypatch):
+    """``--reps`` above the longest 8-byte array numpy can size is a flag error, never run."""
+    limit = (2**63 - 1) // 8
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the sweep must not start")
+
+    monkeypatch.setattr(load_script("validate_variance_model.py"), "sweep", unreachable)
+    err = usage_error("validate_variance_model.py", ("--reps", str(limit + 1)), capsys, monkeypatch)
+    assert f"error: argument --reps: must be <= {limit} " in err
