@@ -12,10 +12,14 @@ from __future__ import annotations
 import csv
 import json
 import math
+import operator
 from collections import Counter
+from collections.abc import Sequence
 from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
+from json.encoder import encode_basestring
 from pathlib import Path
 from typing import IO, Iterable
 
@@ -45,6 +49,14 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
 _EPISODE_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
 
 
+def _utf8_encodable(text: str) -> bool:
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 @dataclass(frozen=True)
 class DatasetIndex:
     """Ordered class -> example-ID listing a sampler can draw from."""
@@ -65,6 +77,14 @@ class DatasetIndex:
                 raise ValueError(f"class {name!r} has no examples")
             if len(set(ids)) != len(ids):
                 raise ValueError(f"class {name!r} has duplicate example IDs")
+            # A lone surrogate (a "\ud800" escape in the JSON) has no UTF-8 form, so
+            # no episode holding it could be written.
+            if not _utf8_encodable(name + "".join(ids)):
+                bad = next(s for s in (name, *ids) if not _utf8_encodable(s))
+                what = "its name" if bad is name else f"example ID {bad!r}"
+                raise ValueError(
+                    f"class {name!r}: {what} holds a lone surrogate, which UTF-8 cannot encode"
+                )
 
     @classmethod
     def from_mapping(cls, mapping: dict[str, list[str]]) -> "DatasetIndex":
@@ -266,6 +286,176 @@ def _unchecked(cls, **fields):
 _CHUNK_UNIFORMS = 1 << 17
 
 
+class EpisodeBatch(Sequence):
+    """The episodes one :func:`sample_episodes` call drew, held as drawn positions.
+
+    For each chunk of episodes the batch keeps the episode seeds, the chosen
+    class positions (``ways`` per episode) and, per (episode, class) row, the
+    ID positions its shuffle took. ``EpisodeSpec`` and ``ClassSplit`` objects
+    are built only when the batch is indexed or iterated, a chunk at a time
+    for iteration, and :func:`write_episodes` writes a batch's lines from the
+    positions without building any. A batch equals a list or a batch of equal
+    episodes in the same order, so ``list(batch)`` is the list of episodes;
+    a slice is a list.
+    """
+
+    def __init__(self, index, ways, shots, queries_per_class, sizes, per_chunk, chunks):
+        self._index = index
+        self._ways, self._shots, self._queries = ways, shots, queries_per_class
+        self._sizes = sizes  # IDs per class
+        self._offsets = np.cumsum(sizes) - sizes  # position of each class's first ID among all
+        self._per_chunk = per_chunk  # episodes per chunk; only the last may hold fewer
+        self._chunks = chunks  # (seeds, chosen, taken) per chunk, as sample_episodes drew them
+        self._len = sum(len(seeds) for seeds, _, _ in chunks)
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, item):
+        if isinstance(item, slice):
+            return [self[i] for i in range(*item.indices(self._len))]
+        i = operator.index(item)
+        if i < 0:
+            i += self._len
+        if not 0 <= i < self._len:
+            raise IndexError("episode index out of range")
+        chunk, row = divmod(i, self._per_chunk)
+        seeds, chosen, taken = self._chunks[chunk]
+        rows = slice(row * self._ways, (row + 1) * self._ways)
+        return self._specs(i, seeds[row:row + 1], chosen[rows], taken[rows])[0]
+
+    def __iter__(self):
+        for chunk, (seeds, chosen, taken) in enumerate(self._chunks):
+            yield from self._specs(chunk * self._per_chunk, seeds, chosen, taken)
+
+    def __eq__(self, other):
+        if not isinstance(other, (EpisodeBatch, list)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    __hash__ = None  # a Sequence that compares by value, like a list
+
+    @cached_property
+    def _all_ids(self) -> np.ndarray:
+        """Every ID of the index, class after class: O(total IDs), once per batch."""
+        return np.array(
+            list(chain.from_iterable(ids for _, ids in self._index.classes)), dtype=object
+        )
+
+    def _specs(self, start: int, seeds, chosen, taken) -> list[EpisodeSpec]:
+        """Episodes ``start``, ``start + 1``, ... with these seeds and drawn positions.
+
+        They are built without their ``__post_init__`` checks, which could not
+        fail here: the positions drawn in a class are distinct, and the index
+        has already checked that its names and IDs are strings and that no
+        class repeats an ID. They compare, hash and print as constructor-built
+        ones do.
+        """
+        ways, shots, k = self._ways, self._shots, taken.shape[1]
+        classes = self._index.classes
+        flat = tuple(self._all_ids[(self._offsets[chosen, None] + taken).ravel()].tolist())
+        chosen = chosen.tolist()
+        starts = range(0, len(flat), k)
+        if self._queries is None:
+            cuts = np.sort(taken, axis=1).tolist()
+            queries = [_remainder(classes[pos][1], c) for pos, c in zip(chosen, cuts)]
+        else:
+            queries = [flat[lo + shots:lo + k] for lo in starts]
+        splits = tuple(
+            _unchecked(ClassSplit, class_name=classes[pos][0], support_ids=flat[lo:lo + shots],
+                       query_ids=query_ids)
+            for pos, lo, query_ids in zip(chosen, starts, queries)
+        )
+        return [
+            _unchecked(EpisodeSpec, episode_id=start + e, seed=seed, ways=ways, shots=shots,
+                       per_class=splits[e * ways:(e + 1) * ways])
+            for e, seed in enumerate(seeds)
+        ]
+
+    def _write(self, fh: IO[str]) -> None:
+        """Write the batch as :func:`episode_to_json` lines, building no episode object.
+
+        Each class name, and each ID of a class some episode chose, is
+        JSON-encoded once, by the function ``json.dumps(..., ensure_ascii=False)``
+        uses for strings, and the lines are joined from those quoted strings.
+        """
+        classes = self._index.classes
+        used = np.zeros(len(classes), dtype=bool)
+        for _, chosen, _ in self._chunks:
+            used[chosen] = True
+        quoted = [encode_basestring(i) for use, (_, ids) in zip(used, classes) if use for i in ids]
+        # Class c's quoted IDs are quoted[offsets[c]:offsets[c] + sizes[c]]; a class
+        # no episode chose has none.
+        sizes = np.where(used, self._sizes, 0)
+        offsets = np.cumsum(sizes) - sizes
+        heads = np.array(
+            ['{"class_name":%s,"support_ids":[' % encode_basestring(name) for name, _ in classes],
+            dtype=object,
+        )
+        line_head = '{"episode_id":%%d,"seed":%%d,"ways":%d,"shots":%d,"per_class":[' % (
+            self._ways, self._shots
+        )
+        if self._queries is None:
+            self._write_remainders(fh, quoted, offsets, sizes, heads, line_head)
+        else:
+            self._write_fixed(fh, np.array(quoted, dtype=object), offsets, heads, line_head)
+
+    def _write_fixed(self, fh, quoted, offsets, heads, line_head) -> None:
+        """Lines of fixed-query episodes: one join per chunk, written as one block."""
+        ways, shots = self._ways, self._shots
+        # Row r of a chunk is: episode head (first class only), class head, then
+        # each picked ID followed by its separator.
+        seps = np.array(
+            [","] * (shots - 1) + ['],"query_ids":['] + [","] * (self._queries - 1) + ["]},"],
+            dtype=object,
+        )
+        for chunk, (seeds, chosen, taken) in enumerate(self._chunks):
+            start = chunk * self._per_chunk
+            grid = np.empty((len(chosen), 2 + 2 * taken.shape[1]), dtype=object)
+            grid[:, 0] = ""
+            grid[::ways, 0] = [line_head % (start + e, seed) for e, seed in enumerate(seeds)]
+            grid[:, 1] = heads[chosen]
+            grid[:, 2::2] = quoted[offsets[chosen, None] + taken]
+            grid[:, 3::2] = seps
+            grid[ways - 1::ways, -1] = "]}]}\n"
+            fh.write("".join(grid.ravel().tolist()))
+
+    def _write_remainders(self, fh, quoted, offsets, sizes, heads, line_head) -> None:
+        """Lines of full-remainder episodes, written one at a time.
+
+        Each class's quoted IDs are joined once, and an episode's queries are
+        the slices of that text between its sorted support positions. A line
+        is written on its own because a chunk of such lines can be far larger
+        than the chunk's uniforms.
+        """
+        ways = self._ways
+        text = [",".join(quoted[lo:lo + n]) for lo, n in zip(offsets.tolist(), sizes.tolist())]
+        # Quoted ID g of class c starts at character at[g] - at[offsets[c]] of
+        # text[c]; for g one past the class's last ID that is len(text[c]) + 1.
+        at = np.concatenate([[0], np.cumsum([len(q) + 1 for q in quoted])])
+        quoted = np.array(quoted, dtype=object)
+        for chunk, (seeds, chosen, taken) in enumerate(self._chunks):
+            start = chunk * self._per_chunk
+            # Query runs lie between the sorted support positions: [0, cut_0),
+            # (cut_0, cut_1), ..., (cut_last, size), as character spans of text[c].
+            lo = offsets[chosen, None]
+            cuts = np.sort(taken, axis=1)
+            ends = np.concatenate([cuts, sizes[chosen, None]], axis=1)
+            begins = np.concatenate([np.zeros_like(cuts[:, :1]), cuts + 1], axis=1)
+            first = (at[lo + begins] - at[lo]).tolist()
+            last = (at[lo + ends] - at[lo] - 1).tolist()
+            support = quoted[lo + taken].tolist()
+            heads_of = heads[chosen].tolist()
+            chosen = chosen.tolist()
+            for e, seed in enumerate(seeds):
+                fh.write(line_head % (start + e, seed) + ",".join(
+                    heads_of[r] + ",".join(support[r]) + '],"query_ids":[' + ",".join(
+                        [text[chosen[r]][a:b] for a, b in zip(first[r], last[r]) if a < b]
+                    ) + "]}"
+                    for r in range(e * ways, (e + 1) * ways)
+                ) + "]}\n")
+
+
 def sample_episodes(
     index: DatasetIndex,
     ways: int,
@@ -273,8 +463,8 @@ def sample_episodes(
     queries_per_class: int | None,
     count: int,
     master_seed: int,
-) -> list[EpisodeSpec]:
-    """Draw ``count`` reproducible episodes from the index.
+) -> EpisodeBatch:
+    """Draw ``count`` reproducible episodes from the index, as an :class:`EpisodeBatch`.
 
     ``queries_per_class=None`` assigns every non-support example of each
     chosen class as a query, in index order; an integer samples that many.
@@ -298,18 +488,14 @@ def sample_episodes(
     (at least one episode), which bounds the working memory; the chunking
     does not change the stream. Per chunk, the class shuffles of every
     episode and the position shuffles of every (episode, class) row run as
-    one batch of numpy steps, and the IDs are gathered with one index into
-    an array of all IDs. That array costs O(total IDs) once per call (about
-    0.2 ms on a 20 x 600 index; with a chunk's fixed numpy overhead a
-    single-episode call takes about 0.5 ms), and after it an episode costs
-    O(ways * (shots + q)), not the class sizes. The full remainder is built
-    from slices between support positions.
-
-    The returned ``EpisodeSpec`` and ``ClassSplit`` objects are built without
-    their ``__post_init__`` checks, which could not fail here: the positions
-    drawn in a class are distinct, and the index has already checked that its
-    names and IDs are strings and that no class repeats an ID. They compare,
-    hash and print as constructor-built ones do.
+    one batch of numpy steps, so an episode costs O(ways * (shots + q)), not
+    the class sizes. The call returns the drawn positions, not episode
+    objects: the batch builds ``EpisodeSpec`` and ``ClassSplit`` objects only
+    when it is indexed or iterated, gathering IDs with one index into an
+    array of all IDs (O(total IDs), once per batch) and building the full
+    remainder from slices between support positions, and
+    :func:`write_episodes` writes a batch without building them at all.
+    ``list(...)`` of the batch gives the episodes as a list.
     """
     for name, value in (("ways", ways), ("shots", shots), ("count", count)):
         _check_positive_int(value, name)
@@ -331,14 +517,10 @@ def sample_episodes(
 
     k = shots + (queries_per_class or 0)
     width = ways + ways * k
-    names = [name for name, _ in index.classes]
-    class_ids = [ids for _, ids in index.classes]
     sizes = np.array([len(ids) for _, ids in index.classes])
-    offsets = np.cumsum(sizes) - sizes
-    all_ids = np.array(list(chain.from_iterable(ids for _, ids in index.classes)), dtype=object)
     seeds = substream_seeds(master_seed, count).tolist()
     per_chunk = max(1, _CHUNK_UNIFORMS // width)
-    episodes = []
+    chunks = []
     bitgen = np.random.Philox(key=0)
     rng = np.random.Generator(bitgen)
     for start in range(0, count, per_chunk):
@@ -347,28 +529,10 @@ def sample_episodes(
         for row, seed in enumerate(chunk_seeds):
             rekey_philox(bitgen, seed)
             rng.random(out=u[row])
-        chosen = _take_positions(_fisher_yates_steps(u[:, :ways], len(names))).ravel()
+        chosen = _take_positions(_fisher_yates_steps(u[:, :ways], len(sizes))).ravel()
         steps = _fisher_yates_steps(u[:, ways:].reshape(-1, k), sizes[chosen, None])
-        taken = _take_positions(steps)
-        flat = tuple(all_ids[(offsets[chosen, None] + taken).ravel()].tolist())
-        chosen = chosen.tolist()
-        starts = range(0, len(flat), k)
-        if queries_per_class is None:
-            cuts = np.sort(taken, axis=1).tolist()
-            queries = [_remainder(class_ids[pos], c) for pos, c in zip(chosen, cuts)]
-        else:
-            queries = [flat[lo + shots:lo + k] for lo in starts]
-        splits = tuple(
-            _unchecked(ClassSplit, class_name=names[pos], support_ids=flat[lo:lo + shots],
-                       query_ids=query_ids)
-            for pos, lo, query_ids in zip(chosen, starts, queries)
-        )
-        episodes.extend(
-            _unchecked(EpisodeSpec, episode_id=start + e, seed=seed, ways=ways, shots=shots,
-                       per_class=splits[e * ways:(e + 1) * ways])
-            for e, seed in enumerate(chunk_seeds)
-        )
-    return episodes
+        chunks.append((chunk_seeds, chosen, _take_positions(steps)))
+    return EpisodeBatch(index, ways, shots, queries_per_class, sizes, per_chunk, chunks)
 
 
 def aggregate(results: list[EpisodeResult]) -> AggregateReport:
@@ -496,6 +660,9 @@ def write_episodes(path_or_file: str | Path | IO[str], episodes: Iterable[Episod
     else:
         target = open(path_or_file, "w", encoding="utf-8")
     with target as fh:
+        if isinstance(episodes, EpisodeBatch):
+            episodes._write(fh)
+            return
         for episode in episodes:
             fh.write(episode_to_json(episode) + "\n")
 

@@ -442,6 +442,31 @@ class TestEpisodes:
         )
         assert code == 1
 
+    @pytest.mark.parametrize(
+        ("mapping", "named"),
+        [
+            ({"a": ["x1", "x2"], "b\ud800": ["y1", "y2"], "c": ["z1", "z2"]}, "'b\\ud800'"),
+            ({"a": ["x1", "x2"], "b": ["y1", "y2"], "c": ["z1", "z2\udc00"]}, "'c'"),
+        ],
+        ids=["class_name", "example_id"],
+    )
+    def test_sample_lone_surrogate_fails_before_the_out_file_opens(
+        self, capsys, tmp_path, mapping, named
+    ):
+        """A "\\ud800" escape in the index has no UTF-8 form: exit 1 naming its class."""
+        index = tmp_path / "index.json"
+        index.write_text(json.dumps(mapping), encoding="ascii")
+        out_path = tmp_path / "episodes.jsonl"
+        out_path.write_bytes(b'{"kept": true}\n')
+        code, out, err = run(
+            capsys,
+            "episodes", "sample", "--index", str(index), "--ways", "3", "--shots", "1",
+            "--queries", "1", "--count", "50", "--seed", "0", "--out", str(out_path),
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: class {named}: ") and "lone surrogate" in err
+        assert out_path.read_bytes() == b'{"kept": true}\n'
+
     def test_aggregate_with_prior(self, capsys, tmp_path):
         results_path = tmp_path / "results.csv"
         write_results_csv(results_path, [EpisodeResult(0, 92, 100), EpisodeResult(1, 94, 100)])

@@ -84,6 +84,20 @@ class TestIndexValidation:
         with pytest.raises(ValueError, match=message):
             DatasetIndex(classes)
 
+    @pytest.mark.parametrize(
+        ("mapping", "message"),
+        [
+            ({"a": ["x"], "b\ud800": ["y"]}, r"class 'b\\ud800': its name holds a lone surrogate"),
+            ({"a": ["x", "y\udfff"]}, r"class 'a': example ID 'y\\udfff' holds a lone surrogate"),
+            ({"a": ["\ud83d", "\ude00"]}, r"class 'a': example ID '\\ud83d' holds"),
+        ],
+        ids=["name", "id", "split_pair"],
+    )
+    def test_lone_surrogate_names_class(self, mapping, message):
+        """Text UTF-8 cannot encode is refused before any episode could hold it."""
+        with pytest.raises(ValueError, match=message):
+            DatasetIndex.from_mapping(mapping)
+
     def test_load_reads_hand_written_index(self, tmp_path):
         path = tmp_path / "index.json"
         path.write_text('{"k0": ["k0x0", "k0x1"], "k1": ["k1x0", "k1x1", "k1x2"]}')
@@ -622,7 +636,8 @@ class TestEncoder:
 
     def test_plain_episodes_do_not_call_json_dumps(self, benchmark_index):
         """The joined text is the fast path; json.dumps is only the fallback."""
-        episodes = sample_episodes(benchmark_index, 5, 1, None, 3, master_seed=4) + [
+        episodes = [
+            *sample_episodes(benchmark_index, 5, 1, None, 3, master_seed=4),
             EpisodeSpec(0, 1, 1, 1, (ClassSplit("k", ("",), ()),)),
             EpisodeSpec(0, 1, 2, 1, (ClassSplit("", ("é",), ("\u2028", "\x7f")),
                                      ClassSplit("日", ("😀",), ()))),
@@ -655,6 +670,87 @@ class TestUncheckedConstruction:
             assert hash(clone) == hash(episode)
             assert repr(clone) == repr(episode)
             assert episode_to_json(clone) == episode_to_json(episode) == reference_json(episode)
+
+
+# Names and IDs a batch's writer must encode as json.dumps does, "" included.
+BATCH_CHARS = '"\\\x00\n\x1f\x7f\u2028é日😀a'
+
+
+@st.composite
+def sampled_batches(draw):
+    """A batch over an index of uneven classes whose names and IDs may need escaping.
+
+    The query count is None, an integer, or the smallest class's whole remainder;
+    ``_CHUNK_UNIFORMS`` is 1 (one episode per chunk), 50 (a few) or the default.
+    """
+    text = st.text(st.sampled_from(BATCH_CHARS), max_size=3)
+    n_classes = draw(st.integers(1, 5))
+    ways, shots = draw(st.integers(1, n_classes)), draw(st.integers(1, 3))
+    names = draw(st.lists(text, min_size=n_classes, max_size=n_classes, unique=True))
+    index = DatasetIndex.from_mapping({
+        name: draw(st.lists(text, min_size=shots + 1, max_size=shots + 6, unique=True))
+        for name in names
+    })
+    whole = min(len(ids) for _, ids in index.classes) - shots
+    queries = draw(st.sampled_from([None, whole]) | st.integers(1, whole))
+    chunk_uniforms = draw(st.sampled_from([1, 50, episodes_mod._CHUNK_UNIFORMS]))
+    count, seed = draw(st.integers(1, 40)), draw(st.integers(0, 2**64 - 1))
+    with mock.patch.object(episodes_mod, "_CHUNK_UNIFORMS", chunk_uniforms):
+        return sample_episodes(index, ways, shots, queries, count, seed)
+
+
+def fail_if_built(*_args, **_kwargs):
+    raise AssertionError("an episode object was built")
+
+
+class TestEpisodeBatch:
+    """``sample_episodes`` returns positions; the writer formats them without episode objects."""
+
+    @given(sampled_batches())
+    @settings(max_examples=300, deadline=None)
+    def test_write_matches_per_episode_encoder(self, batch):
+        buf = io.StringIO()
+        write_episodes(buf, batch)
+        assert buf.getvalue() == "".join(episode_to_json(e) + "\n" for e in batch)
+
+    @pytest.mark.parametrize(
+        ("queries", "chunk_uniforms"), [(None, 1), (3, 1), (None, 50), (3, 50)]
+    )
+    def test_write_builds_no_episode_object(self, monkeypatch, queries, chunk_uniforms):
+        index = tiny_index(n_classes=7, size=9)
+        monkeypatch.setattr(episodes_mod, "_CHUNK_UNIFORMS", chunk_uniforms)
+        batch = sample_episodes(index, 4, 2, queries, 30, master_seed=6)
+        expected = "".join(episode_to_json(e) + "\n" for e in batch)
+        monkeypatch.setattr(episodes_mod, "_unchecked", fail_if_built)
+        monkeypatch.setattr(EpisodeSpec, "__init__", fail_if_built)
+        monkeypatch.setattr(ClassSplit, "__init__", fail_if_built)
+        with pytest.raises(AssertionError, match="built"):
+            batch[0]
+        buf = io.StringIO()
+        write_episodes(buf, batch)
+        assert buf.getvalue() == expected
+
+    @pytest.mark.parametrize("chunk_uniforms", [1, 50, 1 << 17])
+    def test_behaves_as_the_episode_list(self, monkeypatch, chunk_uniforms):
+        index = tiny_index(n_classes=7, size=9)
+        monkeypatch.setattr(episodes_mod, "_CHUNK_UNIFORMS", chunk_uniforms)
+        batch = sample_episodes(index, 4, 2, 3, 25, master_seed=6)
+        episodes = list(batch)
+        assert len(batch) == len(episodes) == 25
+        assert all(isinstance(e, EpisodeSpec) for e in episodes)
+        assert [e.episode_id for e in episodes] == list(range(25))
+        assert [batch[i] for i in range(25)] == episodes
+        assert batch[-1] == episodes[-1] and batch[-25] == episodes[0]
+        for i in (25, -26):
+            with pytest.raises(IndexError):
+                batch[i]
+        for cut in (slice(None), slice(3, 11), slice(None, None, -4), slice(30, 40)):
+            assert batch[cut] == episodes[cut]
+        assert batch == episodes and episodes == batch
+        assert batch == sample_episodes(index, 4, 2, 3, 25, master_seed=6)
+        assert batch != episodes[:-1] and episodes[:-1] != batch
+        assert batch != sample_episodes(index, 4, 2, 3, 25, master_seed=7)
+        assert batch != tuple(episodes)
 
 
 class TestEpisodeSpec:
