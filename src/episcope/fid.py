@@ -1,14 +1,19 @@
 """Frechet distance between Gaussian fits of two feature sets, at any dimensionality.
 
-One rank-revealing pivoted Cholesky factorisation S1 = L L^T (L is d x r, r the numerical
-rank of S1, n < d included) and one eigvalsh of L^T S2 L, whose nonzero spectrum is that of
-S1 S2, give Tr (S1^(1/2) S2 S1^(1/2))^(1/2) in O(d^2 r) flops.
+Each covariance is used through a factor S = F F^T. A fit of n <= d samples keeps its
+centred samples scaled by 1/sqrt(n-1) as F (d x n) and forms no d x d matrix; any other
+covariance is factored by a rank-revealing pivoted Cholesky, S1 = L L^T with L of shape
+d x r for the numerical rank r. One eigvalsh of the r x r matrix F1^T S2 F1 (of the
+smaller Gram matrix of F1^T F2 when S2 keeps its samples) gives
+Tr (S1^(1/2) S2 S1^(1/2))^(1/2), in O(d^2 r) flops against a d x d S2 and O(d r n2)
+against kept samples.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import lapack
@@ -47,11 +52,29 @@ class GaussianStats:
         return self.mean.size
 
 
+class _SampleFit(GaussianStats):
+    """A fit of n <= d samples: S = factor @ factor.T, factor the d x n scaled centred samples.
+
+    ``trace`` is tr S = ||factor||_F^2; ``cov`` is formed only when first read.
+    """
+
+    def __init__(self, mean: np.ndarray, factor: np.ndarray, trace: float) -> None:
+        object.__setattr__(self, "mean", mean)
+        object.__setattr__(self, "factor", factor)
+        object.__setattr__(self, "trace", trace)
+
+    @cached_property
+    def cov(self) -> np.ndarray:
+        cov = self.factor @ self.factor.T
+        return (cov + cov.T) / 2.0
+
+
 def fit_gaussian(features: np.ndarray) -> GaussianStats:
     """Sample mean and covariance (divisor n-1) of a feature matrix.
 
-    ``features`` is (n, d) with n >= 2; the covariance is symmetrized as
-    (C + C^T)/2 to scrub accumulation asymmetry.
+    ``features`` is (n, d) with n >= 2. For n > d the covariance is formed and symmetrized
+    as (C + C^T)/2 to scrub accumulation asymmetry; for n <= d the fit keeps the centred
+    samples instead and forms the (exactly symmetric) covariance only when ``cov`` is read.
     """
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2:
@@ -62,6 +85,12 @@ def fit_gaussian(features: np.ndarray) -> GaussianStats:
         raise ValueError("features contain non-finite values")
     mean = x.mean(axis=0)
     centered = x - mean
+    if x.shape[0] <= x.shape[1]:
+        centered /= np.sqrt(x.shape[0] - 1)
+        trace = float(np.vdot(centered, centered))
+        if not np.isfinite(trace):  # every |covariance entry| is at most the trace
+            raise ValueError("Gaussian stats must be finite")
+        return _SampleFit(mean, centered.T, trace)
     cov = centered.T @ centered / (x.shape[0] - 1)
     return GaussianStats(mean=mean, cov=(cov + cov.T) / 2.0)
 
@@ -81,25 +110,37 @@ def _warn_if_negative(mat: np.ndarray, scale: float, eigvals: np.ndarray | None 
 def frechet_distance(g1: GaussianStats, g2: GaussianStats) -> float:
     """Squared Frechet distance ||mu1 - mu2||^2 + Tr(S1 + S2 - 2 (S1^(1/2) S2 S1^(1/2))^(1/2)).
 
-    The root's trace is sum sqrt(eigvalsh(L^T S2 L)) for the pivoted Cholesky factor
-    S1[p][:, p] = L L^T of ``dpstrf`` at its default tolerance (d eps max diagonal), which
-    sets the rank r of L; cost O(d^2 r + r^3). Eigenvalues at or below eps tr S1 tr S2, the
-    round-off of forming L^T S2 L, count as 0, and the result is clipped at 0.
+    S1 = F F^T, with F the kept samples of an n <= d fit or else the pivoted Cholesky
+    factor S1[p][:, p] = L L^T of ``dpstrf`` at its default tolerance (d eps max diagonal),
+    which sets the rank r of L. The root's trace is sum sqrt(eigvalsh(F^T S2 F)), the
+    nonzero spectrum of S1 S2; when S2 = G G^T keeps its samples too, F^T S2 F is the Gram
+    matrix of F^T G, formed on its shorter side. Cost O(d^2 r + r^3) for a covariance S2 and
+    O(d r n2 + min(r, n2)^3) for kept samples. Eigenvalues at or below eps tr S1 tr S2, the
+    round-off of forming the matrix, count as 0, and the result is clipped at 0.
     """
     if g1.dim != g2.dim:
         raise ValueError(f"dimension mismatch: {g1.dim} vs {g2.dim}")
-    factor, piv, rank, _ = lapack.dpstrf(g1.cov, lower=1, tol=-1)
-    root = np.zeros((g1.dim, rank))  # S1 = root @ root.T + the Schur remainder
-    root[piv - 1] = np.tril(factor[:, :rank])
-    rest, tail = piv[rank:] - 1, factor[rank:, :rank]  # tail is root[rest]
-    schur = g1.cov[np.ix_(rest, rest)] - tail @ tail.T
-    _warn_if_negative(schur, np.max(np.abs(np.diag(g1.cov)), initial=0.0))
-    inner = root.T @ g2.cov @ root
+    if isinstance(g1, _SampleFit):
+        root, trace1 = g1.factor, g1.trace
+    else:
+        factor, piv, rank, _ = lapack.dpstrf(g1.cov, lower=1, tol=-1)
+        root = np.zeros((g1.dim, rank))  # S1 = root @ root.T + the Schur remainder
+        root[piv - 1] = np.tril(factor[:, :rank])
+        rest, tail = piv[rank:] - 1, factor[rank:, :rank]  # tail is root[rest]
+        schur = g1.cov[np.ix_(rest, rest)] - tail @ tail.T
+        _warn_if_negative(schur, np.max(np.abs(np.diag(g1.cov)), initial=0.0))
+        trace1 = np.trace(g1.cov)
+    if isinstance(g2, _SampleFit):
+        cross = root.T @ g2.factor
+        inner = cross @ cross.T if cross.shape[0] <= cross.shape[1] else cross.T @ cross
+        trace2 = g2.trace
+    else:
+        inner = root.T @ g2.cov @ root
+        trace2 = np.trace(g2.cov)
     eigvals = np.linalg.eigvalsh(inner)
     _warn_if_negative(inner, np.max(np.abs(np.diag(inner)), initial=0.0), eigvals)
-    # Round-off in S2 and in forming L^T S2 L moves its eigenvalues by about
+    # Round-off in S2 and in forming F^T S2 F moves its eigenvalues by about
     # eps ||S1|| ||S2|| <= eps tr S1 tr S2; anything at or below that counts as 0.
-    trace1, trace2 = np.trace(g1.cov), np.trace(g2.cov)
     floor = np.finfo(np.float64).eps * abs(trace1 * trace2)
     root_trace = np.sum(np.sqrt(eigvals[eigvals > floor]))
     trace_term = float(trace1 + trace2 - 2.0 * root_trace)

@@ -20,6 +20,7 @@ from episcope.episodes import (
     episode_to_json,
     prior_from_results,
     sample_episodes,
+    write_episodes,
 )
 from episcope.fid import GaussianStats, fid, frechet_distance
 from episcope.montecarlo import SimConfig, episode_counts, simulate
@@ -186,15 +187,17 @@ def test_5_fid_properties():
     )
 
 
-def test_6_episode_sampler_protocol():
-    """20x600 index, 5-way 5-shot, full remainder: 595 queries, <1s, stable bytes."""
+def test_6_episode_sampler_protocol(tmp_path):
+    """20x600 index, 5-way 5-shot, full remainder: 595 queries, sampled and written <1s, stable bytes."""
     index = DatasetIndex.from_mapping(
         {f"c{i:02d}": [f"c{i:02d}_e{j:03d}" for j in range(600)] for i in range(20)}
     )
+    out = tmp_path / "episodes.jsonl"
     started = time.monotonic()
     episodes = sample_episodes(index, 5, 5, None, 120, master_seed=606)
+    write_episodes(out, episodes)
     elapsed = time.monotonic() - started
-    assert elapsed < 1.0, f"sampling took {elapsed:.2f}s"
+    assert elapsed < 1.0, f"sampling and writing took {elapsed:.2f}s"
 
     for episode in episodes:
         assert len(episode.per_class) == 5
@@ -203,12 +206,13 @@ def test_6_episode_sampler_protocol():
             assert not set(split.support_ids) & set(split.query_ids)
 
     blob1 = "\n".join(episode_to_json(e) for e in episodes).encode()
+    assert out.read_bytes() == blob1 + b"\n"
     rerun = sample_episodes(index, 5, 5, None, 120, master_seed=606)
     blob2 = "\n".join(episode_to_json(e) for e in rerun).encode()
     assert blob1 == blob2
     print(
-        f"ACCEPTANCE 6 PASS: 120 episodes in {elapsed:.2f}s (<1s), 595 queries/class, "
-        f"no support/query overlap, reruns byte-identical ({len(blob1)} bytes)"
+        f"ACCEPTANCE 6 PASS: 120 episodes sampled and written in {elapsed:.2f}s (<1s), "
+        f"595 queries/class, no support/query overlap, reruns byte-identical ({len(blob1)} bytes)"
     )
 
 

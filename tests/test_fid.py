@@ -1,5 +1,6 @@
 """Gaussian feature statistics and the Frechet distance."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -243,3 +244,74 @@ class TestFidOracle:
         a = rng.normal(size=(n_a, dim)) * scale_a
         b = (rng.normal(size=(n_b, dim)) + shift) * scale_b
         assert fid(a, b) == pytest.approx(nuclear_norm_fid(a, b), rel=1e-12)
+
+
+class TestSampleFactorRoute:
+    """A fit of n <= d samples keeps them as its covariance factor and forms no d x d matrix."""
+
+    def test_wide_pair_forms_no_d_by_d_matrix(self):
+        rng = np.random.default_rng(11)
+        x = rng.normal(size=(20, 4096))
+        y = rng.normal(size=(20, 4096)) + 0.5
+        tracemalloc.start()
+        try:
+            value = fid(x, y)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert value > 0.0
+        assert peak < 16e6, f"peak {peak / 1e6:.1f} MB; one 4096 x 4096 float64 matrix is 134 MB"
+
+    @pytest.mark.parametrize(
+        ("n_x", "n_y", "dim"),
+        [(10, 15, 40), (40, 40, 40), (41, 41, 40), (12, 90, 40), (90, 12, 40), (40, 41, 40)],
+        ids=["both_n_lt_d", "n_eq_d", "n_eq_d_plus_1", "samples_then_cov", "cov_then_samples",
+             "n_eq_d_then_d_plus_1"],
+    )
+    def test_routes_agree(self, n_x, n_y, dim):
+        rng = np.random.default_rng(n_x * 1000 + n_y)
+        x = rng.normal(size=(n_x, dim)) * 2.0
+        y = rng.normal(size=(n_y, dim)) + 0.3
+        fx, fy = fit_gaussian(x), fit_gaussian(y)
+        covs = GaussianStats(fx.mean, fx.cov), GaussianStats(fy.mean, fy.cov)
+        assert fid(x, y) == pytest.approx(frechet_distance(*covs), rel=1e-10)
+        assert fid(x, y) == pytest.approx(nuclear_norm_fid(x, y), rel=1e-6)
+
+    @pytest.mark.parametrize(("n", "dim"), [(2, 2), (5, 30), (30, 30)])
+    def test_covariance_read_back_matches_np_cov(self, n, dim):
+        x = np.random.default_rng(n).normal(size=(n, dim)) * 3.0 + 1.0
+        cov = fit_gaussian(x).cov
+        np.testing.assert_allclose(cov, np.cov(x, rowvar=False), rtol=0, atol=1e-12)
+        assert np.array_equal(cov, cov.T)
+
+    def test_overflowing_covariance_rejected(self):
+        """As on the covariance route, a covariance beyond the float64 range is refused."""
+        x = np.zeros((2, 3))
+        x[0, 0], x[1, 0] = 1e200, -1e200
+        with pytest.raises(ValueError, match="finite"):
+            fit_gaussian(x)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [np.array([[0.0, 1.0], [1.0, 0.0]]), -1e-3 * np.eye(2)],
+        ids=["indefinite", "negative"],
+    )
+    def test_invalid_covariance_warns_against_a_sample_fit(self, bad):
+        """The bad covariance warns as S1 (Schur remainder) and as S2 (F^T S2 F)."""
+        g_bad = GaussianStats(np.zeros(2), bad)
+        g_samples = fit_gaussian(np.array([[1.0, -1.0], [-1.0, 1.0]]))
+        with pytest.warns(RuntimeWarning, match="eigenvalue"):
+            frechet_distance(g_bad, g_samples)
+        with pytest.warns(RuntimeWarning, match="eigenvalue"):
+            frechet_distance(g_samples, g_bad)
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+    def test_sample_fits_never_warn(self, scale):
+        rng = np.random.default_rng(12)
+        x = rng.normal(size=(8, 50)) * scale
+        fits = [fit_gaussian(x), fit_gaussian(x[:3]), fit_gaussian(x[::-1] * 1.5 + 2.0)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for a in fits:
+                for b in fits:
+                    assert frechet_distance(a, b) >= 0.0
