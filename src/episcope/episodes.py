@@ -14,11 +14,9 @@ import json
 import math
 import operator
 from collections import Counter
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from contextlib import nullcontext
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import chain
 from json.encoder import encode_basestring
 from pathlib import Path
 from typing import IO, Iterable
@@ -262,26 +260,6 @@ def _take_positions(steps: np.ndarray) -> np.ndarray:
     return taken
 
 
-def _remainder(ids: tuple[str, ...], cuts: list[int]) -> tuple[str, ...]:
-    """``ids`` without the sorted positions ``cuts``, in index order."""
-    rest = ids[:cuts[0]]
-    for lo, hi in zip(cuts, cuts[1:]):
-        rest += ids[lo + 1:hi]
-    return rest + ids[cuts[-1] + 1:]
-
-
-def _unchecked(cls, **fields):
-    """``cls(**fields)`` without ``__post_init__``, for fields valid by construction.
-
-    The instance holds the same field values, so it is equal, hash-equal and
-    repr-equal to one the constructor builds.
-    """
-    obj = object.__new__(cls)
-    for name, value in fields.items():
-        object.__setattr__(obj, name, value)  # as the frozen dataclass's __init__ does
-    return obj
-
-
 # Uniforms ``sample_episodes`` draws per numpy chunk of episodes; bounds memory only.
 _CHUNK_UNIFORMS = 1 << 17
 
@@ -289,24 +267,26 @@ _CHUNK_UNIFORMS = 1 << 17
 class EpisodeBatch(Sequence):
     """The episodes one :func:`sample_episodes` call drew, held as drawn positions.
 
-    For each chunk of episodes the batch keeps the episode seeds, the chosen
-    class positions (``ways`` per episode) and, per (episode, class) row, the
-    ID positions its shuffle took. ``EpisodeSpec`` and ``ClassSplit`` objects
-    are built only when the batch is indexed or iterated, a chunk at a time
-    for iteration, and :func:`write_episodes` writes a batch's lines from the
-    positions without building any. A batch equals a list or a batch of equal
-    episodes in the same order, so ``list(batch)`` is the list of episodes;
-    a slice is a list.
+    For each chunk of episodes the batch keeps the first episode ID, the
+    episode seeds, the chosen class positions (``ways`` per episode) and, per
+    (episode, class) row, the ID positions its shuffle took. A batch is its
+    JSONL lines: :func:`write_episodes` writes them from the positions, and
+    indexing or iterating writes the lines it needs and reads each back with
+    :func:`episode_from_json`, so every ``EpisodeSpec`` and ``ClassSplit`` is
+    built and checked by its constructor. An index writes one episode's line;
+    iteration writes a chunk at a time. A batch equals a list or a batch of
+    equal episodes in the same order, so ``list(batch)`` is the list of
+    episodes; a slice is a list.
     """
 
     def __init__(self, index, ways, shots, queries_per_class, sizes, per_chunk, chunks):
         self._index = index
         self._ways, self._shots, self._queries = ways, shots, queries_per_class
         self._sizes = sizes  # IDs per class
-        self._offsets = np.cumsum(sizes) - sizes  # position of each class's first ID among all
         self._per_chunk = per_chunk  # episodes per chunk; only the last may hold fewer
-        self._chunks = chunks  # (seeds, chosen, taken) per chunk, as sample_episodes drew them
-        self._len = sum(len(seeds) for seeds, _, _ in chunks)
+        # (first episode ID, seeds, chosen, taken) per chunk, as sample_episodes drew them
+        self._chunks = chunks
+        self._len = sum(len(seeds) for _, seeds, _, _ in chunks)
 
     def __len__(self) -> int:
         return self._len
@@ -320,13 +300,12 @@ class EpisodeBatch(Sequence):
         if not 0 <= i < self._len:
             raise IndexError("episode index out of range")
         chunk, row = divmod(i, self._per_chunk)
-        seeds, chosen, taken = self._chunks[chunk]
+        _, seeds, chosen, taken = self._chunks[chunk]
         rows = slice(row * self._ways, (row + 1) * self._ways)
-        return self._specs(i, seeds[row:row + 1], chosen[rows], taken[rows])[0]
+        return next(self._decode([(i, seeds[row:row + 1], chosen[rows], taken[rows])]))
 
-    def __iter__(self):
-        for chunk, (seeds, chosen, taken) in enumerate(self._chunks):
-            yield from self._specs(chunk * self._per_chunk, seeds, chosen, taken)
+    def __iter__(self) -> Iterator[EpisodeSpec]:
+        return self._decode(self._chunks)
 
     def __eq__(self, other):
         if not isinstance(other, (EpisodeBatch, list)):
@@ -335,53 +314,25 @@ class EpisodeBatch(Sequence):
 
     __hash__ = None  # a Sequence that compares by value, like a list
 
-    @cached_property
-    def _all_ids(self) -> np.ndarray:
-        """Every ID of the index, class after class: O(total IDs), once per batch."""
-        return np.array(
-            list(chain.from_iterable(ids for _, ids in self._index.classes)), dtype=object
-        )
+    def _decode(self, chunks) -> Iterator[EpisodeSpec]:
+        """The episodes of ``chunks``: their lines read back by :func:`episode_from_json`."""
+        for block in self._text(chunks):
+            # Split at "\n" only: str.splitlines() also splits at U+2028 and U+0085,
+            # which JSON leaves unescaped with ensure_ascii=False.
+            for line in block.split("\n")[:-1]:
+                yield episode_from_json(line)
 
-    def _specs(self, start: int, seeds, chosen, taken) -> list[EpisodeSpec]:
-        """Episodes ``start``, ``start + 1``, ... with these seeds and drawn positions.
+    def _text(self, chunks) -> Iterator[str]:
+        """The :func:`episode_to_json` lines of ``chunks``, in blocks of whole lines.
 
-        They are built without their ``__post_init__`` checks, which could not
-        fail here: the positions drawn in a class are distinct, and the index
-        has already checked that its names and IDs are strings and that no
-        class repeats an ID. They compare, hash and print as constructor-built
-        ones do.
-        """
-        ways, shots, k = self._ways, self._shots, taken.shape[1]
-        classes = self._index.classes
-        flat = tuple(self._all_ids[(self._offsets[chosen, None] + taken).ravel()].tolist())
-        chosen = chosen.tolist()
-        starts = range(0, len(flat), k)
-        if self._queries is None:
-            cuts = np.sort(taken, axis=1).tolist()
-            queries = [_remainder(classes[pos][1], c) for pos, c in zip(chosen, cuts)]
-        else:
-            queries = [flat[lo + shots:lo + k] for lo in starts]
-        splits = tuple(
-            _unchecked(ClassSplit, class_name=classes[pos][0], support_ids=flat[lo:lo + shots],
-                       query_ids=query_ids)
-            for pos, lo, query_ids in zip(chosen, starts, queries)
-        )
-        return [
-            _unchecked(EpisodeSpec, episode_id=start + e, seed=seed, ways=ways, shots=shots,
-                       per_class=splits[e * ways:(e + 1) * ways])
-            for e, seed in enumerate(seeds)
-        ]
-
-    def _write(self, fh: IO[str]) -> None:
-        """Write the batch as :func:`episode_to_json` lines, building no episode object.
-
-        Each class name, and each ID of a class some episode chose, is
-        JSON-encoded once, by the function ``json.dumps(..., ensure_ascii=False)``
-        uses for strings, and the lines are joined from those quoted strings.
+        No episode object is built. Each class name, and each ID of a class some
+        episode chose, is JSON-encoded once, by the function ``json.dumps(...,
+        ensure_ascii=False)`` uses for strings, and the lines are joined from
+        those quoted strings.
         """
         classes = self._index.classes
         used = np.zeros(len(classes), dtype=bool)
-        for _, chosen, _ in self._chunks:
+        for _, _, chosen, _ in chunks:
             used[chosen] = True
         quoted = [encode_basestring(i) for use, (_, ids) in zip(used, classes) if use for i in ids]
         # Class c's quoted IDs are quoted[offsets[c]:offsets[c] + sizes[c]]; a class
@@ -396,12 +347,11 @@ class EpisodeBatch(Sequence):
             self._ways, self._shots
         )
         if self._queries is None:
-            self._write_remainders(fh, quoted, offsets, sizes, heads, line_head)
-        else:
-            self._write_fixed(fh, np.array(quoted, dtype=object), offsets, heads, line_head)
+            return self._all_queries_lines(chunks, quoted, offsets, sizes, heads, line_head)
+        return self._fixed_lines(chunks, np.array(quoted, dtype=object), offsets, heads, line_head)
 
-    def _write_fixed(self, fh, quoted, offsets, heads, line_head) -> None:
-        """Lines of fixed-query episodes: one join per chunk, written as one block."""
+    def _fixed_lines(self, chunks, quoted, offsets, heads, line_head) -> Iterator[str]:
+        """Lines of fixed-query episodes: one join, and one block, per chunk."""
         ways, shots = self._ways, self._shots
         # Row r of a chunk is: episode head (first class only), class head, then
         # each picked ID followed by its separator.
@@ -409,8 +359,7 @@ class EpisodeBatch(Sequence):
             [","] * (shots - 1) + ['],"query_ids":['] + [","] * (self._queries - 1) + ["]},"],
             dtype=object,
         )
-        for chunk, (seeds, chosen, taken) in enumerate(self._chunks):
-            start = chunk * self._per_chunk
+        for start, seeds, chosen, taken in chunks:
             grid = np.empty((len(chosen), 2 + 2 * taken.shape[1]), dtype=object)
             grid[:, 0] = ""
             grid[::ways, 0] = [line_head % (start + e, seed) for e, seed in enumerate(seeds)]
@@ -418,14 +367,14 @@ class EpisodeBatch(Sequence):
             grid[:, 2::2] = quoted[offsets[chosen, None] + taken]
             grid[:, 3::2] = seps
             grid[ways - 1::ways, -1] = "]}]}\n"
-            fh.write("".join(grid.ravel().tolist()))
+            yield "".join(grid.ravel().tolist())
 
-    def _write_remainders(self, fh, quoted, offsets, sizes, heads, line_head) -> None:
-        """Lines of full-remainder episodes, written one at a time.
+    def _all_queries_lines(self, chunks, quoted, offsets, sizes, heads, line_head) -> Iterator[str]:
+        """Lines of full-remainder episodes, one block per line.
 
         Each class's quoted IDs are joined once, and an episode's queries are
         the slices of that text between its sorted support positions. A line
-        is written on its own because a chunk of such lines can be far larger
+        is a block on its own because a chunk of such lines can be far larger
         than the chunk's uniforms.
         """
         ways = self._ways
@@ -434,8 +383,7 @@ class EpisodeBatch(Sequence):
         # text[c]; for g one past the class's last ID that is len(text[c]) + 1.
         at = np.concatenate([[0], np.cumsum([len(q) + 1 for q in quoted])])
         quoted = np.array(quoted, dtype=object)
-        for chunk, (seeds, chosen, taken) in enumerate(self._chunks):
-            start = chunk * self._per_chunk
+        for start, seeds, chosen, taken in chunks:
             # Query runs lie between the sorted support positions: [0, cut_0),
             # (cut_0, cut_1), ..., (cut_last, size), as character spans of text[c].
             lo = offsets[chosen, None]
@@ -448,12 +396,12 @@ class EpisodeBatch(Sequence):
             heads_of = heads[chosen].tolist()
             chosen = chosen.tolist()
             for e, seed in enumerate(seeds):
-                fh.write(line_head % (start + e, seed) + ",".join(
+                yield line_head % (start + e, seed) + ",".join(
                     heads_of[r] + ",".join(support[r]) + '],"query_ids":[' + ",".join(
                         [text[chosen[r]][a:b] for a, b in zip(first[r], last[r]) if a < b]
                     ) + "]}"
                     for r in range(e * ways, (e + 1) * ways)
-                ) + "]}\n")
+                ) + "]}\n"
 
 
 def sample_episodes(
@@ -490,12 +438,10 @@ def sample_episodes(
     episode and the position shuffles of every (episode, class) row run as
     one batch of numpy steps, so an episode costs O(ways * (shots + q)), not
     the class sizes. The call returns the drawn positions, not episode
-    objects: the batch builds ``EpisodeSpec`` and ``ClassSplit`` objects only
-    when it is indexed or iterated, gathering IDs with one index into an
-    array of all IDs (O(total IDs), once per batch) and building the full
-    remainder from slices between support positions, and
-    :func:`write_episodes` writes a batch without building them at all.
-    ``list(...)`` of the batch gives the episodes as a list.
+    objects: :func:`write_episodes` writes a batch's lines from them without
+    building any, and indexing or iterating the batch reads those lines back
+    with :func:`episode_from_json`. ``list(...)`` of the batch gives the
+    episodes as a list.
     """
     for name, value in (("ways", ways), ("shots", shots), ("count", count)):
         _check_positive_int(value, name)
@@ -531,7 +477,7 @@ def sample_episodes(
             rng.random(out=u[row])
         chosen = _take_positions(_fisher_yates_steps(u[:, :ways], len(sizes))).ravel()
         steps = _fisher_yates_steps(u[:, ways:].reshape(-1, k), sizes[chosen, None])
-        chunks.append((chunk_seeds, chosen, _take_positions(steps)))
+        chunks.append((start, chunk_seeds, chosen, _take_positions(steps)))
     return EpisodeBatch(index, ways, shots, queries_per_class, sizes, per_chunk, chunks)
 
 
@@ -577,40 +523,14 @@ def prior_from_results(results: list[EpisodeResult]) -> AccuracyPrior:
 # --- serialization ---------------------------------------------------------
 
 
-# What JSON escapes in a string with ensure_ascii=False: '"', '\\' and U+0000-U+001F.
-_JSON_ESCAPED = b'"\\' + bytes(range(0x20))
-
-
-def _json_strings(strings: tuple[str, ...]) -> str:
-    return '["' + '","'.join(strings) + '"]' if strings else "[]"
-
-
 def episode_to_json(episode: EpisodeSpec) -> str:
     """Canonical single-line JSON; equal episodes serialize to equal bytes.
 
     The keys are the ``EpisodeSpec`` and ``ClassSplit`` fields in declaration order:
     the output is ``json.dumps(episode, default=vars, separators=(",", ":"),
-    ensure_ascii=False)``. When no class name or ID needs escaping, the same text
-    is built by joining whole ID tuples, which is several times faster than
-    encoding each ID on its own. ``EpisodeSpec`` holds exact ``int`` fields, so
-    ``%d`` writes them as ``json.dumps`` does.
+    ensure_ascii=False)``. An :class:`EpisodeBatch` writes the same lines from its
+    drawn positions.
     """
-    splits = []
-    quotes = 0
-    for split in episode.per_class:
-        support, query = split.support_ids, split.query_ids
-        splits.append(
-            '{"class_name":"' + split.class_name + '","support_ids":'
-            + _json_strings(support) + ',"query_ids":' + _json_strings(query) + "}"
-        )
-        # 8 for the three keys and the class name, 2 per ID.
-        quotes += 8 + 2 * (len(support) + len(query))
-    body = ",".join(splits)
-    raw = body.encode("utf-8", "surrogatepass")
-    if len(raw.translate(None, _JSON_ESCAPED)) == len(raw) - quotes:
-        return '{"episode_id":%d,"seed":%d,"ways":%d,"shots":%d,"per_class":[%s]}' % (
-            episode.episode_id, episode.seed, episode.ways, episode.shots, body
-        )
     return json.dumps(episode, default=vars, separators=(",", ":"), ensure_ascii=False)
 
 
@@ -661,7 +581,7 @@ def write_episodes(path_or_file: str | Path | IO[str], episodes: Iterable[Episod
         target = open(path_or_file, "w", encoding="utf-8")
     with target as fh:
         if isinstance(episodes, EpisodeBatch):
-            episodes._write(fh)
+            fh.writelines(episodes._text(episodes._chunks))
             return
         for episode in episodes:
             fh.write(episode_to_json(episode) + "\n")

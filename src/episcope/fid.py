@@ -11,6 +11,7 @@ against kept samples.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -91,19 +92,30 @@ def fit_gaussian(features: np.ndarray) -> GaussianStats:
         if not np.isfinite(trace):  # every |covariance entry| is at most the trace
             raise ValueError("Gaussian stats must be finite")
         return _SampleFit(mean, centered.T, trace)
-    cov = centered.T @ centered / (x.shape[0] - 1)
-    return GaussianStats(mean=mean, cov=(cov + cov.T) / 2.0)
+    with np.errstate(over="ignore"):  # GaussianStats refuses a covariance that overflowed
+        cov = centered.T @ centered / (x.shape[0] - 1)
+        cov = (cov + cov.T) / 2.0
+    return GaussianStats(mean=mean, cov=cov)
 
 
-def _warn_if_negative(mat: np.ndarray, scale: float, eigvals: np.ndarray | None = None) -> None:
-    """Warn if symmetric ``mat`` has an eigenvalue below -NEG_EIG_WARN_TOL * max(1, scale)."""
-    threshold = NEG_EIG_WARN_TOL * max(1.0, scale)
+def _warn_if_negative(
+    mat: np.ndarray, scale: float, eigvals: np.ndarray | None = None, shift: int = 0
+) -> None:
+    """Warn if symmetric ``mat`` has an eigenvalue below -NEG_EIG_WARN_TOL * max(1, scale).
+
+    ``mat``, ``scale`` and ``eigvals`` are 2**-shift times the checked matrix's values:
+    the threshold and the eigenvalue reported are in the matrix's own units.
+    """
+    unit = math.ldexp(1.0, min(-shift, 1023))  # 2**-shift, capped to stay finite
+    threshold = NEG_EIG_WARN_TOL * max(unit, scale)
     if eigvals is None:
         if np.max(np.sum(np.abs(mat), axis=1), initial=0.0) <= threshold:
             return  # the largest absolute row sum bounds every |eigenvalue|
         eigvals = np.linalg.eigvalsh(mat)
     if eigvals.size and eigvals[0] < -threshold:
-        warnings.warn(f"covariance eigenvalue {eigvals[0]:.3e} is well below zero; input is not "
+        with np.errstate(over="ignore"):
+            value = np.ldexp(eigvals[0], shift)
+        warnings.warn(f"covariance eigenvalue {value:.3e} is well below zero; input is not "
                       "a valid covariance matrix", RuntimeWarning, stacklevel=3)
 
 
@@ -117,6 +129,12 @@ def frechet_distance(g1: GaussianStats, g2: GaussianStats) -> float:
     matrix of F^T G, formed on its shorter side. Cost O(d^2 r + r^3) for a covariance S2 and
     O(d r n2 + min(r, n2)^3) for kept samples. Eigenvalues at or below eps tr S1 tr S2, the
     round-off of forming the matrix, count as 0, and the result is clipped at 0.
+
+    F^T S2 F scales as tr S1 tr S2, which would leave the float64 range for features
+    beyond about 1e80 or below 1e-100, so its factors are scaled to form it 4**-m times
+    smaller, with 4**m near tr S1 tr S2, and the root trace is scaled back by 2**m.
+    Powers of two scale exactly, so results within that range are unchanged, and the
+    range reaches features of about 1e-150 to 1e150.
     """
     if g1.dim != g2.dim:
         raise ValueError(f"dimension mismatch: {g1.dim} vs {g2.dim}")
@@ -130,19 +148,25 @@ def frechet_distance(g1: GaussianStats, g2: GaussianStats) -> float:
         schur = g1.cov[np.ix_(rest, rest)] - tail @ tail.T
         _warn_if_negative(schur, np.max(np.abs(np.diag(g1.cov)), initial=0.0))
         trace1 = np.trace(g1.cov)
+    trace2 = g2.trace if isinstance(g2, _SampleFit) else np.trace(g2.cov)
+    # tr S1 = 4**h1 and tr S2 = 4**h2 to within a factor of 2; m = h1 + h2.
+    h1, h2 = (math.frexp(abs(trace))[1] // 2 for trace in (trace1, trace2))
+    m = h1 + h2
     if isinstance(g2, _SampleFit):
         cross = root.T @ g2.factor
+        np.ldexp(cross, -m, out=cross)
         inner = cross @ cross.T if cross.shape[0] <= cross.shape[1] else cross.T @ cross
-        trace2 = g2.trace
     else:
-        inner = root.T @ g2.cov @ root
-        trace2 = np.trace(g2.cov)
+        scaled = np.ldexp(root, -m)  # so that root.T @ S2 stays in range too
+        inner = scaled.T @ g2.cov @ scaled
     eigvals = np.linalg.eigvalsh(inner)
-    _warn_if_negative(inner, np.max(np.abs(np.diag(inner)), initial=0.0), eigvals)
+    _warn_if_negative(inner, np.max(np.abs(np.diag(inner)), initial=0.0), eigvals, 2 * m)
     # Round-off in S2 and in forming F^T S2 F moves its eigenvalues by about
     # eps ||S1|| ||S2|| <= eps tr S1 tr S2; anything at or below that counts as 0.
-    floor = np.finfo(np.float64).eps * abs(trace1 * trace2)
-    root_trace = np.sum(np.sqrt(eigvals[eigvals > floor]))
+    floor = np.finfo(np.float64).eps * abs(
+        math.ldexp(trace1, -2 * h1) * math.ldexp(trace2, -2 * h2)
+    )
+    root_trace = math.ldexp(np.sum(np.sqrt(eigvals[eigvals > floor])), m)
     trace_term = float(trace1 + trace2 - 2.0 * root_trace)
     return max(0.0, float(np.sum((g1.mean - g2.mean) ** 2)) + trace_term)
 

@@ -47,6 +47,14 @@ class TestFitGaussian:
         with pytest.raises(ValueError, match="finite"):
             fit_gaussian(bad)
 
+    def test_overflowing_covariance_refused_without_a_warning(self):
+        """300 x 64 at 1e160: the covariance overflows, which is an error, not a warning."""
+        x = np.random.default_rng(3).normal(size=(300, 64)) * 1e160
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite"):
+                fit_gaussian(x)
+
 
 class TestGaussianStatsValidation:
     def test_asymmetric_covariance_rejected(self):
@@ -138,6 +146,18 @@ class TestFrechetDistance:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert fid(x * scale, y * scale) == pytest.approx(fid(x, y) * scale**2, rel=1e-6)
+
+    @pytest.mark.parametrize("k", [-400, -332, -200, 0, 200, 266, 400])
+    @pytest.mark.parametrize("n", [20, 300])
+    def test_power_of_two_scaling_is_exact(self, k, n):
+        """fid(2**k x, 2**k y) = 4**k fid(x, y), far past where F^T S2 F over- or underflows."""
+        rng = np.random.default_rng(n)
+        x = rng.normal(size=(n, 64))
+        y = rng.normal(size=(n, 64)) * 1.5 + 0.2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scaled = fid(2.0**k * x, 2.0**k * y)
+        assert scaled / 4.0**k == pytest.approx(fid(x, y), rel=1e-12)
 
     def test_rank_deficient_diagonal_closed_form(self):
         """d = 200 with zero variances in both: sum (sqrt(a_i) - sqrt(b_i))^2 still holds."""

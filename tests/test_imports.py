@@ -6,8 +6,11 @@ that loads them without using them spends most of its time starting up. Only
 (``scipy.linalg``) use scipy. Each probe runs in a fresh interpreter, because
 the test process has long since imported everything. One more probe checks
 that importing the CLI builds no argument parser, only its first ``main`` call.
+A last check parses the package, the tests and the scripts for imported names
+that are never used.
 """
 
+import ast
 import inspect
 import json
 import os
@@ -18,7 +21,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 VARIANCE = "variance --a 0.87 --sigma 0.05 --kp 600 --kq 75 --json"
 PLAN_COST = (
     "plan cost --a 0.93 --sigma 0.028 --cost-episode 5 --cost-query 0.1 --target-var 7e-6"
@@ -140,3 +144,36 @@ def test_fid_name_is_the_module():
     import episcope.fid
 
     assert inspect.ismodule(episcope.fid)
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names an ``import`` in ``source`` binds that no other line of it mentions."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
+
+
+def test_unused_imports_detector():
+    source = "import os.path\nimport sys as system\nfrom a import b, c\nprint(os, c)\n"
+    assert unused_imports(source) == ["line 2: system", "line 3: b"]
+
+
+def test_no_unused_imports():
+    files = sorted(
+        path for folder in ("src/episcope", "tests", "scripts")
+        for path in (ROOT / folder).rglob("*.py")
+    )
+    assert len(files) > 20
+    unused = {
+        str(path.relative_to(ROOT)): names
+        for path in files if (names := unused_imports(path.read_text(encoding="utf-8")))
+    }
+    assert unused == {}
