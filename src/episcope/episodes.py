@@ -233,31 +233,42 @@ def _take_positions(steps: np.ndarray) -> np.ndarray:
 
     Row r of the ``(rows, k)`` array ``steps`` is one shuffle: step i swaps slot i
     with slot ``steps[r, i]`` (>= i). Only slots 0..k-1 and the targets are ever
-    touched, so each row keeps 2k slots: target j < k is slot j, and target
-    j >= k is slot k + the dense rank of j among the row's targets >= k. The k
-    swap steps then run over every row at once, in O(rows * k) memory.
+    touched, so all rows together keep 2 * rows * k slots, in O(rows * k) memory:
+    row r's slot j < k is ``r * k + j``, and its target j >= k is slot
+    ``rows * k - 1`` + the dense rank of (r, j) among every row's targets >= k.
+    One ``cumsum`` over the rows' sorted targets, laid end to end, gives those
+    ranks: it counts each target >= k that differs from the one before it or
+    starts its row. Equal targets of a row get one rank whatever their order, so
+    numpy's default (unstable) sort gives the same slots as a stable one. The k
+    swap steps then run over every row at once, on a contiguous ``(k, rows)``
+    target array, and read each row's own slot i as a strided column of the
+    lower slots.
     """
     rows, k = steps.shape
-    order = np.argsort(steps, axis=1, kind="stable")
-    ordered = np.take_along_axis(steps, order, axis=1)
+    n = rows * k
+    base = np.arange(0, n, k)[:, None]
+    order = np.argsort(steps, axis=1)
+    order += base
+    order = order.ravel()
+    ordered = steps.ravel()[order]
     high = ordered >= k
-    first = high.copy()
-    first[:, 1:] &= ordered[:, 1:] != ordered[:, :-1]
-    slot_of = np.empty_like(steps)
-    np.put_along_axis(
-        slot_of, order, np.where(high, k - 1 + np.cumsum(first, axis=1), ordered), axis=1
-    )
-    base = np.arange(rows) * (2 * k)
-    targets = base[:, None] + slot_of
-    slots = np.empty(rows * 2 * k, dtype=steps.dtype)
-    slots.reshape(rows, 2 * k)[:, :k] = np.arange(k)
-    slots[targets] = steps
-    taken = np.empty_like(steps)
+    first = high.astype(steps.dtype)  # cumsum over a bool array is several times slower
+    first[1:] *= ordered[1:] != ordered[:-1]
+    first[::k] = high[::k]
+    slot = np.where(high, n - 1 + np.cumsum(first), (ordered.reshape(rows, k) + base).ravel())
+    slot_of = np.empty(n, dtype=steps.dtype)
+    slot_of[order] = slot
+    targets = np.ascontiguousarray(slot_of.reshape(rows, k).T)
+    slots = np.empty(2 * n, dtype=steps.dtype)
+    own = slots[:n].reshape(rows, k)
+    own[:] = np.arange(k)
+    slots[slot] = ordered
+    taken = np.empty((k, rows), dtype=steps.dtype)
     for i in range(k):
-        target = targets[:, i]
-        taken[:, i] = slots[target]
-        slots[target] = slots[base + i]
-    return taken
+        target = targets[i]
+        taken[i] = slots[target]
+        slots[target] = own[:, i]
+    return taken.T
 
 
 # Uniforms ``sample_episodes`` draws per numpy chunk of episodes; bounds memory only.
@@ -287,6 +298,9 @@ class EpisodeBatch(Sequence):
         # (first episode ID, seeds, chosen, taken) per chunk, as sample_episodes drew them
         self._chunks = chunks
         self._len = sum(len(seeds) for _, seeds, _, _ in chunks)
+        # Per class, _encode(c) once a call needs it; threads that race to fill
+        # one class store equal values, so no lock is needed.
+        self._encoded = [None] * len(index.classes)
 
     def __len__(self) -> int:
         return self._len
@@ -325,30 +339,45 @@ class EpisodeBatch(Sequence):
     def _text(self, chunks) -> Iterator[str]:
         """The :func:`episode_to_json` lines of ``chunks``, in blocks of whole lines.
 
-        No episode object is built. Each class name, and each ID of a class some
-        episode chose, is JSON-encoded once, by the function ``json.dumps(...,
-        ensure_ascii=False)`` uses for strings, and the lines are joined from
-        those quoted strings.
+        No episode object is built. The name and IDs of a class are JSON-encoded,
+        by the function ``json.dumps(..., ensure_ascii=False)`` uses for strings,
+        when a call first needs that class, and kept for the batch's later
+        calls; the lines are joined from those quoted strings.
         """
         classes = self._index.classes
         used = np.zeros(len(classes), dtype=bool)
         for _, _, chosen, _ in chunks:
             used[chosen] = True
-        quoted = [encode_basestring(i) for use, (_, ids) in zip(used, classes) if use for i in ids]
+        heads = np.empty(len(classes), dtype=object)
+        sizes = np.where(used, self._sizes, 0)
+        used = np.flatnonzero(used).tolist()
+        for c in used:
+            if self._encoded[c] is None:
+                self._encoded[c] = self._encode(c)
+            heads[c] = self._encoded[c][0]
         # Class c's quoted IDs are quoted[offsets[c]:offsets[c] + sizes[c]]; a class
         # no episode chose has none.
-        sizes = np.where(used, self._sizes, 0)
         offsets = np.cumsum(sizes) - sizes
-        heads = np.array(
-            ['{"class_name":%s,"support_ids":[' % encode_basestring(name) for name, _ in classes],
-            dtype=object,
-        )
+        quoted = np.concatenate([self._encoded[c][1] for c in used])
         line_head = '{"episode_id":%%d,"seed":%%d,"ways":%d,"shots":%d,"per_class":[' % (
             self._ways, self._shots
         )
         if self._queries is None:
-            return self._all_queries_lines(chunks, quoted, offsets, sizes, heads, line_head)
-        return self._fixed_lines(chunks, np.array(quoted, dtype=object), offsets, heads, line_head)
+            return self._all_queries_lines(chunks, used, quoted, offsets, heads, line_head)
+        return self._fixed_lines(chunks, quoted, offsets, heads, line_head)
+
+    def _encode(self, c: int) -> tuple:
+        """Class c's line head and quoted IDs; with all queries, also their text and lengths.
+
+        The text is the quoted IDs joined by ",".
+        """
+        name, ids = self._index.classes[c]
+        head = '{"class_name":%s,"support_ids":[' % encode_basestring(name)
+        quoted = [encode_basestring(i) for i in ids]
+        if self._queries is not None:
+            return head, np.array(quoted, dtype=object)
+        lengths = np.fromiter(map(len, quoted), dtype=np.int64, count=len(quoted))
+        return head, np.array(quoted, dtype=object), ",".join(quoted), lengths
 
     def _fixed_lines(self, chunks, quoted, offsets, heads, line_head) -> Iterator[str]:
         """Lines of fixed-query episodes: one join, and one block, per chunk."""
@@ -369,20 +398,20 @@ class EpisodeBatch(Sequence):
             grid[ways - 1::ways, -1] = "]}]}\n"
             yield "".join(grid.ravel().tolist())
 
-    def _all_queries_lines(self, chunks, quoted, offsets, sizes, heads, line_head) -> Iterator[str]:
+    def _all_queries_lines(self, chunks, used, quoted, offsets, heads, line_head) -> Iterator[str]:
         """Lines of full-remainder episodes, one block per line.
 
-        Each class's quoted IDs are joined once, and an episode's queries are
-        the slices of that text between its sorted support positions. A line
-        is a block on its own because a chunk of such lines can be far larger
-        than the chunk's uniforms.
+        Each class's quoted IDs are joined once per batch, and an episode's
+        queries are the slices of that text between its sorted support
+        positions. A line is a block on its own because a chunk of such lines
+        can be far larger than the chunk's uniforms.
         """
-        ways = self._ways
-        text = [",".join(quoted[lo:lo + n]) for lo, n in zip(offsets.tolist(), sizes.tolist())]
+        ways, sizes = self._ways, self._sizes
+        text = {c: self._encoded[c][2] for c in used}
         # Quoted ID g of class c starts at character at[g] - at[offsets[c]] of
         # text[c]; for g one past the class's last ID that is len(text[c]) + 1.
-        at = np.concatenate([[0], np.cumsum([len(q) + 1 for q in quoted])])
-        quoted = np.array(quoted, dtype=object)
+        at = np.zeros(len(quoted) + 1, dtype=np.int64)
+        np.cumsum(np.concatenate([self._encoded[c][3] for c in used]) + 1, out=at[1:])
         for start, seeds, chosen, taken in chunks:
             # Query runs lie between the sorted support positions: [0, cut_0),
             # (cut_0, cut_1), ..., (cut_last, size), as character spans of text[c].
@@ -396,12 +425,18 @@ class EpisodeBatch(Sequence):
             heads_of = heads[chosen].tolist()
             chosen = chosen.tolist()
             for e, seed in enumerate(seeds):
-                yield line_head % (start + e, seed) + ",".join(
-                    heads_of[r] + ",".join(support[r]) + '],"query_ids":[' + ",".join(
-                        [text[chosen[r]][a:b] for a, b in zip(first[r], last[r]) if a < b]
-                    ) + "]}"
-                    for r in range(e * ways, (e + 1) * ways)
-                ) + "]}\n"
+                # One flat list of pieces and one join per line. Every class has a
+                # query, so each class's pieces end with a "," that closes it.
+                pieces = [line_head % (start + e, seed)]
+                for r in range(e * ways, (e + 1) * ways):
+                    pieces += (heads_of[r], ",".join(support[r]), '],"query_ids":[')
+                    class_text = text[chosen[r]]
+                    for a, b in zip(first[r], last[r]):
+                        if a < b:
+                            pieces += (class_text[a:b], ",")
+                    pieces[-1] = "]},"
+                pieces[-1] = "]}]}\n"
+                yield "".join(pieces)
 
 
 def sample_episodes(
@@ -472,9 +507,9 @@ def sample_episodes(
     for start in range(0, count, per_chunk):
         chunk_seeds = seeds[start:start + per_chunk]
         u = np.empty((len(chunk_seeds), width))
-        for row, seed in enumerate(chunk_seeds):
+        for row, seed in zip(u, chunk_seeds):
             rekey_philox(bitgen, seed)
-            rng.random(out=u[row])
+            rng.random(out=row)
         chosen = _take_positions(_fisher_yates_steps(u[:, :ways], len(sizes))).ravel()
         steps = _fisher_yates_steps(u[:, ways:].reshape(-1, k), sizes[chosen, None])
         chunks.append((start, chunk_seeds, chosen, _take_positions(steps)))

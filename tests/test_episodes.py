@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy import stats
 
 from episcope import episodes as episodes_mod
@@ -277,13 +278,14 @@ def swap_targets(draw):
     """A (rows, k) array of swap targets j_i in [i, n - 1], with n drawn per row.
 
     Small n makes targets repeat and land below k; large n puts them above k.
+    Many rows make equal targets meet across row boundaries.
     """
-    k = draw(st.integers(1, 12))
-    rows = []
-    for _ in range(draw(st.integers(1, 8))):
-        n = draw(st.integers(k, 2 * k + 2) | st.integers(k, 2**40))
-        rows.append([draw(st.integers(i, n - 1)) for i in range(k)])
-    return np.array(rows, dtype=np.int64)
+    k, rows = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    sizes = st.integers(k, 2 * k + 2) | st.integers(k, 2**40)
+    n = draw(hnp.arrays(np.int64, rows, elements=sizes))
+    raw = draw(hnp.arrays(np.int64, (rows, k), elements=st.integers(0, 2**40)))
+    i = np.arange(k)
+    return i + raw % (n[:, None] - i)
 
 
 class TestTakePositions:
@@ -294,6 +296,28 @@ class TestTakePositions:
         assert taken.shape == steps.shape
         for row, expected in zip(taken.tolist(), steps.tolist()):
             assert row == reference_take_positions(expected)
+
+    @pytest.mark.parametrize(
+        "steps",
+        [
+            [[5, 5, 5, 5], [5, 5, 5, 5]],
+            [[2, 6, 6, 3], [2, 6, 6, 3], [2, 6, 6, 3]],
+            [[5, 5, 5, 5], [5, 6, 5, 5]],
+            [[4, 7, 4, 9], [9, 9, 9, 9]],
+            [[1, 3, 2, 3], [4, 7, 4, 9]],
+            [[0], [0], [5], [5], [3], [0], [3]],
+        ],
+        ids=["identical_high_rows", "identical_mixed_rows", "one_high_target_swapped_apart",
+             "row_max_is_next_row_min", "low_row_then_high_row", "k1"],
+    )
+    def test_equal_targets_across_row_boundaries(self, steps):
+        """Equal targets of adjacent rows are two rows' slots, not one.
+
+        Identical rows would not notice a shared slot, since they write it alike;
+        the next two cases write one row's slot between the other's reads.
+        """
+        taken = _take_positions(np.array(steps, dtype=np.int64))
+        assert taken.tolist() == [reference_take_positions(row) for row in steps]
 
 
 class TestStream:
@@ -591,7 +615,8 @@ class TestEncoder:
 
     def test_lone_surrogate_fails_the_write_either_way(self, tmp_path):
         episode = EpisodeSpec(0, 1, 1, 1, (ClassSplit("k", ("s\ud800",), ("q",)),))
-        assert episode_to_json(episode) == reference_json(episode)
+        # The line exists in memory; only its UTF-8 write fails.
+        assert episode_from_json(episode_to_json(episode)) == episode
         with open(tmp_path / "ref.jsonl", "w", encoding="utf-8") as fh:
             with pytest.raises(UnicodeEncodeError) as reference:
                 fh.write(reference_json(episode) + "\n")
@@ -667,6 +692,26 @@ class TestEpisodeBatch:
         buf = io.StringIO()
         write_episodes(buf, batch)
         assert buf.getvalue() == expected
+
+    @pytest.mark.parametrize("queries", [None, 3])
+    def test_each_chosen_class_is_encoded_once(self, monkeypatch, queries):
+        """Indexing every episode and then writing quotes each class's name and IDs once."""
+        index = tiny_index(n_classes=7, size=9)
+        batch = sample_episodes(index, 4, 2, queries, 30, master_seed=6)
+        calls = Counter()
+        encode = episodes_mod.encode_basestring
+
+        def counted(text):
+            calls[text] += 1
+            return encode(text)
+
+        monkeypatch.setattr(episodes_mod, "encode_basestring", counted)
+        episodes = [batch[i] for i in range(len(batch))]
+        write_episodes(io.StringIO(), batch)
+        chosen = {split.class_name for e in episodes for split in e.per_class}
+        assert calls == Counter(
+            [*chosen, *(i for name, ids in index.classes if name in chosen for i in ids)]
+        )
 
     @pytest.mark.parametrize("chunk_uniforms", [1, 50, 1 << 17])
     def test_behaves_as_the_episode_list(self, monkeypatch, chunk_uniforms):
