@@ -166,7 +166,8 @@ def _write_text(out: str | None, text: str) -> None:
 
 # --- subcommand handlers ----------------------------------------------------
 # montecarlo, fid, featureio and blend are imported inside the handlers that
-# use them, so the other commands start without loading them or scipy.
+# use them, so the other commands start without loading them. scipy is loaded
+# only by episodes.aggregate, for its t quantile.
 
 
 def _cmd_variance(args) -> int:

@@ -17,6 +17,7 @@ from collections import Counter
 from collections.abc import Iterator, Sequence
 from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import cached_property
 from json.encoder import encode_basestring
 from pathlib import Path
 from typing import IO, Iterable
@@ -298,9 +299,6 @@ class EpisodeBatch(Sequence):
         # (first episode ID, seeds, chosen, taken) per chunk, as sample_episodes drew them
         self._chunks = chunks
         self._len = sum(len(seeds) for _, seeds, _, _ in chunks)
-        # Per class, _encode(c) once a call needs it; threads that race to fill
-        # one class store equal values, so no lock is needed.
-        self._encoded = [None] * len(index.classes)
 
     def __len__(self) -> int:
         return self._len
@@ -339,49 +337,53 @@ class EpisodeBatch(Sequence):
     def _text(self, chunks) -> Iterator[str]:
         """The :func:`episode_to_json` lines of ``chunks``, in blocks of whole lines.
 
-        No episode object is built. The name and IDs of a class are JSON-encoded,
-        by the function ``json.dumps(..., ensure_ascii=False)`` uses for strings,
-        when a call first needs that class, and kept for the batch's later
-        calls; the lines are joined from those quoted strings.
+        No episode object is built: the lines are joined from the strings of
+        :attr:`_encoded`, so a call's own work is in the rows it writes.
         """
-        classes = self._index.classes
-        used = np.zeros(len(classes), dtype=bool)
-        for _, _, chosen, _ in chunks:
-            used[chosen] = True
-        heads = np.empty(len(classes), dtype=object)
-        sizes = np.where(used, self._sizes, 0)
-        used = np.flatnonzero(used).tolist()
-        for c in used:
-            if self._encoded[c] is None:
-                self._encoded[c] = self._encode(c)
-            heads[c] = self._encoded[c][0]
-        # Class c's quoted IDs are quoted[offsets[c]:offsets[c] + sizes[c]]; a class
-        # no episode chose has none.
-        offsets = np.cumsum(sizes) - sizes
-        quoted = np.concatenate([self._encoded[c][1] for c in used])
         line_head = '{"episode_id":%%d,"seed":%%d,"ways":%d,"shots":%d,"per_class":[' % (
             self._ways, self._shots
         )
         if self._queries is None:
-            return self._all_queries_lines(chunks, used, quoted, offsets, heads, line_head)
-        return self._fixed_lines(chunks, quoted, offsets, heads, line_head)
+            return self._all_queries_lines(chunks, line_head)
+        return self._fixed_lines(chunks, line_head)
 
-    def _encode(self, c: int) -> tuple:
-        """Class c's line head and quoted IDs; with all queries, also their text and lengths.
+    @cached_property
+    def _encoded(self) -> tuple:
+        """(heads, quoted, offsets, text, at) over the classes any episode of the batch chose.
 
-        The text is the quoted IDs joined by ",".
+        Built once per batch, when a call first needs it; threads that race to
+        build it store equal values. Names and IDs are JSON-encoded by the
+        function ``json.dumps(..., ensure_ascii=False)`` uses for strings. Class
+        c's line head is heads[c] and its quoted IDs are
+        quoted[offsets[c]:offsets[c] + sizes[c]]; a class no episode chose has
+        none. With all queries, text[c] is those IDs joined by ",", and quoted
+        ID g of class c starts at character at[g] - at[offsets[c]] of text[c]
+        (len(text[c]) + 1 for g one past the class's last ID); with fixed
+        queries, text is empty and at is None.
         """
-        name, ids = self._index.classes[c]
-        head = '{"class_name":%s,"support_ids":[' % encode_basestring(name)
-        quoted = [encode_basestring(i) for i in ids]
-        if self._queries is not None:
-            return head, np.array(quoted, dtype=object)
-        lengths = np.fromiter(map(len, quoted), dtype=np.int64, count=len(quoted))
-        return head, np.array(quoted, dtype=object), ",".join(quoted), lengths
+        classes = self._index.classes
+        used = np.zeros(len(classes), dtype=bool)
+        for _, _, chosen, _ in self._chunks:
+            used[chosen] = True
+        sizes = np.where(used, self._sizes, 0)
+        heads = np.empty(len(classes), dtype=object)
+        quoted, text, at = [], {}, None
+        for c in np.flatnonzero(used).tolist():
+            name, ids = classes[c]
+            heads[c] = '{"class_name":%s,"support_ids":[' % encode_basestring(name)
+            class_quoted = [encode_basestring(i) for i in ids]
+            quoted += class_quoted
+            if self._queries is None:
+                text[c] = ",".join(class_quoted)
+        if self._queries is None:
+            at = np.zeros(len(quoted) + 1, dtype=np.int64)
+            np.cumsum(np.fromiter(map(len, quoted), np.int64, len(quoted)) + 1, out=at[1:])
+        return heads, np.array(quoted, dtype=object), np.cumsum(sizes) - sizes, text, at
 
-    def _fixed_lines(self, chunks, quoted, offsets, heads, line_head) -> Iterator[str]:
+    def _fixed_lines(self, chunks, line_head) -> Iterator[str]:
         """Lines of fixed-query episodes: one join, and one block, per chunk."""
         ways, shots = self._ways, self._shots
+        heads, quoted, offsets, _, _ = self._encoded
         # Row r of a chunk is: episode head (first class only), class head, then
         # each picked ID followed by its separator.
         seps = np.array(
@@ -398,7 +400,7 @@ class EpisodeBatch(Sequence):
             grid[ways - 1::ways, -1] = "]}]}\n"
             yield "".join(grid.ravel().tolist())
 
-    def _all_queries_lines(self, chunks, used, quoted, offsets, heads, line_head) -> Iterator[str]:
+    def _all_queries_lines(self, chunks, line_head) -> Iterator[str]:
         """Lines of full-remainder episodes, one block per line.
 
         Each class's quoted IDs are joined once per batch, and an episode's
@@ -407,11 +409,7 @@ class EpisodeBatch(Sequence):
         can be far larger than the chunk's uniforms.
         """
         ways, sizes = self._ways, self._sizes
-        text = {c: self._encoded[c][2] for c in used}
-        # Quoted ID g of class c starts at character at[g] - at[offsets[c]] of
-        # text[c]; for g one past the class's last ID that is len(text[c]) + 1.
-        at = np.zeros(len(quoted) + 1, dtype=np.int64)
-        np.cumsum(np.concatenate([self._encoded[c][3] for c in used]) + 1, out=at[1:])
+        heads, quoted, offsets, text, at = self._encoded
         for start, seeds, chosen, taken in chunks:
             # Query runs lie between the sorted support positions: [0, cut_0),
             # (cut_0, cut_1), ..., (cut_last, size), as character spans of text[c].

@@ -2,11 +2,11 @@
 
 Each covariance is used through a factor S = F F^T. A fit of n <= d samples keeps its
 centred samples scaled by 1/sqrt(n-1) as F (d x n) and forms no d x d matrix; any other
-covariance is factored by a rank-revealing pivoted Cholesky, S1 = L L^T with L of shape
-d x r for the numerical rank r. One eigvalsh of the r x r matrix F1^T S2 F1 (of the
-smaller Gram matrix of F1^T F2 when S2 keeps its samples) gives
-Tr (S1^(1/2) S2 S1^(1/2))^(1/2), in O(d^2 r) flops against a d x d S2 and O(d r n2)
-against kept samples.
+covariance S1 is factored by numpy's Cholesky, S1 = L L^T, or, when that fails because
+S1 is singular or not a covariance, by its eigendecomposition, F = V sqrt(max(w, 0)).
+One eigvalsh of the r x r matrix F1^T S2 F1, r the columns of F1 (of the smaller Gram
+matrix of F1^T F2 when S2 keeps its samples), gives Tr (S1^(1/2) S2 S1^(1/2))^(1/2), in
+O(d^2 r) flops against a d x d S2 and O(d r n2) against kept samples. Only numpy is used.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import lapack
 
 # Eigenvalues below -NEG_EIG_WARN_TOL * max(1, max |diagonal|) mean a broken covariance.
 NEG_EIG_WARN_TOL = 1e-6
@@ -98,20 +97,14 @@ def fit_gaussian(features: np.ndarray) -> GaussianStats:
     return GaussianStats(mean=mean, cov=cov)
 
 
-def _warn_if_negative(
-    mat: np.ndarray, scale: float, eigvals: np.ndarray | None = None, shift: int = 0
-) -> None:
-    """Warn if symmetric ``mat`` has an eigenvalue below -NEG_EIG_WARN_TOL * max(1, scale).
+def _warn_if_negative(eigvals: np.ndarray, scale: float, shift: int = 0) -> None:
+    """Warn if the ascending ``eigvals`` start below -NEG_EIG_WARN_TOL * max(1, scale).
 
-    ``mat``, ``scale`` and ``eigvals`` are 2**-shift times the checked matrix's values:
-    the threshold and the eigenvalue reported are in the matrix's own units.
+    ``eigvals`` and ``scale`` are 2**-shift times the checked matrix's values: the
+    threshold and the eigenvalue reported are in the matrix's own units.
     """
     unit = math.ldexp(1.0, min(-shift, 1023))  # 2**-shift, capped to stay finite
     threshold = NEG_EIG_WARN_TOL * max(unit, scale)
-    if eigvals is None:
-        if np.max(np.sum(np.abs(mat), axis=1), initial=0.0) <= threshold:
-            return  # the largest absolute row sum bounds every |eigenvalue|
-        eigvals = np.linalg.eigvalsh(mat)
     if eigvals.size and eigvals[0] < -threshold:
         with np.errstate(over="ignore"):
             value = np.ldexp(eigvals[0], shift)
@@ -122,11 +115,13 @@ def _warn_if_negative(
 def frechet_distance(g1: GaussianStats, g2: GaussianStats) -> float:
     """Squared Frechet distance ||mu1 - mu2||^2 + Tr(S1 + S2 - 2 (S1^(1/2) S2 S1^(1/2))^(1/2)).
 
-    S1 = F F^T, with F the kept samples of an n <= d fit or else the pivoted Cholesky
-    factor S1[p][:, p] = L L^T of ``dpstrf`` at its default tolerance (d eps max diagonal),
-    which sets the rank r of L. The root's trace is sum sqrt(eigvalsh(F^T S2 F)), the
-    nonzero spectrum of S1 S2; when S2 = G G^T keeps its samples too, F^T S2 F is the Gram
-    matrix of F^T G, formed on its shorter side. Cost O(d^2 r + r^3) for a covariance S2 and
+    S1 = F F^T, with F the kept samples (d x r, r = n) of an n <= d fit, else the Cholesky
+    factor L of S1 (r = d). When the Cholesky fails, S1 is singular or not a covariance,
+    and F = V sqrt(max(w, 0)) from S1 = V diag(w) V^T; an eigenvalue w below
+    -NEG_EIG_WARN_TOL * max(1, max |diag S1|) warns. The root's trace is
+    sum sqrt(eigvalsh(F^T S2 F)), the nonzero spectrum of S1 S2; when S2 = G G^T keeps its
+    samples too, F^T S2 F is the Gram matrix of F^T G, formed on its shorter side, and it
+    warns by the same rule in its own units. Cost O(d^2 r + r^3) for a covariance S2 and
     O(d r n2 + min(r, n2)^3) for kept samples. Eigenvalues at or below eps tr S1 tr S2, the
     round-off of forming the matrix, count as 0, and the result is clipped at 0.
 
@@ -141,12 +136,12 @@ def frechet_distance(g1: GaussianStats, g2: GaussianStats) -> float:
     if isinstance(g1, _SampleFit):
         root, trace1 = g1.factor, g1.trace
     else:
-        factor, piv, rank, _ = lapack.dpstrf(g1.cov, lower=1, tol=-1)
-        root = np.zeros((g1.dim, rank))  # S1 = root @ root.T + the Schur remainder
-        root[piv - 1] = np.tril(factor[:, :rank])
-        rest, tail = piv[rank:] - 1, factor[rank:, :rank]  # tail is root[rest]
-        schur = g1.cov[np.ix_(rest, rest)] - tail @ tail.T
-        _warn_if_negative(schur, np.max(np.abs(np.diag(g1.cov)), initial=0.0))
+        try:
+            root = np.linalg.cholesky(g1.cov)
+        except np.linalg.LinAlgError:  # S1 is singular, or not a covariance
+            w, v = np.linalg.eigh(g1.cov)
+            _warn_if_negative(w, np.max(np.abs(np.diag(g1.cov)), initial=0.0))
+            root = v * np.sqrt(np.maximum(w, 0.0))
         trace1 = np.trace(g1.cov)
     trace2 = g2.trace if isinstance(g2, _SampleFit) else np.trace(g2.cov)
     # tr S1 = 4**h1 and tr S2 = 4**h2 to within a factor of 2; m = h1 + h2.
@@ -160,7 +155,7 @@ def frechet_distance(g1: GaussianStats, g2: GaussianStats) -> float:
         scaled = np.ldexp(root, -m)  # so that root.T @ S2 stays in range too
         inner = scaled.T @ g2.cov @ scaled
     eigvals = np.linalg.eigvalsh(inner)
-    _warn_if_negative(inner, np.max(np.abs(np.diag(inner)), initial=0.0), eigvals, 2 * m)
+    _warn_if_negative(eigvals, np.max(np.abs(np.diag(inner)), initial=0.0), 2 * m)
     # Round-off in S2 and in forming F^T S2 F moves its eigenvalues by about
     # eps ||S1|| ||S2|| <= eps tr S1 tr S2; anything at or below that counts as 0.
     floor = np.finfo(np.float64).eps * abs(

@@ -128,7 +128,7 @@ class TestFrechetDistance:
         assert value >= 0.0
 
     def test_indefinite_zero_diagonal_warns(self):
-        """Pivoting finds no positive diagonal, so the whole matrix is the Schur remainder."""
+        """The Cholesky fails on a zero pivot, and the eigh route finds eigenvalue -1."""
         g_bad = GaussianStats(np.zeros(2), np.array([[0.0, 1.0], [1.0, 0.0]]))
         g_ok = GaussianStats(np.zeros(2), np.eye(2))
         with pytest.warns(RuntimeWarning, match="eigenvalue -1.000e\\+00"):
@@ -266,6 +266,32 @@ class TestFidOracle:
         assert fid(a, b) == pytest.approx(nuclear_norm_fid(a, b), rel=1e-12)
 
 
+class TestSingularCovarianceRoute:
+    """Fits with n > d whose covariance is singular: the Cholesky of S1 fails and its
+    eigendecomposition is the factor, which must neither warn nor lose accuracy."""
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+    @pytest.mark.parametrize("kind", ["duplicated_columns", "constant_columns"])
+    def test_matches_nuclear_norm_reference_without_warning(self, kind, scale):
+        rng = np.random.default_rng(27)
+        x = rng.normal(size=(300, 64))
+        y = rng.normal(size=(300, 64)) * 1.3 + 0.4
+        if kind == "duplicated_columns":
+            x[:, 48:] = x[:, :16]
+            y[:, 40:] = y[:, 8:32]
+        else:
+            x[:, ::4] = 1.5
+            y[:, 1::8] = -2.0
+        x, y = x * scale, y * scale
+        for z in (x, y):
+            with pytest.raises(np.linalg.LinAlgError):
+                np.linalg.cholesky(fit_gaussian(z).cov)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for a, b in ((x, y), (y, x)):
+                assert fid(a, b) == pytest.approx(nuclear_norm_fid(a, b), rel=1e-9)
+
+
 class TestSampleFactorRoute:
     """A fit of n <= d samples keeps them as its covariance factor and forms no d x d matrix."""
 
@@ -317,7 +343,7 @@ class TestSampleFactorRoute:
         ids=["indefinite", "negative"],
     )
     def test_invalid_covariance_warns_against_a_sample_fit(self, bad):
-        """The bad covariance warns as S1 (Schur remainder) and as S2 (F^T S2 F)."""
+        """The bad covariance warns as S1 (its eigenvalues) and as S2 (F^T S2 F)."""
         g_bad = GaussianStats(np.zeros(2), bad)
         g_samples = fit_gaussian(np.array([[1.0, -1.0], [-1.0, 1.0]]))
         with pytest.warns(RuntimeWarning, match="eigenvalue"):

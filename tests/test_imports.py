@@ -2,12 +2,12 @@
 
 Each scipy module takes 0.2-0.4 s to import, numpy about 0.1 s, so a command
 that loads them without using them spends most of its time starting up. Only
-``episodes aggregate`` (``scipy.special``, for one t quantile) and ``fid``
-(``scipy.linalg``) use scipy. Each probe runs in a fresh interpreter, because
-the test process has long since imported everything. One more probe checks
-that importing the CLI builds no argument parser, only its first ``main`` call.
-A last check parses the package, the tests and the scripts for imported names
-that are never used.
+``episodes aggregate`` uses scipy (``scipy.special``, for one t quantile), and
+a parse of the package checks that its import is the only one. Each probe runs
+in a fresh interpreter, because the test process has long since imported
+everything. One more probe checks that importing the CLI builds no argument
+parser, only its first ``main`` call. A last check parses the package, the
+tests and the scripts for imported names that are never used.
 """
 
 import ast
@@ -92,6 +92,7 @@ NO_SCIPY = {
     "simulate_beta": cli_run(SIMULATE.format(sigma=0.05)),
     "simulate_point_mass": cli_run(SIMULATE.format(sigma=0)),
     "episodes_sample": cli_run(SAMPLE),
+    "fid": cli_run(FID),
 }
 
 
@@ -103,10 +104,6 @@ def test_loads_no_scipy(code, inputs):
 def test_aggregate_loads_scipy_special_but_not_linalg(inputs):
     loaded = modules_after(cli_run(AGGREGATE).format(dir=inputs))
     assert "scipy.special" in loaded and "scipy.linalg" not in loaded
-
-
-def test_fid_loads_scipy_linalg(inputs):
-    assert "scipy.linalg" in modules_after(cli_run(FID).format(dir=inputs))
 
 
 PARSERS_BUILT = f"""
@@ -164,6 +161,50 @@ def unused_imports(source: str) -> list[str]:
 def test_unused_imports_detector():
     source = "import os.path\nimport sys as system\nfrom a import b, c\nprint(os, c)\n"
     assert unused_imports(source) == ["line 2: system", "line 3: b"]
+
+
+def scipy_imports(source: str) -> list[tuple[str, str]]:
+    """(enclosing function, statement) of each scipy import in ``source``; "" at module level."""
+    found = []
+
+    def visit(node: ast.AST, where: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Import):
+                modules = [alias.name for alias in child.names]
+            elif isinstance(child, ast.ImportFrom):
+                modules = [child.module or ""]
+            else:
+                modules = []
+            if any(module.partition(".")[0] == "scipy" for module in modules):
+                found.append((where, ast.unparse(child)))
+            named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if named else where)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_scipy_imports_detector():
+    source = (
+        "import scipy.linalg\nimport scipyx\nfrom . import scipy\n"
+        "def f():\n    from scipy import special\n"
+        "class A:\n    def g(self):\n        if True:\n            import numpy, scipy as sp\n"
+    )
+    assert scipy_imports(source) == [
+        ("", "import scipy.linalg"),
+        ("f", "from scipy import special"),
+        ("g", "import numpy, scipy as sp"),
+    ]
+
+
+def test_only_aggregate_imports_scipy():
+    """The package's one scipy import is ``episodes.aggregate``'s, inside the function."""
+    found = {
+        str(path.relative_to(SRC)): imports
+        for path in sorted(SRC.rglob("*.py"))
+        if (imports := scipy_imports(path.read_text(encoding="utf-8")))
+    }
+    assert found == {"episcope/episodes.py": [("aggregate", "from scipy import special")]}
 
 
 def test_no_unused_imports():
