@@ -457,8 +457,13 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
     call in the process, and nothing carries over from one parse to the next:
     each parse gets a new namespace, and the one per-parse state,
     ``_UsageParser._missing``, is reset whenever a parse enters a parser.
+    Flags match only in full, so the ``--config`` pre-parse can only find a
+    path in a token that is ``--config`` or starts with ``--config=``; without
+    one it is skipped.
     """
-    config_path = _config_parser().parse_known_args(argv)[0].config
+    config_path = None
+    if any(token == "--config" or token.startswith("--config=") for token in argv):
+        config_path = _config_parser().parse_known_args(argv)[0].config
     tokens, switched_off = _config_tokens(config_path) if config_path else ({}, [])
     at = next((i for i, token in enumerate(argv) if token.startswith("-")), len(argv))
     args, extra = _shared_parser().parse_known_args(argv[:at] + list(tokens) + argv[at:])

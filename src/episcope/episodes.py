@@ -18,6 +18,7 @@ from collections.abc import Iterator, Sequence
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 from json.encoder import encode_basestring
 from pathlib import Path
 from typing import IO, Iterable
@@ -42,10 +43,14 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     return obj
 
 
-# One decoder for every episode line. ``json.loads(line, object_pairs_hook=...)``
+# Shared decoders for episode lines. ``json.loads(line, object_pairs_hook=...)``
 # builds a new decoder per call, and after a 600-episode all-queries file was
 # read that way, ~90 MB of its freed episodes stayed resident (CPython 3.11).
+# The first reads objects as dicts and rejects a repeated key. The second reads
+# each object as its tuple of (key, value) pairs, so that ``_shared_episode``
+# checks a line's keys, and their order, in one comparison per object.
 _EPISODE_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
+_PAIRS_DECODER = json.JSONDecoder(object_pairs_hook=tuple)
 
 
 def _utf8_encodable(text: str) -> bool:
@@ -70,7 +75,7 @@ class DatasetIndex:
         if len(set(names)) != len(names):
             raise ValueError("class names must be unique")
         for name, ids in self.classes:
-            if not isinstance(ids, tuple) or not all(isinstance(i, str) for i in ids):
+            if not isinstance(ids, tuple) or not all(map(isinstance, ids, repeat(str))):
                 raise ValueError(f"class {name!r} must map to an array of example ID strings")
             if not ids:
                 raise ValueError(f"class {name!r} has no examples")
@@ -114,9 +119,8 @@ class ClassSplit:
     def __post_init__(self) -> None:
         if not isinstance(self.class_name, str):
             raise ValueError(f"class_name must be a string, got {self.class_name!r}")
-        for key in ("support_ids", "query_ids"):
-            ids = getattr(self, key)
-            if not isinstance(ids, (tuple, list)) or not all(isinstance(i, str) for i in ids):
+        for key, ids in (("support_ids", self.support_ids), ("query_ids", self.query_ids)):
+            if not isinstance(ids, (tuple, list)) or not all(map(isinstance, ids, repeat(str))):
                 raise ValueError(f"{key!r} must be an array of example ID strings")
             if not isinstance(ids, tuple):  # a list would leave the split unhashable
                 raise ValueError(f"{key!r} must be a tuple, got a list")
@@ -286,9 +290,10 @@ class EpisodeBatch(Sequence):
     indexing or iterating writes the lines it needs and reads each back with
     :func:`episode_from_json`, so every ``EpisodeSpec`` and ``ClassSplit`` is
     built and checked by its constructor. An index writes one episode's line;
-    iteration writes a chunk at a time. A batch equals a list or a batch of
-    equal episodes in the same order, so ``list(batch)`` is the list of
-    episodes; a slice is a list.
+    iteration writes a chunk at a time. The episodes one iteration, index or
+    slice returns hold each distinct example ID string once. A batch equals
+    a list or a batch of equal episodes in the same order, so ``list(batch)``
+    is the list of episodes; a slice is a list.
     """
 
     def __init__(self, index, ways, shots, queries_per_class, sizes, per_chunk, chunks):
@@ -305,16 +310,20 @@ class EpisodeBatch(Sequence):
 
     def __getitem__(self, item):
         if isinstance(item, slice):
-            return [self[i] for i in range(*item.indices(self._len))]
+            return list(self._decode(map(self._episode_chunk, range(*item.indices(self._len)))))
         i = operator.index(item)
         if i < 0:
             i += self._len
         if not 0 <= i < self._len:
             raise IndexError("episode index out of range")
+        return next(self._decode([self._episode_chunk(i)]))
+
+    def _episode_chunk(self, i: int) -> tuple:
+        """Episode ``i`` (0 <= i < len) as a chunk of its own."""
         chunk, row = divmod(i, self._per_chunk)
         _, seeds, chosen, taken = self._chunks[chunk]
         rows = slice(row * self._ways, (row + 1) * self._ways)
-        return next(self._decode([(i, seeds[row:row + 1], chosen[rows], taken[rows])]))
+        return i, seeds[row:row + 1], chosen[rows], taken[rows]
 
     def __iter__(self) -> Iterator[EpisodeSpec]:
         return self._decode(self._chunks)
@@ -327,12 +336,16 @@ class EpisodeBatch(Sequence):
     __hash__ = None  # a Sequence that compares by value, like a list
 
     def _decode(self, chunks) -> Iterator[EpisodeSpec]:
-        """The episodes of ``chunks``: their lines read back by :func:`episode_from_json`."""
+        """The episodes of ``chunks``: their lines read back by :func:`episode_from_json`.
+
+        The episodes of one call share each distinct example ID string.
+        """
+        memo: dict[str, str] = {}
         for block in self._text(chunks):
             # Split at "\n" only: str.splitlines() also splits at U+2028 and U+0085,
             # which JSON leaves unescaped with ensure_ascii=False.
             for line in block.split("\n")[:-1]:
-                yield episode_from_json(line)
+                yield _episode_from_json(line, memo)
 
     def _text(self, chunks) -> Iterator[str]:
         """The :func:`episode_to_json` lines of ``chunks``, in blocks of whole lines.
@@ -589,12 +602,82 @@ def episode_from_json(line: str) -> EpisodeSpec:
 
     Invalid JSON, a missing key or a value of the wrong type raises ValueError.
     """
+    return _episode_from_json(line, {})
+
+
+_HEADER_KEYS = ("episode_id", "seed", "ways", "shots", "per_class")
+_SPLIT_KEYS = ("class_name", "support_ids", "query_ids")
+
+
+def _episode_from_json(line: str, memo: dict[str, str]) -> EpisodeSpec:
+    """:func:`episode_from_json`, with each example ID taken from ``memo``.
+
+    ``memo`` maps an ID to the first equal string a caller's lines held and
+    gains every new one, so the episodes decoded through one memo hold each
+    distinct ID once. IDs repeat across episodes (with all queries, a class's
+    IDs recur in every episode that draws it), and a string per occurrence
+    would hold several times the file's size.
+
+    A line that :func:`_shared_episode` does not take is read by
+    :func:`_checked_episode`, which raises the error that names its first
+    fault. A valid line it reads (keys in another order, or extra keys) is
+    written back by :func:`episode_to_json` and read again through the memo.
+    """
+    try:
+        pairs = _PAIRS_DECODER.decode(line)
+    except (ValueError, RecursionError):  # _checked_episode names the fault
+        pairs = None
+    episode = _shared_episode(pairs, memo)
+    if episode is None:
+        canonical = episode_to_json(_checked_episode(line))
+        episode = _shared_episode(_PAIRS_DECODER.decode(canonical), memo)
+    return episode
+
+
+def _shared_episode(pairs, memo: dict[str, str]) -> EpisodeSpec | None:
+    """The episode a decoded line holds, its IDs shared through ``memo``.
+
+    ``pairs`` is the line read by ``_PAIRS_DECODER``. Returns None, for
+    :func:`_checked_episode` to read the line, unless every object holds
+    exactly the keys ``episode_to_json`` writes, in its order (so none
+    repeats), with values of the JSON types it writes and string IDs. An ID
+    that is not a string reaches the memo only on a line that is then rejected.
+    """
+    if not (type(pairs) is tuple and len(pairs) == len(_HEADER_KEYS)):
+        return None
+    (k0, episode_id), (k1, seed), (k2, ways), (k3, shots), (k4, splits) = pairs
+    if not ((k0, k1, k2, k3, k4) == _HEADER_KEYS and type(splits) is list
+            and type(episode_id) is type(seed) is type(ways) is type(shots) is int):
+        return None
+    share = memo.setdefault
+    per_class = []
+    for split in splits:
+        if not (type(split) is tuple and len(split) == len(_SPLIT_KEYS)):
+            return None
+        (k0, name), (k1, support), (k2, query) = split
+        if not ((k0, k1, k2) == _SPLIT_KEYS and type(name) is str
+                and type(support) is type(query) is list):
+            return None
+        try:
+            support, query = tuple(map(share, support, support)), tuple(map(share, query, query))
+            per_class.append(ClassSplit(name, support, query))
+        except (TypeError, ValueError):  # an ID that is not a string; TypeError: unhashable
+            return None
+    return EpisodeSpec(episode_id, seed, ways, shots, tuple(per_class))
+
+
+def _checked_episode(line: str) -> EpisodeSpec:
+    """The episode one line holds, each field checked in line order.
+
+    Invalid JSON, the first missing key, value of the wrong type or rejected
+    ``ClassSplit`` raises ValueError.
+    """
     try:
         obj = _EPISODE_DECODER.decode(line)
     except (ValueError, RecursionError) as exc:  # RecursionError: nesting too deep
         raise ValueError(f"not valid JSON: {exc}") from None
     return EpisodeSpec(
-        **{key: _json_field(obj, key, int) for key in ("episode_id", "seed", "ways", "shots")},
+        **{key: _json_field(obj, key, int) for key in _HEADER_KEYS[:-1]},
         per_class=tuple(
             ClassSplit(
                 class_name=_json_field(split, "class_name", str),
@@ -621,15 +704,20 @@ def write_episodes(path_or_file: str | Path | IO[str], episodes: Iterable[Episod
 
 
 def read_episodes(path: str | Path) -> list[EpisodeSpec]:
-    """Episodes from a JSON Lines file; a malformed line raises ValueError naming it."""
+    """Episodes from a JSON Lines file; a malformed line raises ValueError naming it.
+
+    The lines are decoded as by :func:`episode_from_json`, through one memo per
+    call, so the episodes hold each distinct example ID string once.
+    """
     episodes = []
+    memo: dict[str, str] = {}
     with open(path, encoding="utf-8") as fh:
         try:
             for number, line in enumerate(fh, start=1):
                 if not line.strip():
                     continue
                 try:
-                    episodes.append(episode_from_json(line))
+                    episodes.append(_episode_from_json(line, memo))
                 except ValueError as exc:
                     raise ValueError(f"{path}: line {number}: {exc}") from None
         except UnicodeDecodeError as exc:

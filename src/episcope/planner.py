@@ -185,6 +185,18 @@ def _tail_cost_floor(
     return cost.total(float(kp_low), float(kq_low))
 
 
+def _cheapest_row(total: np.ndarray, kp: np.ndarray) -> int:
+    """Row of a Kq chunk with the least total, then the fewest episodes, then the most queries.
+
+    The chunk's Kq rises with the row, so the last row left is the one with the
+    most queries: the first row of ``np.lexsort((-kq, kp, total))``, without
+    sorting the chunk. Totals are never NaN (finite rates times finite counts).
+    """
+    rows = np.flatnonzero(total == total.min())
+    fewest = kp[rows]
+    return int(rows[fewest == fewest.min()][-1])
+
+
 def min_cost_design(
     prior: AccuracyPrior, cost: CostModel, target_var: float, kq_max: int
 ) -> PlanResult:
@@ -218,7 +230,7 @@ def min_cost_design(
         kp = _min_episodes(prior, kq, target_var)
         # kp and kq are exact floats, so kp * kq rounds as the integer product does.
         total = cost.total(kp, kq)
-        i = np.lexsort((-kq, kp, total))[0]
+        i = _cheapest_row(total, kp)
         key = (float(total[i]), int(kp[i]), -int(kq[i]))
         if best is None or key < best:
             best = key

@@ -739,6 +739,18 @@ class TestNoAbbreviations:
         assert code == 2 and out == ""
         assert "'kq'" in err
 
+    def test_no_config_token_skips_the_pre_parse(self, capsys, monkeypatch):
+        def fail():
+            raise AssertionError("the --config pre-parser ran")
+
+        monkeypatch.setattr(cli, "_config_parser", fail)
+        code, out, err = run(capsys, "plan", "episodes", "--a", "0.93", "--sigma", "0.028",
+                             "--kq", "75", "--target-var", "7e-6", "--configx=1")
+        assert code == 2 and out == "" and "unrecognized arguments: --configx=1" in err
+        code, out, _ = run(capsys, "plan", "episodes", "--a", "0.93", "--sigma", "0.028",
+                           "--kq", "75", "--target-var", "7e-6")
+        assert code == 0 and out.strip().isdigit()
+
     def test_config_flag_is_not_a_prefix(self, capsys, tmp_path):
         path = write_config(tmp_path, {"a": 0.5, "sigma": 0, "kp": 1, "kq": 1})
         code, out, _ = run(capsys, "variance", "--conf", path)

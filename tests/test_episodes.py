@@ -5,6 +5,7 @@ import io
 import json
 import math
 import re
+import tracemalloc
 from collections import Counter
 from dataclasses import asdict
 from unittest import mock
@@ -734,6 +735,131 @@ class TestEpisodeBatch:
         assert batch != episodes[:-1] and episodes[:-1] != batch
         assert batch != sample_episodes(index, 4, 2, 3, 25, master_seed=7)
         assert batch != tuple(episodes)
+
+
+def id_strings(episodes):
+    return [i for e in episodes for split in e.per_class for i in split.support_ids + split.query_ids]
+
+
+def held_bytes(build):
+    """Bytes still allocated, by tracemalloc's count, once ``build()`` has returned."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = build()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert result
+    return held
+
+
+class TestSharedIds:
+    """The episodes one decoder call returns hold each distinct example ID once."""
+
+    @pytest.fixture(scope="class")
+    def all_queries(self, benchmark_index, tmp_path_factory):
+        batch = sample_episodes(benchmark_index, 5, 1, None, 600, master_seed=28)
+        path = tmp_path_factory.mktemp("shared") / "all.jsonl"
+        write_episodes(path, batch)
+        return batch, path
+
+    def test_all_queries_read_is_small(self, all_queries):
+        """600 x 5 x 600 IDs held once each: a string per occurrence held ~120 MB."""
+        batch, path = all_queries
+        assert held_bytes(lambda: read_episodes(path)) < 30e6
+        assert held_bytes(lambda: list(batch)) < 30e6
+
+    @pytest.mark.parametrize("decode", ["read", "list", "slice"])
+    def test_one_string_per_distinct_id(self, tmp_path, benchmark_index, decode):
+        batch = sample_episodes(benchmark_index, 5, 1, 15, 300, master_seed=4)
+        path = tmp_path / "q15.jsonl"
+        write_episodes(path, batch)
+        episodes = {
+            "read": lambda: read_episodes(path),
+            "list": lambda: list(batch),
+            "slice": lambda: batch[3:40],
+        }[decode]()
+        ids = id_strings(episodes)
+        assert len(ids) > len(set(ids))
+        assert len({id(i) for i in ids}) == len(set(ids))
+
+    def test_calls_share_nothing(self, benchmark_index):
+        batch = sample_episodes(benchmark_index, 5, 1, None, 2, master_seed=4)
+        first, again = id_strings(list(batch)), id_strings(list(batch))
+        assert first == again
+        assert not {id(i) for i in first} & {id(i) for i in again}
+
+    @given(sampled_batches())
+    @settings(max_examples=100, deadline=None)
+    def test_equals_the_field_by_field_decode(self, batch):
+        """Escaped names and IDs, fixed or all queries: the checked per-line decode agrees."""
+        buf = io.StringIO()
+        write_episodes(buf, batch)
+        lines = buf.getvalue().split("\n")[:-1]
+        reference = [episodes_mod._checked_episode(line) for line in lines]
+        assert [episode_from_json(line) for line in lines] == reference
+        assert list(batch) == reference
+
+    @pytest.mark.parametrize("queries", [15, None])
+    def test_read_equals_per_line_decode(self, tmp_path, benchmark_index, queries):
+        batch = sample_episodes(benchmark_index, 5, 1, queries, 40, master_seed=9)
+        path = tmp_path / "episodes.jsonl"
+        write_episodes(path, batch)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        reference = [episodes_mod._checked_episode(line) for line in lines]
+        assert read_episodes(path) == [episode_from_json(line) for line in lines] == reference
+
+    def test_other_key_orders_are_shared_too(self, tmp_path):
+        """A valid line in another layout is read by the checked decode, then shared."""
+        episode = EpisodeSpec(0, 1, 1, 1, (ClassSplit("k", ("a",), ("b", "c")),))
+        reordered = json.dumps({
+            "extra": [1], "per_class": [{"query_ids": ["b", "c"], "support_ids": ["a"],
+                                         "class_name": "k"}],
+            "shots": 1, "ways": 1, "seed": 1, "episode_id": 0,
+        })
+        path = tmp_path / "reordered.jsonl"
+        path.write_text(episode_to_json(episode) + "\n" + reordered + "\n")
+        episodes = read_episodes(path)
+        assert episodes == [episode, episode]
+        assert len({id(i) for i in id_strings(episodes)}) == 3
+
+    @pytest.mark.parametrize(
+        ("support", "query", "message"),
+        [
+            ('["s"]', '["q", 1]', "'query_ids' must be an array of example ID strings"),
+            ('[true]', '["q"]', "'support_ids' must be an array of example ID strings"),
+            ('["s"]', '[null]', "'query_ids' must be an array of example ID strings"),
+            ('[["s"]]', '["q"]', "'support_ids' must be an array of example ID strings"),
+            ('["s"]', '[{"a": "q"}]', "'query_ids' must be an array of example ID strings"),
+            ('["s"]', '[{"a": ["q"]}]', "'query_ids' must be an array of example ID strings"),
+            ('["s"]', '[{"a": 1, "a": 2}]', "not valid JSON: repeated key 'a'"),
+            ('["s"]', '["q", 1.5, "r"]', "'query_ids' must be an array of example ID strings"),
+        ],
+        ids=["int", "true", "null", "list", "object", "object_of_list", "repeated_key",
+             "float"],
+    )
+    def test_non_string_ids_raise_the_checked_error(self, tmp_path, support, query, message):
+        """A non-string ID, hashable or not, gets the message of the field-by-field decode."""
+        line = ('{"episode_id":2,"seed":1,"ways":2,"shots":1,"per_class":['
+                '{"class_name":"a","support_ids":["t"],"query_ids":["u"]},'
+                f'{{"class_name":"b","support_ids":{support},"query_ids":{query}}}]}}')
+        for decode in (episode_from_json, episodes_mod._checked_episode):
+            with pytest.raises(ValueError) as excinfo:
+                decode(line)
+            assert str(excinfo.value) == message
+        path = tmp_path / "bad.jsonl"
+        path.write_text(episode_to_json(_one_episode()) + "\n" + line + "\n")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: line 2: {re.escape(message)}$"):
+            read_episodes(path)
+
+    def test_first_fault_in_line_order_is_named(self):
+        """A bad ID in the first class is named before a missing key in the second."""
+        line = ('{"episode_id":2,"seed":1,"ways":2,"shots":1,"per_class":['
+                '{"class_name":"a","support_ids":[7],"query_ids":["u"]},'
+                '{"class_name":"b","support_ids":["s"]}]}')
+        with pytest.raises(ValueError, match="^'support_ids' must be an array of example ID"):
+            episode_from_json(line)
 
 
 class TestEpisodeSpec:

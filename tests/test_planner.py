@@ -351,6 +351,33 @@ class TestMinCostDesignExact:
             min_cost_design(prior, CostModel(1.0, 1.0), 1e-30, 100)
 
 
+class TestCheapestRow:
+    """The chunk pick equals the first row of a 3-key lexsort (total, Kp, -Kq)."""
+
+    @pytest.mark.parametrize(
+        "rates", [(1.0, 0.0), (0.0, 1.0), (100.0, 1.0)], ids=["queries_free", "episodes_free", "bench"]
+    )
+    @pytest.mark.parametrize("start", [1, 40, 8193])
+    def test_matches_lexsort_on_solved_chunks(self, rates, start):
+        prior = AccuracyPrior(0.87, 0.05)
+        cost = CostModel(*rates)
+        kq = np.arange(start, start + planner._KQ_CHUNK, dtype=np.float64)
+        ties = 0
+        for target in (1e-2, 1e-4, 6.62e-6):
+            kp = planner._min_episodes(prior, kq, target)
+            total = cost.total(kp, kq)
+            ties += np.count_nonzero(total == total.min()) > 1
+            assert planner._cheapest_row(total, kp) == np.lexsort((-kq, kp, total))[0]
+        if rates[1] == 0.0:  # the total is Kp times a rate, which Kp repeats
+            assert ties == 3
+
+    @given(st.lists(st.tuples(st.integers(0, 3), st.integers(1, 3)), min_size=1, max_size=40))
+    def test_matches_lexsort_on_forced_ties(self, rows):
+        total, kp = (np.array(column, dtype=np.float64) for column in zip(*rows))
+        kq = np.arange(1.0, len(rows) + 1.0)
+        assert planner._cheapest_row(total, kp) == np.lexsort((-kq, kp, total))[0]
+
+
 def unpruned_min_cost_design(prior, cost, target, kq_max):
     """Reference: the chunked scan over every Kq up to kq_max, with no early stop.
 
