@@ -43,14 +43,10 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     return obj
 
 
-# Shared decoders for episode lines. ``json.loads(line, object_pairs_hook=...)``
+# One decoder for every episode line. ``json.loads(line, object_pairs_hook=...)``
 # builds a new decoder per call, and after a 600-episode all-queries file was
 # read that way, ~90 MB of its freed episodes stayed resident (CPython 3.11).
-# The first reads objects as dicts and rejects a repeated key. The second reads
-# each object as its tuple of (key, value) pairs, so that ``_shared_episode``
-# checks a line's keys, and their order, in one comparison per object.
 _EPISODE_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
-_PAIRS_DECODER = json.JSONDecoder(object_pairs_hook=tuple)
 
 
 def _utf8_encodable(text: str) -> bool:
@@ -605,88 +601,39 @@ def episode_from_json(line: str) -> EpisodeSpec:
     return _episode_from_json(line, {})
 
 
-_HEADER_KEYS = ("episode_id", "seed", "ways", "shots", "per_class")
-_SPLIT_KEYS = ("class_name", "support_ids", "query_ids")
-
-
 def _episode_from_json(line: str, memo: dict[str, str]) -> EpisodeSpec:
     """:func:`episode_from_json`, with each example ID taken from ``memo``.
 
-    ``memo`` maps an ID to the first equal string a caller's lines held and
-    gains every new one, so the episodes decoded through one memo hold each
-    distinct ID once. IDs repeat across episodes (with all queries, a class's
-    IDs recur in every episode that draws it), and a string per occurrence
-    would hold several times the file's size.
-
-    A line that :func:`_shared_episode` does not take is read by
-    :func:`_checked_episode`, which raises the error that names its first
-    fault. A valid line it reads (keys in another order, or extra keys) is
-    written back by :func:`episode_to_json` and read again through the memo.
-    """
-    try:
-        pairs = _PAIRS_DECODER.decode(line)
-    except (ValueError, RecursionError):  # _checked_episode names the fault
-        pairs = None
-    episode = _shared_episode(pairs, memo)
-    if episode is None:
-        canonical = episode_to_json(_checked_episode(line))
-        episode = _shared_episode(_PAIRS_DECODER.decode(canonical), memo)
-    return episode
-
-
-def _shared_episode(pairs, memo: dict[str, str]) -> EpisodeSpec | None:
-    """The episode a decoded line holds, its IDs shared through ``memo``.
-
-    ``pairs`` is the line read by ``_PAIRS_DECODER``. Returns None, for
-    :func:`_checked_episode` to read the line, unless every object holds
-    exactly the keys ``episode_to_json`` writes, in its order (so none
-    repeats), with values of the JSON types it writes and string IDs. An ID
-    that is not a string reaches the memo only on a line that is then rejected.
-    """
-    if not (type(pairs) is tuple and len(pairs) == len(_HEADER_KEYS)):
-        return None
-    (k0, episode_id), (k1, seed), (k2, ways), (k3, shots), (k4, splits) = pairs
-    if not ((k0, k1, k2, k3, k4) == _HEADER_KEYS and type(splits) is list
-            and type(episode_id) is type(seed) is type(ways) is type(shots) is int):
-        return None
-    share = memo.setdefault
-    per_class = []
-    for split in splits:
-        if not (type(split) is tuple and len(split) == len(_SPLIT_KEYS)):
-            return None
-        (k0, name), (k1, support), (k2, query) = split
-        if not ((k0, k1, k2) == _SPLIT_KEYS and type(name) is str
-                and type(support) is type(query) is list):
-            return None
-        try:
-            support, query = tuple(map(share, support, support)), tuple(map(share, query, query))
-            per_class.append(ClassSplit(name, support, query))
-        except (TypeError, ValueError):  # an ID that is not a string; TypeError: unhashable
-            return None
-    return EpisodeSpec(episode_id, seed, ways, shots, tuple(per_class))
-
-
-def _checked_episode(line: str) -> EpisodeSpec:
-    """The episode one line holds, each field checked in line order.
-
-    Invalid JSON, the first missing key, value of the wrong type or rejected
-    ``ClassSplit`` raises ValueError.
+    ``memo`` maps an ID to the first equal string decoded through it and gains
+    every new one, so the episodes decoded through one memo hold each distinct
+    ID once. IDs repeat across episodes (with all queries, a class's IDs recur
+    in every episode that draws it), and a string per occurrence would hold
+    several times the file's size.
     """
     try:
         obj = _EPISODE_DECODER.decode(line)
     except (ValueError, RecursionError) as exc:  # RecursionError: nesting too deep
         raise ValueError(f"not valid JSON: {exc}") from None
+    share = memo.setdefault
     return EpisodeSpec(
-        **{key: _json_field(obj, key, int) for key in _HEADER_KEYS[:-1]},
+        **{key: _json_field(obj, key, int) for key in ("episode_id", "seed", "ways", "shots")},
         per_class=tuple(
             ClassSplit(
                 class_name=_json_field(split, "class_name", str),
-                support_ids=tuple(_json_field(split, "support_ids", list)),
-                query_ids=tuple(_json_field(split, "query_ids", list)),
+                support_ids=_shared_ids(_json_field(split, "support_ids", list), share),
+                query_ids=_shared_ids(_json_field(split, "query_ids", list), share),
             )
             for split in _json_field(obj, "per_class", list)
         ),
     )
+
+
+def _shared_ids(ids: list, share) -> tuple:
+    """``ids`` as a tuple of the strings ``share``, a memo's setdefault, holds for them."""
+    try:
+        return tuple(map(share, ids, ids))
+    except TypeError:  # an unhashable ID, which ClassSplit rejects
+        return tuple(ids)
 
 
 def write_episodes(path_or_file: str | Path | IO[str], episodes: Iterable[EpisodeSpec]) -> None:

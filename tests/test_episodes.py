@@ -741,6 +741,18 @@ def id_strings(episodes):
     return [i for e in episodes for split in e.per_class for i in split.support_ids + split.query_ids]
 
 
+def plain_decode(line):
+    """An episode line read by json.loads alone, each ID a string of its own."""
+    obj = json.loads(line)
+    return EpisodeSpec(
+        **{key: obj[key] for key in ("episode_id", "seed", "ways", "shots")},
+        per_class=tuple(
+            ClassSplit(split["class_name"], tuple(split["support_ids"]), tuple(split["query_ids"]))
+            for split in obj["per_class"]
+        ),
+    )
+
+
 def held_bytes(build):
     """Bytes still allocated, by tracemalloc's count, once ``build()`` has returned."""
     tracemalloc.start()
@@ -792,12 +804,12 @@ class TestSharedIds:
 
     @given(sampled_batches())
     @settings(max_examples=100, deadline=None)
-    def test_equals_the_field_by_field_decode(self, batch):
-        """Escaped names and IDs, fixed or all queries: the checked per-line decode agrees."""
+    def test_equals_a_plain_decode(self, batch):
+        """Escaped names and IDs, fixed or all queries: json.loads per line agrees."""
         buf = io.StringIO()
         write_episodes(buf, batch)
         lines = buf.getvalue().split("\n")[:-1]
-        reference = [episodes_mod._checked_episode(line) for line in lines]
+        reference = [plain_decode(line) for line in lines]
         assert [episode_from_json(line) for line in lines] == reference
         assert list(batch) == reference
 
@@ -807,11 +819,11 @@ class TestSharedIds:
         path = tmp_path / "episodes.jsonl"
         write_episodes(path, batch)
         lines = path.read_text(encoding="utf-8").splitlines()
-        reference = [episodes_mod._checked_episode(line) for line in lines]
+        reference = [plain_decode(line) for line in lines]
         assert read_episodes(path) == [episode_from_json(line) for line in lines] == reference
 
     def test_other_key_orders_are_shared_too(self, tmp_path):
-        """A valid line in another layout is read by the checked decode, then shared."""
+        """A valid line with its keys in another order, or extra keys, is shared too."""
         episode = EpisodeSpec(0, 1, 1, 1, (ClassSplit("k", ("a",), ("b", "c")),))
         reordered = json.dumps({
             "extra": [1], "per_class": [{"query_ids": ["b", "c"], "support_ids": ["a"],
@@ -839,15 +851,14 @@ class TestSharedIds:
         ids=["int", "true", "null", "list", "object", "object_of_list", "repeated_key",
              "float"],
     )
-    def test_non_string_ids_raise_the_checked_error(self, tmp_path, support, query, message):
-        """A non-string ID, hashable or not, gets the message of the field-by-field decode."""
+    def test_non_string_ids_raise_the_class_split_error(self, tmp_path, support, query, message):
+        """A non-string ID, hashable or not, raises the usual ValueError, never a TypeError."""
         line = ('{"episode_id":2,"seed":1,"ways":2,"shots":1,"per_class":['
                 '{"class_name":"a","support_ids":["t"],"query_ids":["u"]},'
                 f'{{"class_name":"b","support_ids":{support},"query_ids":{query}}}]}}')
-        for decode in (episode_from_json, episodes_mod._checked_episode):
-            with pytest.raises(ValueError) as excinfo:
-                decode(line)
-            assert str(excinfo.value) == message
+        with pytest.raises(ValueError) as excinfo:
+            episode_from_json(line)
+        assert str(excinfo.value) == message
         path = tmp_path / "bad.jsonl"
         path.write_text(episode_to_json(_one_episode()) + "\n" + line + "\n")
         with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: line 2: {re.escape(message)}$"):
