@@ -166,8 +166,7 @@ def _write_text(out: str | None, text: str) -> None:
 
 # --- subcommand handlers ----------------------------------------------------
 # montecarlo, fid, featureio and blend are imported inside the handlers that
-# use them, so the other commands start without loading them. scipy is loaded
-# only by episodes.aggregate, for its t quantile.
+# use them, so the other commands start without loading them.
 
 
 def _cmd_variance(args) -> int:

@@ -192,6 +192,12 @@ class EpisodeResult:
     total: int
 
     def __post_init__(self) -> None:
+        for key in ("episode_id", "correct", "total"):
+            value = getattr(self, key)
+            if type(value) is not int:
+                raise ValueError(
+                    f"episode {self.episode_id!r}: {key} must be an integer, got {value!r}"
+                )
         if self.total < 1:
             raise ValueError(f"episode {self.episode_id}: total must be >= 1")
         if not 0 <= self.correct <= self.total:
@@ -523,12 +529,64 @@ def sample_episodes(
     return EpisodeBatch(index, ways, shots, queries_per_class, sizes, per_chunk, chunks)
 
 
+_Z975 = 1.959963984540054  # the standard normal 0.975 quantile
+
+
+def _abs_t_cdf(t: float, df: int) -> float:
+    """P(|T| <= t) for Student's t with integer ``df``: A&S 26.7.3 (odd) and 26.7.4 (even).
+
+    The finite series in cos(theta)**2 has only positive terms, so nothing cancels.
+    """
+    theta = math.atan(t / math.sqrt(df))
+    c2 = math.cos(theta) ** 2
+    if df % 2:
+        term = total = math.cos(theta) if df > 1 else 0.0
+        for k in range(2, df - 1, 2):
+            term *= c2 * k / (k + 1)
+            total += term
+        return 2 / math.pi * (theta + math.sin(theta) * total)
+    term = total = 1.0
+    for k in range(1, df - 2, 2):
+        term *= c2 * k / (k + 1)
+        total += term
+    return math.sin(theta) * total
+
+
+def _t975(df: int) -> float:
+    """The 0.975 quantile of Student's t with integer ``df`` >= 1.
+
+    For df >= 1000 it is the four-term Cornish-Fisher expansion around the normal
+    quantile (A&S 26.7.5), whose truncation error is below 1e-15 * t there. Below
+    1000 that expansion starts Newton's method on P(|T| <= t) = 0.95, whose
+    derivative is twice the density. The start lies below the root and
+    P(|T| <= t) is concave for t > 0, so the iterates rise to the root; a step
+    below 1e-8 * t leaves an error near 1e-16 * t, and the loop stops after it.
+    """
+    x2 = _Z975 * _Z975
+    g1 = (x2 + 1) * _Z975 / 4
+    g2 = ((5 * x2 + 16) * x2 + 3) * _Z975 / 96
+    g3 = (((3 * x2 + 19) * x2 + 17) * x2 - 15) * _Z975 / 384
+    g4 = ((((79 * x2 + 776) * x2 + 1482) * x2 - 1920) * x2 - 945) * _Z975 / 92160
+    t = _Z975 + (g1 + (g2 + (g3 + g4 / df) / df) / df) / df
+    if df >= 1000:
+        return t
+    log_norm = math.lgamma((df + 1) / 2) - math.lgamma(df / 2) - 0.5 * math.log(df * math.pi)
+    step = t
+    while abs(step) > 1e-8 * t:
+        pdf = math.exp(log_norm - (df + 1) / 2 * math.log1p(t * t / df))
+        step = (_abs_t_cdf(t, df) - 0.95) / (2 * pdf)
+        t -= step
+    return t
+
+
 def aggregate(results: list[EpisodeResult]) -> AggregateReport:
     """Mean, inter-episode sample std and t-based 95% half-width.
 
     All three are of the per-episode accuracies correct/total, each episode
     weighted equally: when totals differ, the mean is not the pooled
-    sum(correct)/sum(total).
+    sum(correct)/sum(total). The half-width is t * std / sqrt(n), with t the
+    0.975 quantile of Student's t at n - 1 degrees of freedom, computed from
+    Abramowitz & Stegun 26.7.3-26.7.5 (see :func:`_t975`).
     """
     if len(results) < 2:
         raise ValueError("aggregation needs at least 2 episode results")
@@ -539,14 +597,11 @@ def aggregate(results: list[EpisodeResult]) -> AggregateReport:
     acc = np.array([r.accuracy for r in results])
     n = len(acc)
     std = float(np.std(acc, ddof=1))
-    from scipy import special  # ~0.2 s to import, and no other function here needs scipy
-
-    t975 = float(special.stdtrit(n - 1, 0.975))
     return AggregateReport(
         episodes=n,
         mean_acc=float(np.mean(acc)),
         std_acc=std,
-        ci95_halfwidth=t975 * std / math.sqrt(n),
+        ci95_halfwidth=_t975(n - 1) * std / math.sqrt(n),
     )
 
 

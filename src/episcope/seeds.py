@@ -20,16 +20,6 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
 
-def splitmix64_array(values: np.ndarray) -> np.ndarray:
-    """The SplitMix64 mix applied to each word of a uint64 array."""
-    x = values.astype(np.uint64, copy=True)
-    with np.errstate(over="ignore"):
-        x += np.uint64(_GOLDEN)
-        x = (x ^ (x >> np.uint64(30))) * np.uint64(_MIX1)
-        x = (x ^ (x >> np.uint64(27))) * np.uint64(_MIX2)
-        return x ^ (x >> np.uint64(31))
-
-
 def check_seed(seed: int, name: str = "seed") -> int:
     if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool):
         raise ValueError(f"{name} must be an integer, got {seed!r}")
@@ -39,10 +29,21 @@ def check_seed(seed: int, name: str = "seed") -> int:
 
 
 def substream_seeds(master_seed: int, count: int) -> np.ndarray:
-    """Child seeds for substreams 0..count-1, as a uint64 array."""
-    idx = np.arange(count, dtype=np.uint64)
+    """Child seeds for substreams 0..count-1, as a uint64 array.
+
+    Seed i is the SplitMix64 mix of the state master_seed + (i + 1) * golden
+    gamma (mod 2**64), computed for every i at once.
+    """
+    x = np.arange(1, count + 1, dtype=np.uint64)
     with np.errstate(over="ignore"):
-        return splitmix64_array(np.uint64(master_seed) + idx * np.uint64(_GOLDEN))
+        x *= np.uint64(_GOLDEN)
+        x += np.uint64(master_seed)
+        x ^= x >> np.uint64(30)
+        x *= np.uint64(_MIX1)
+        x ^= x >> np.uint64(27)
+        x *= np.uint64(_MIX2)
+        x ^= x >> np.uint64(31)
+    return x
 
 
 def philox_generator(key: int) -> np.random.Generator:

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
-from scipy import stats
+from scipy import special, stats
 
 from episcope import episodes as episodes_mod
 from episcope.episodes import (
@@ -24,6 +24,7 @@ from episcope.episodes import (
     EpisodeResult,
     EpisodeSpec,
     _fisher_yates_steps,
+    _t975,
     _take_positions,
     aggregate,
     episode_from_json,
@@ -931,6 +932,35 @@ class TestEpisodeResult:
             EpisodeResult(0, 5, 4)
         assert EpisodeResult(0, 3, 4).accuracy == 0.75
 
+    @pytest.mark.parametrize("key", ["episode_id", "correct", "total"])
+    @pytest.mark.parametrize(
+        "value", [1.5, 2.0, True, "2", np.int64(2)],
+        ids=["float", "whole_float", "bool", "str", "int64"],
+    )
+    def test_fields_must_be_ints(self, key, value):
+        """A float or bool was averaged silently and written as a row the reader refuses."""
+        fields = {"episode_id": 0, "correct": 1, "total": 2, key: value}
+        message = f"episode {fields['episode_id']!r}: {key} must be an integer, got {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            EpisodeResult(**fields)
+
+    @given(st.lists(
+        st.tuples(
+            st.integers(-2**70, 2**70),
+            st.integers(1, 2**70).flatmap(
+                lambda total: st.tuples(st.integers(0, total), st.just(total))
+            ),
+        ),
+        max_size=5,
+        unique_by=lambda row: row[0],
+    ))
+    @settings(max_examples=50, deadline=None)
+    def test_every_result_that_constructs_reads_back(self, tmp_path_factory, rows):
+        results = [EpisodeResult(i, correct, total) for i, (correct, total) in rows]
+        path = tmp_path_factory.mktemp("results") / "results.csv"
+        write_results_csv(path, results)
+        assert read_results_csv(path) == results
+
 
 class TestAggregate:
     def test_two_episode_hand_computation(self):
@@ -981,6 +1011,22 @@ class TestAggregate:
         report = aggregate(results)
         expected = stats.t.ppf(0.975, 7) * report.std_acc / math.sqrt(8)
         assert report.ci95_halfwidth == pytest.approx(expected, rel=1e-12)
+
+
+class TestT975:
+    DFS = [*range(1, 5000), *np.logspace(4, 12, 60).astype(np.int64).tolist(), 2**31, 2**53]
+
+    def test_matches_stdtrit(self):
+        """Series + Newton below df 1000, Cornish-Fisher from there on."""
+        got = np.array([_t975(df) for df in self.DFS])
+        expected = special.stdtrit(np.array(self.DFS, dtype=float), 0.975)
+        gap = np.abs(got - expected) / expected
+        assert gap.max() <= 1e-13, self.DFS[int(gap.argmax())]
+
+    def test_decreases_to_the_normal_quantile(self):
+        values = [_t975(df) for df in range(1, 3000)]
+        assert all(a > b for a, b in zip(values, values[1:]))
+        assert values[-1] > special.ndtri(0.975)
 
 
 class TestPriorFromResults:

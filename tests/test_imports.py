@@ -1,13 +1,13 @@
 """The import graph: each entry point loads only what it runs.
 
 Each scipy module takes 0.2-0.4 s to import, numpy about 0.1 s, so a command
-that loads them without using them spends most of its time starting up. Only
-``episodes aggregate`` uses scipy (``scipy.special``, for one t quantile), and
-a parse of the package checks that its import is the only one. Each probe runs
-in a fresh interpreter, because the test process has long since imported
-everything. One more probe checks that importing the CLI builds no argument
-parser, only its first ``main`` call. A last check parses the package, the
-tests and the scripts for imported names that are never used.
+that loads them without using them spends most of its time starting up. The
+package's only third-party runtime dependency is numpy: no command loads
+scipy, and a parse of the package checks that no module imports it. Each
+probe runs in a fresh interpreter, because the test process has long since
+imported everything. One more probe checks that importing the CLI builds no
+argument parser, only its first ``main`` call. A last check parses the
+package, the tests and the scripts for imported names that are never used.
 """
 
 import ast
@@ -92,6 +92,7 @@ NO_SCIPY = {
     "simulate_beta": cli_run(SIMULATE.format(sigma=0.05)),
     "simulate_point_mass": cli_run(SIMULATE.format(sigma=0)),
     "episodes_sample": cli_run(SAMPLE),
+    "episodes_aggregate": cli_run(AGGREGATE),
     "fid": cli_run(FID),
 }
 
@@ -99,11 +100,6 @@ NO_SCIPY = {
 @pytest.mark.parametrize("code", NO_SCIPY.values(), ids=NO_SCIPY.keys())
 def test_loads_no_scipy(code, inputs):
     assert "scipy" not in modules_after(code.format(dir=inputs))
-
-
-def test_aggregate_loads_scipy_special_but_not_linalg(inputs):
-    loaded = modules_after(cli_run(AGGREGATE).format(dir=inputs))
-    assert "scipy.special" in loaded and "scipy.linalg" not in loaded
 
 
 PARSERS_BUILT = f"""
@@ -197,14 +193,16 @@ def test_scipy_imports_detector():
     ]
 
 
-def test_only_aggregate_imports_scipy():
-    """The package's one scipy import is ``episodes.aggregate``'s, inside the function."""
+def test_package_imports_no_scipy():
+    """No module under ``src/`` imports scipy, at module level or inside a function."""
+    paths = sorted(SRC.rglob("*.py"))
+    assert len(paths) > 5
     found = {
         str(path.relative_to(SRC)): imports
-        for path in sorted(SRC.rglob("*.py"))
+        for path in paths
         if (imports := scipy_imports(path.read_text(encoding="utf-8")))
     }
-    assert found == {"episcope/episodes.py": [("aggregate", "from scipy import special")]}
+    assert found == {}
 
 
 def test_no_unused_imports():
