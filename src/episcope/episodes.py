@@ -10,6 +10,7 @@ interval over per-episode accuracies.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import operator
@@ -728,11 +729,27 @@ def read_episodes(path: str | Path) -> list[EpisodeSpec]:
 
 
 def write_results_csv(path: str | Path, results: Iterable[EpisodeResult]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(RESULTS_CSV_HEADER)
-        for r in results:
+    """Write results as CSV rows under ``RESULTS_CSV_HEADER``.
+
+    Every row is rendered before the file is opened, so a result that cannot
+    be written (an integer longer than ``sys.get_int_max_str_digits()``)
+    raises a ``ValueError`` naming its episode and leaves an existing file as
+    it was.
+    """
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(RESULTS_CSV_HEADER)
+    for i, r in enumerate(results):
+        try:
             writer.writerow([r.episode_id, r.correct, r.total])
+        except ValueError as exc:
+            try:
+                name = f"episode {r.episode_id}"
+            except ValueError:  # the ID itself is too long to print
+                name = f"result {i}"
+            raise ValueError(f"{name}: too long to write as decimal text: {exc}") from None
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text.getvalue())
 
 
 def read_results_csv(path: str | Path) -> list[EpisodeResult]:

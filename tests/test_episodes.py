@@ -961,6 +961,20 @@ class TestEpisodeResult:
         write_results_csv(path, results)
         assert read_results_csv(path) == results
 
+    @pytest.mark.parametrize(
+        "rows, name",
+        [([(0, 1, 2), (1, 1, 10**5000)], "episode 1"), ([(10**5000, 1, 2)], "result 0")],
+        ids=["long_total", "long_id"],
+    )
+    def test_unwritable_result_leaves_the_file_as_it_was(self, tmp_path, rows, name):
+        """A count past Python's 4,300-digit str() limit fails before the file is opened."""
+        path = tmp_path / "results.csv"
+        write_results_csv(path, [EpisodeResult(7, 3, 4)])
+        before = path.read_bytes()
+        with pytest.raises(ValueError, match=f"^{name}: too long to write as decimal text: "):
+            write_results_csv(path, [EpisodeResult(*row) for row in rows])
+        assert path.read_bytes() == before
+
 
 class TestAggregate:
     def test_two_episode_hand_computation(self):

@@ -378,6 +378,59 @@ class TestCheapestRow:
         assert planner._cheapest_row(total, kp) == np.lexsort((-kq, kp, total))[0]
 
 
+class TestRangeCostFloor:
+    @given(
+        st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0)),
+        st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+        st.one_of(st.just(0.0), st.floats(0.0, 0.99)),
+        st.one_of(st.none(), st.integers(1023, 1074)),
+        st.sampled_from([0.0, 1e-9, 0.37, 1.0, 5.59, 100.0, 1e3, 1e4, 1e5, 1e6]),
+        st.sampled_from([0.0, 1e-9, 0.01, 1.0, 3.0]),
+        st.one_of(
+            st.floats(-30.0, -0.5).map(lambda e: 10.0**e),
+            st.sampled_from([1e-300, 1e-310, 1e-320]),
+            st.tuples(st.integers(1, 30_000), st.integers(1, 10**9)),
+        ),
+        st.integers(1, 25_000),
+        st.one_of(st.integers(0, 3), st.integers(0, 3_000)),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_never_above_least_computed_cost(
+        self, mean, std_fraction, slack, subnormal, ce, cq, target, kq_low, width
+    ):
+        """The floor of [kq_low, kq_high] is at most every computed ``cost.total`` there.
+
+        Brute force over the range with the solver itself. sigma^2 runs from 0
+        through a(1-a) to 0.99 * STD_BOUND_SLACK past it, or is the subnormal
+        2**-k; rates may be zero. Where the solver raises on the range, the
+        floor must be -inf, so that the scan never skips the range.
+        """
+        if ce == 0.0 and cq == 0.0:
+            cq = 1.0
+        bound = mean * (1.0 - mean)
+        if subnormal is None:
+            std = math.sqrt(std_fraction**2 * bound + slack * STD_BOUND_SLACK)
+        else:
+            std = 2.0 ** (-subnormal / 2)
+        prior = AccuracyPrior(mean, std)
+        cost = CostModel(ce, cq)
+        if isinstance(target, tuple):
+            kq_probe, kp_probe = target
+            target = per_episode_variance(prior, kq_probe) / kp_probe
+            if target == 0.0:
+                target = 1e-3
+        kq_high = kq_low + width
+        kq_c = planner._relaxed_minimiser(prior, cost, target)
+        floor = planner._range_cost_floor(prior, cost, target, kq_low, kq_high, kq_c)
+        kq = np.arange(kq_low, kq_high + 1, dtype=np.float64)
+        try:
+            kp = planner._min_episodes(prior, kq, target)
+        except ValueError:
+            assert floor == -math.inf
+            return
+        assert floor <= cost.total(kp, kq).min()
+
+
 def unpruned_min_cost_design(prior, cost, target, kq_max):
     """Reference: the chunked scan over every Kq up to kq_max, with no early stop.
 
@@ -413,8 +466,9 @@ BENCH_TARGET = 6.62e-6
 
 
 class TestMinCostDesignEarlyStop:
-    def test_wide_range_solves_one_chunk(self, monkeypatch):
-        """Past the first chunk no Kq up to 1e6 can beat Kq = 66, so none is solved."""
+    @staticmethod
+    def solve_counting(prior, cost, target, kq_max):
+        """The design found, and the length of each Kq chunk solved on the way."""
         solved = []
         solve = planner._min_episodes
 
@@ -422,16 +476,41 @@ class TestMinCostDesignEarlyStop:
             solved.append(len(kq))
             return solve(prior, kq, target)
 
-        monkeypatch.setattr(planner, "_min_episodes", spy)
-        result = min_cost_design(BENCH_PRIOR, BENCH_COST, BENCH_TARGET, 1_000_000)
-        assert (result.episodes, result.queries_per_episode) == (631, 66)
-        assert sum(solved) <= planner._KQ_CHUNK
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(planner, "_min_episodes", spy)
+            result = min_cost_design(prior, cost, target, kq_max)
+        return (result.episodes, result.queries_per_episode), solved
+
+    def test_wide_range_solves_one_chunk(self):
+        """Kq_c = 66.5, so the first chunk ends at 256, the power of two at or above
+        2 Kq_c, and past it no Kq can beat Kq = 66: 256 Kq values are solved at
+        either kq_max, against 2975 and 8192 for the end-point bound alone.
+        """
+        for kq_max in (2975, 1_000_000):
+            got = self.solve_counting(BENCH_PRIOR, BENCH_COST, BENCH_TARGET, kq_max)
+            assert got == ((631, 66), [256])
+
+    @pytest.mark.parametrize(
+        "sigma, target, design, chunks",
+        [
+            (5e-4, 1e-7, (18, 6387), [1 << 13]),
+            (5e-5, 1e-9, (162, 62069), [1 << 13] * 8),
+        ],
+        ids=["kq_c_6293", "kq_c_62929"],
+    )
+    def test_scan_stops_past_an_optimum_beyond_the_first_chunk(self, sigma, target, design, chunks):
+        """At c_e / c_q = 1000 and a = 0.99, 2 Kq_c passes _KQ_CHUNK, so the first
+        chunk is capped; the scan solves through the chunk that holds Kq_c and stops.
+        """
+        prior = AccuracyPrior(0.99, sigma)
+        got = self.solve_counting(prior, CostModel(1e3, 1.0), target, 1_000_000)
+        assert got == (design, chunks)
 
     @given(
         st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0)),
         st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
         st.one_of(st.just(0.0), st.floats(0.0, 0.99)),
-        st.sampled_from([0.0, 1e-9, 0.37, 1.0, 5.59, 100.0]),
+        st.sampled_from([0.0, 1e-9, 0.37, 1.0, 5.59, 100.0, 1e3, 1e4, 1e5, 1e6]),
         st.sampled_from([0.0, 1e-9, 0.01, 1.0, 3.0]),
         st.one_of(
             st.floats(-30.0, -0.5).map(lambda e: 10.0**e),
@@ -449,8 +528,9 @@ class TestMinCostDesignEarlyStop:
         std_fraction^2 * a(1-a), where v1 can rise with Kq. A (Kq, Kp) pair
         stands for the forward-formula target v1(Kq) / Kp, which puts
         v1 / target on whole numbers, where the episode-count bound is
-        tightest. Chunks are kept to at least kq_max / 256 values so that the
-        reference stays quick.
+        tightest. Cost ratios c_e / c_q reach 1e6 at c_q = 1, so that optima
+        fall past the first chunk. Chunks are kept to at least kq_max / 256
+        values so that the reference stays quick.
         """
         if ce == 0.0 and cq == 0.0:
             cq = 1.0
