@@ -32,10 +32,9 @@ _MAX_EXACT_EPISODES = 2**53
 # -1/+1 steps from ceil(v1 / target_var) could take ~Kp steps.
 _MIN_NORMAL = float(np.finfo(np.float64).tiny)
 
-# Most Kq values ``min_cost_design`` evaluates per numpy step: every step after
-# the first has this many, and the first has at most this many. It sets how
-# often the scan checks its early stop and bounds memory; results do not
-# depend on it.
+# Kq values ``min_cost_design`` evaluates per numpy step after the first (which
+# holds at most this many), and so how often it checks its early stop; bounds
+# memory only, as results do not depend on it.
 _KQ_CHUNK = 1 << 13
 
 
@@ -163,74 +162,55 @@ def tradeoff_csv(cells: list[TradeoffCell]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _relaxed_minimiser(
-    prior: AccuracyPrior, cost: CostModel, target_var: float
-) -> float | None:
-    """Kq_c, where the cost's convex relaxation is least, or None where it bounds nothing.
+def _first_chunk_end(prior: AccuracyPrior, cost: CostModel, target_var: float) -> int:
+    """Last Kq of ``min_cost_design``'s first chunk: where the scan should be able to stop.
 
-    The solver's Kp is never below v1(Kq) / target_var, and v1(Kq) =
-    sigma^2 + D / Kq with D = a(1-a) - sigma^2, so a design at Kq costs at
-    least f(Kq) = (sigma^2 + D / Kq)(c_e + c_q Kq) / target_var. For D >= 0,
-    f is convex with its least value at Kq_c = sqrt(D c_e / (sigma^2 c_q)).
-    Returns None, and ``_range_cost_floor`` keeps its end-point bound, where
-    the rounding argument behind the relaxation fails: D < 0 (sigma^2 up to
-    ``STD_BOUND_SLACK`` past a(1-a)), sigma^2, a(1-a) or sigma^2 c_q zero or
-    below the smallest normal float, and a target below the smallest normal
-    float, where the solver raises on any positive v1.
+    The solver's Kp is never below v1(Kq) / target_var, with v1(Kq) =
+    sigma^2 + D / Kq and D = a(1-a) - sigma^2, so a design at Kq costs at least
+    f(Kq) = v1(Kq)(c_e + c_q Kq) / target_var, least near
+    Kq_c = sqrt(max(D, 0) c_e / (sigma^2 c_q)); the design there costs at most
+    one episode more. ``_tail_cost_floor`` of [K, kq_max] is at least
+    max(sigma^2 / target_var - 2, 1) episodes at K, so the chunk ends at the K
+    where that floor reaches the design near Kq_c, capped at ``_KQ_CHUNK``.
+    It is ``_KQ_CHUNK`` long when sigma^2 c_q = 0, and under a target below the
+    smallest normal float, where the solver raises and which error comes
+    first depends on the chunk.
     """
-    a = prior.mean
-    bound = a * (1.0 - a)
     s2 = prior.variance
-    spread = bound - s2
     rate = s2 * cost.cost_per_query
-    if spread < 0.0 or min(s2, bound, rate, target_var) < _MIN_NORMAL:
-        return None
-    return math.sqrt(spread * cost.cost_per_episode / rate)
+    if rate == 0.0 or target_var < _MIN_NORMAL:
+        return _KQ_CHUNK
+    spread = max(prior.mean * (1.0 - prior.mean) - s2, 0.0)
+    kq_c = max(math.sqrt(spread * cost.cost_per_episode / rate), 1.0)
+    near = ((s2 + spread / kq_c) / target_var + 1.0) * cost.total(1.0, kq_c)
+    end = (near / max(s2 / target_var - 2.0, 1.0) - cost.cost_per_episode) / cost.cost_per_query
+    if not end < _KQ_CHUNK:
+        return _KQ_CHUNK
+    return max(math.ceil(end), 1)
 
 
-def _range_cost_floor(
-    prior: AccuracyPrior,
-    cost: CostModel,
-    target_var: float,
-    kq_low: int,
-    kq_high: int,
-    kq_c: float | None,
+def _tail_cost_floor(
+    prior: AccuracyPrior, cost: CostModel, target_var: float, kq_low: int, kq_high: int
 ) -> float:
     """A lower bound on the computed cost of every design with Kq in [kq_low, kq_high].
 
-    Returns -inf when the solver could raise somewhere in the range (a count
-    at or past 2**53, or a positive v1 under a target below the smallest
-    normal float), so that such a range is never skipped. v1 is monotone in
-    Kq, so v1 at the two ends bounds it over the range to within a few ulps,
-    which the 1e-12 margins cover.
-
-    With ``kq_c`` from ``_relaxed_minimiser``, the bound is the relaxation
-    f(clamp(kq_c, kq_low, kq_high)) less a 1e-12 relative margin, and at
-    least ``cost.total`` at one episode and kq_low. The margin covers the
-    rounding of the solver's v1 and Kp test, of ``cost.total`` and of f
-    itself; it holds because sigma^2, a(1-a), sigma^2 c_q and the target are
-    normal floats, so no step loses more than a few ulps, and an error in
-    kq_c moves f only to second order about its minimum. Without ``kq_c``,
-    the solver's Kp is at least floor(v1_low / target_var) - 1, and since
-    rounding is monotone and both rates are non-negative, ``cost.total`` at
-    that Kp and kq_low is at most the computed total of any design in the
-    range.
+    v1(Kq) = sigma^2 + (a(1-a) - sigma^2) / Kq is monotone in Kq, so v1 at the
+    two ends bounds it over the range to within a few ulps; the 1e-12 margins
+    cover that rounding. The solver's Kp is then at least
+    floor(v1_low / target_var) - 1, and since rounding is monotone and both
+    rates are non-negative, ``cost.total`` at that Kp and kq_low is at most
+    the computed total of any design in the range. Returns -inf when the
+    solver could raise somewhere in the range (a count at or past 2**53, or a
+    positive v1 under a target below the smallest normal float), so that such
+    a range is never skipped.
     """
     v_low, v_high = sorted(_per_episode_variance(prior, float(kq)) for kq in (kq_low, kq_high))
     if target_var < _MIN_NORMAL and v_high > 0.0:
         return -math.inf
     if not v_high / target_var * (1.0 + 1e-12) < _MAX_EXACT_EPISODES:
         return -math.inf
-    if kq_c is None:
-        kp_low = max(math.floor(v_low / target_var * (1.0 - 1e-12)) - 1, 1)
-        return cost.total(float(kp_low), float(kq_low))
-    a = prior.mean
-    s2 = prior.variance
-    kq = min(max(kq_c, float(kq_low)), float(kq_high))
-    relaxed = (s2 + (a * (1.0 - a) - s2) / kq) * cost.total(1.0, kq) / target_var
-    relaxed *= 1.0 - 1e-12
-    # An overflowed relaxation bounds nothing: a cost just under the largest float is finite.
-    return max(cost.total(1.0, float(kq_low)), relaxed if relaxed < math.inf else -math.inf)
+    kp_low = max(math.floor(v_low / target_var * (1.0 - 1e-12)) - 1, 1)
+    return cost.total(float(kp_low), float(kq_low))
 
 
 def _cheapest_row(total: np.ndarray, kp: np.ndarray) -> int:
@@ -257,35 +237,26 @@ def min_cost_design(
     Kq is scanned in numpy chunks, each solved by the same episode-count
     solver as ``min_episodes_for_variance``, and each chunk's best row is kept
     by the key (cost, Kp, -Kq), so the answer equals calling the scalar
-    solver per Kq. The first chunk ends at the power of two at or above
-    2 Kq_c, the minimiser of the cost's convex relaxation (see
-    ``_relaxed_minimiser``), capped at ``_KQ_CHUNK``; it is ``_KQ_CHUNK``
-    long where there is no relaxation. Every later chunk is ``_KQ_CHUNK`` long.
+    solver per Kq. The first chunk ends near twice the minimiser of the
+    cost's continuous relaxation (see ``_first_chunk_end``), and every later
+    chunk holds ``_KQ_CHUNK`` values.
 
-    Before the chunk starting at Kq = K, ``_range_cost_floor`` bounds the
-    cost of every design with Kq in [K, kq_max] from below, and the scan
-    stops when that bound is strictly greater than the best cost so far.
-    Past Kq_c the relaxation rises with K, so the scan stops soon after the
-    optimum. The stop is exact: no skipped design could cost less or tie,
-    and a range on which the solver could raise is never skipped, so the
-    result and every error are those of the full scan. With
-    ``cost_per_query=0`` and sigma^2 <= a(1-a), Kp never rises with Kq, so
-    the bound never passes the best cost and the scan still runs to
-    ``kq_max``.
+    Before the chunk starting at Kq = K, ``_tail_cost_floor`` bounds the cost
+    of every design with Kq in [K, kq_max] from below, and the scan stops when
+    that bound is strictly greater than the best cost so far. The stop is
+    exact: no skipped design could cost less or tie, and a tail on which the
+    solver could raise is never skipped, so the result and every error are
+    those of the full scan. With ``cost_per_query=0`` and sigma^2 <= a(1-a),
+    Kp never rises with Kq, so the bound never passes the best cost and the
+    scan still runs to ``kq_max``.
     """
     _check_target_var(target_var)
     _check_positive_int(kq_max, "kq_max")
-    kq_c = _relaxed_minimiser(prior, cost, target_var)
-    if kq_c is None or not 2.0 * kq_c < _KQ_CHUNK:
-        end = _KQ_CHUNK
-    else:
-        end = min(1 << (max(math.ceil(2.0 * kq_c), 1) - 1).bit_length(), _KQ_CHUNK)
+    end = _first_chunk_end(prior, cost, target_var)
     best: tuple[float, int, int] | None = None
     start = 1
     while start <= kq_max:
-        if best is not None and best[0] < _range_cost_floor(
-            prior, cost, target_var, start, kq_max, kq_c
-        ):
+        if best is not None and _tail_cost_floor(prior, cost, target_var, start, kq_max) > best[0]:
             break
         kq = np.arange(start, min(end, kq_max) + 1, dtype=np.float64)
         kp = _min_episodes(prior, kq, target_var)

@@ -134,64 +134,73 @@ class TestVariance:
         assert f"argument {flag}: " in err and reason in err
 
 
-# `plan cost` stdout byte for byte, as printed when the scan's stop used the
-# end-point bound alone: the README examples, then c_e / c_q of 1e3 and 1e5 at
-# kq_max 1, 2975 and 1e6 for the README prior, the published prior and two
-# priors whose optima lie past 8,192 queries. Columns: a, sigma, cost-episode,
-# cost-query, target-var, kq-max.
+# `plan cost` stdout byte for byte, as printed when the scan's first chunk held
+# 8,192 Kq values: the benchmark's plan at both of its Kq ranges, the README's
+# free-query example, then c_e / c_q of 1e3 and 1e5 at kq_max 1, 2975 and 1e6
+# for the README prior, the published prior and two priors whose optima lie
+# past 8,192 queries. Columns: a, sigma, cost-episode, cost-query, target-var,
+# kq-max.
+BENCH_PLAN_STDOUT = (
+    '{"episodes": 631, "queries_per_episode": 66, "predicted_var": 6.617682370455747e-06, '
+    '"predicted_ci95": 0.005042071855333162, "total_cost": 104746.0}'
+)
 PLAN_COST_STDOUT = [
-    (('0.93', '0.028', '5.59', '0', '7e-6', '2975'),
-     '{"episodes": 116, "queries_per_episode": 2975, "predicted_var": 6.944989858012171e-06, "predicted_ci95": 0.00516525633812491, "total_cost": 648.4399999999999}'),
-    (('0.87', '0.05', '100', '1', '6.62e-6', '1000000'),
-     '{"episodes": 631, "queries_per_episode": 66, "predicted_var": 6.617682370455747e-06, "predicted_ci95": 0.005042071855333162, "total_cost": 104746.0}'),
-    (('0.87', '0.05', '1e3', '1', '6.62e-6', '1'),
-     '{"episodes": 17085, "queries_per_episode": 1, "predicted_var": 6.619841966637401e-06, "predicted_ci95": 0.0050428944961236535, "total_cost": 17102085.0}'),
-    (('0.87', '0.05', '1e3', '1', '6.62e-6', '2975'),
-     '{"episodes": 458, "queries_per_episode": 208, "predicted_var": 6.619499496137051e-06, "predicted_ci95": 0.00504276405003844, "total_cost": 553264.0}'),
-    (('0.87', '0.05', '1e3', '1', '6.62e-6', '1000000'),
-     '{"episodes": 458, "queries_per_episode": 208, "predicted_var": 6.619499496137051e-06, "predicted_ci95": 0.00504276405003844, "total_cost": 553264.0}'),
-    (('0.87', '0.05', '1e5', '1', '6.62e-6', '1'),
-     '{"episodes": 17085, "queries_per_episode": 1, "predicted_var": 6.619841966637401e-06, "predicted_ci95": 0.0050428944961236535, "total_cost": 1708517085.0}'),
-    (('0.87', '0.05', '1e5', '1', '6.62e-6', '2975'),
-     '{"episodes": 386, "queries_per_episode": 2000, "predicted_var": 6.619948186528499e-06, "predicted_ci95": 0.005042934954306657, "total_cost": 39372000.0}'),
-    (('0.87', '0.05', '1e5', '1', '6.62e-6', '1000000'),
-     '{"episodes": 386, "queries_per_episode": 2000, "predicted_var": 6.619948186528499e-06, "predicted_ci95": 0.005042934954306657, "total_cost": 39372000.0}'),
-    (('0.93', '0.028', '1e3', '1', '7e-6', '1'),
-     '{"episodes": 9300, "queries_per_episode": 1, "predicted_var": 6.999999999999996e-06, "predicted_ci95": 0.005185672569686596, "total_cost": 9309300.0}'),
-    (('0.93', '0.028', '1e3', '1', '7e-6', '2975'),
-     '{"episodes": 145, "queries_per_episode": 279, "predicted_var": 6.9967123964899255e-06, "predicted_ci95": 0.005184454681290569, "total_cost": 185455.0}'),
-    (('0.93', '0.028', '1e3', '1', '7e-6', '1000000'),
-     '{"episodes": 145, "queries_per_episode": 279, "predicted_var": 6.9967123964899255e-06, "predicted_ci95": 0.005184454681290569, "total_cost": 185455.0}'),
-    (('0.93', '0.028', '1e5', '1', '7e-6', '1'),
-     '{"episodes": 9300, "queries_per_episode": 1, "predicted_var": 6.999999999999996e-06, "predicted_ci95": 0.005185672569686596, "total_cost": 930009300.0}'),
-    (('0.93', '0.028', '1e5', '1', '7e-6', '2975'),
-     '{"episodes": 116, "queries_per_episode": 2298, "predicted_var": 6.9998949611356205e-06, "predicted_ci95": 0.005185633662600801, "total_cost": 11866568.0}'),
-    (('0.93', '0.028', '1e5', '1', '7e-6', '1000000'),
-     '{"episodes": 115, "queries_per_episode": 3063, "predicted_var": 6.999980127468099e-06, "predicted_ci95": 0.0051856652087925465, "total_cost": 11852245.0}'),
-    (('0.99', '5e-4', '1e3', '1', '1e-7', '1'),
-     '{"episodes": 99001, "queries_per_episode": 1, "predicted_var": 9.999898990919293e-08, "predicted_ci95": 0.0006198032910812555, "total_cost": 99100001.0}'),
-    (('0.99', '5e-4', '1e3', '1', '1e-7', '2975'),
-     '{"episodes": 36, "queries_per_episode": 2956, "predicted_var": 9.997321831303572e-08, "predicted_ci95": 0.0006197234185274572, "total_cost": 142416.0}'),
-    (('0.99', '5e-4', '1e3', '1', '1e-7', '1000000'),
-     '{"episodes": 18, "queries_per_episode": 6387, "predicted_var": 9.999913017761781e-08, "predicted_ci95": 0.0006198037257796508, "total_cost": 132966.0}'),
-    (('0.99', '5e-4', '1e5', '1', '1e-7', '1'),
-     '{"episodes": 99001, "queries_per_episode": 1, "predicted_var": 9.999898990919293e-08, "predicted_ci95": 0.0006198032910812555, "total_cost": 9900199001.0}'),
-    (('0.99', '5e-4', '1e5', '1', '1e-7', '2975'),
-     '{"episodes": 36, "queries_per_episode": 2956, "predicted_var": 9.997321831303572e-08, "predicted_ci95": 0.0006197234185274572, "total_cost": 3706416.0}'),
-    (('0.99', '5e-4', '1e5', '1', '1e-7', '1000000'),
-     '{"episodes": 4, "queries_per_episode": 65999, "predicted_var": 9.999962120638194e-08, "predicted_ci95": 0.0006198052474983064, "total_cost": 663996.0}'),
-    (('0.99', '5e-5', '1e3', '1', '1e-9', '1'),
-     '{"episodes": 9900001, "queries_per_episode": 1, "predicted_var": 9.999998989899101e-10, "predicted_ci95": 6.198063900896504e-05, "total_cost": 9909901001.0}'),
-    (('0.99', '5e-5', '1e3', '1', '1e-9', '2975'),
-     '{"episodes": 3331, "queries_per_episode": 2975, "predicted_var": 9.99768913869962e-10, "predicted_ci95": 6.197348029216083e-05, "total_cost": 13240725.0}'),
-    (('0.99', '5e-5', '1e3', '1', '1e-9', '1000000'),
-     '{"episodes": 162, "queries_per_episode": 62069, "predicted_var": 9.999992043900175e-10, "predicted_ci95": 6.198061748308653e-05, "total_cost": 10217178.0}'),
-    (('0.99', '5e-5', '1e5', '1', '1e-9', '1'),
-     '{"episodes": 9900001, "queries_per_episode": 1, "predicted_var": 9.999998989899101e-10, "predicted_ci95": 6.198063900896504e-05, "total_cost": 990010000001.0}'),
-    (('0.99', '5e-5', '1e5', '1', '1e-9', '2975'),
-     '{"episodes": 3331, "queries_per_episode": 2975, "predicted_var": 9.99768913869962e-10, "predicted_ci95": 6.197348029216083e-05, "total_cost": 343009725.0}'),
-    (('0.99', '5e-5', '1e5', '1', '1e-9', '1000000'),
-     '{"episodes": 18, "queries_per_episode": 638710, "predicted_var": 9.999993476434276e-10, "predicted_ci95": 6.198062192255732e-05, "total_cost": 13296780.0}'),
+    *(
+        pytest.param(("0.87", "0.05", "100.0", "1.0", "6.62e-06", kq_max), BENCH_PLAN_STDOUT, id=kq_max)
+        for kq_max in ("2975", "1000000")
+    ),
+    *(pytest.param(flags, stdout, id="-".join(flags)) for flags, stdout in [
+        (('0.93', '0.028', '5.59', '0', '7e-6', '2975'),
+         '{"episodes": 116, "queries_per_episode": 2975, "predicted_var": 6.944989858012171e-06, "predicted_ci95": 0.00516525633812491, "total_cost": 648.4399999999999}'),
+        (('0.87', '0.05', '1e3', '1', '6.62e-6', '1'),
+         '{"episodes": 17085, "queries_per_episode": 1, "predicted_var": 6.619841966637401e-06, "predicted_ci95": 0.0050428944961236535, "total_cost": 17102085.0}'),
+        (('0.87', '0.05', '1e3', '1', '6.62e-6', '2975'),
+         '{"episodes": 458, "queries_per_episode": 208, "predicted_var": 6.619499496137051e-06, "predicted_ci95": 0.00504276405003844, "total_cost": 553264.0}'),
+        (('0.87', '0.05', '1e3', '1', '6.62e-6', '1000000'),
+         '{"episodes": 458, "queries_per_episode": 208, "predicted_var": 6.619499496137051e-06, "predicted_ci95": 0.00504276405003844, "total_cost": 553264.0}'),
+        (('0.87', '0.05', '1e5', '1', '6.62e-6', '1'),
+         '{"episodes": 17085, "queries_per_episode": 1, "predicted_var": 6.619841966637401e-06, "predicted_ci95": 0.0050428944961236535, "total_cost": 1708517085.0}'),
+        (('0.87', '0.05', '1e5', '1', '6.62e-6', '2975'),
+         '{"episodes": 386, "queries_per_episode": 2000, "predicted_var": 6.619948186528499e-06, "predicted_ci95": 0.005042934954306657, "total_cost": 39372000.0}'),
+        (('0.87', '0.05', '1e5', '1', '6.62e-6', '1000000'),
+         '{"episodes": 386, "queries_per_episode": 2000, "predicted_var": 6.619948186528499e-06, "predicted_ci95": 0.005042934954306657, "total_cost": 39372000.0}'),
+        (('0.93', '0.028', '1e3', '1', '7e-6', '1'),
+         '{"episodes": 9300, "queries_per_episode": 1, "predicted_var": 6.999999999999996e-06, "predicted_ci95": 0.005185672569686596, "total_cost": 9309300.0}'),
+        (('0.93', '0.028', '1e3', '1', '7e-6', '2975'),
+         '{"episodes": 145, "queries_per_episode": 279, "predicted_var": 6.9967123964899255e-06, "predicted_ci95": 0.005184454681290569, "total_cost": 185455.0}'),
+        (('0.93', '0.028', '1e3', '1', '7e-6', '1000000'),
+         '{"episodes": 145, "queries_per_episode": 279, "predicted_var": 6.9967123964899255e-06, "predicted_ci95": 0.005184454681290569, "total_cost": 185455.0}'),
+        (('0.93', '0.028', '1e5', '1', '7e-6', '1'),
+         '{"episodes": 9300, "queries_per_episode": 1, "predicted_var": 6.999999999999996e-06, "predicted_ci95": 0.005185672569686596, "total_cost": 930009300.0}'),
+        (('0.93', '0.028', '1e5', '1', '7e-6', '2975'),
+         '{"episodes": 116, "queries_per_episode": 2298, "predicted_var": 6.9998949611356205e-06, "predicted_ci95": 0.005185633662600801, "total_cost": 11866568.0}'),
+        (('0.93', '0.028', '1e5', '1', '7e-6', '1000000'),
+         '{"episodes": 115, "queries_per_episode": 3063, "predicted_var": 6.999980127468099e-06, "predicted_ci95": 0.0051856652087925465, "total_cost": 11852245.0}'),
+        (('0.99', '5e-4', '1e3', '1', '1e-7', '1'),
+         '{"episodes": 99001, "queries_per_episode": 1, "predicted_var": 9.999898990919293e-08, "predicted_ci95": 0.0006198032910812555, "total_cost": 99100001.0}'),
+        (('0.99', '5e-4', '1e3', '1', '1e-7', '2975'),
+         '{"episodes": 36, "queries_per_episode": 2956, "predicted_var": 9.997321831303572e-08, "predicted_ci95": 0.0006197234185274572, "total_cost": 142416.0}'),
+        (('0.99', '5e-4', '1e3', '1', '1e-7', '1000000'),
+         '{"episodes": 18, "queries_per_episode": 6387, "predicted_var": 9.999913017761781e-08, "predicted_ci95": 0.0006198037257796508, "total_cost": 132966.0}'),
+        (('0.99', '5e-4', '1e5', '1', '1e-7', '1'),
+         '{"episodes": 99001, "queries_per_episode": 1, "predicted_var": 9.999898990919293e-08, "predicted_ci95": 0.0006198032910812555, "total_cost": 9900199001.0}'),
+        (('0.99', '5e-4', '1e5', '1', '1e-7', '2975'),
+         '{"episodes": 36, "queries_per_episode": 2956, "predicted_var": 9.997321831303572e-08, "predicted_ci95": 0.0006197234185274572, "total_cost": 3706416.0}'),
+        (('0.99', '5e-4', '1e5', '1', '1e-7', '1000000'),
+         '{"episodes": 4, "queries_per_episode": 65999, "predicted_var": 9.999962120638194e-08, "predicted_ci95": 0.0006198052474983064, "total_cost": 663996.0}'),
+        (('0.99', '5e-5', '1e3', '1', '1e-9', '1'),
+         '{"episodes": 9900001, "queries_per_episode": 1, "predicted_var": 9.999998989899101e-10, "predicted_ci95": 6.198063900896504e-05, "total_cost": 9909901001.0}'),
+        (('0.99', '5e-5', '1e3', '1', '1e-9', '2975'),
+         '{"episodes": 3331, "queries_per_episode": 2975, "predicted_var": 9.99768913869962e-10, "predicted_ci95": 6.197348029216083e-05, "total_cost": 13240725.0}'),
+        (('0.99', '5e-5', '1e3', '1', '1e-9', '1000000'),
+         '{"episodes": 162, "queries_per_episode": 62069, "predicted_var": 9.999992043900175e-10, "predicted_ci95": 6.198061748308653e-05, "total_cost": 10217178.0}'),
+        (('0.99', '5e-5', '1e5', '1', '1e-9', '1'),
+         '{"episodes": 9900001, "queries_per_episode": 1, "predicted_var": 9.999998989899101e-10, "predicted_ci95": 6.198063900896504e-05, "total_cost": 990010000001.0}'),
+        (('0.99', '5e-5', '1e5', '1', '1e-9', '2975'),
+         '{"episodes": 3331, "queries_per_episode": 2975, "predicted_var": 9.99768913869962e-10, "predicted_ci95": 6.197348029216083e-05, "total_cost": 343009725.0}'),
+        (('0.99', '5e-5', '1e5', '1', '1e-9', '1000000'),
+         '{"episodes": 18, "queries_per_episode": 638710, "predicted_var": 9.999993476434276e-10, "predicted_ci95": 6.198062192255732e-05, "total_cost": 13296780.0}'),
+    ]),
 ]
 
 
@@ -262,24 +271,9 @@ class TestPlan:
         assert payload["queries_per_episode"] == 2975
         assert payload["total_cost"] == pytest.approx(648.44, abs=0.01)
 
-    @pytest.mark.parametrize("kq_max", ["2975", "1000000"])
-    def test_cost_json_pinned(self, capsys, kq_max):
-        """The benchmark's plan: exact bytes, whatever the Kq range scanned."""
-        code, out, _ = run(
-            capsys,
-            "plan", "cost", "--a", "0.87", "--sigma", "0.05",
-            "--cost-episode", "100.0", "--cost-query", "1.0",
-            "--target-var", "6.62e-06", "--kq-max", kq_max,
-        )
-        assert code == 0
-        assert out == (
-            '{"episodes": 631, "queries_per_episode": 66, '
-            '"predicted_var": 6.617682370455747e-06, '
-            '"predicted_ci95": 0.005042071855333162, "total_cost": 104746.0}\n'
-        )
-
     @pytest.mark.parametrize("flags, stdout", PLAN_COST_STDOUT)
-    def test_cost_stdout_unchanged(self, capsys, flags, stdout):
+    def test_cost_json_pinned(self, capsys, flags, stdout):
+        """Exact bytes, whatever the Kq range scanned."""
         names = ("--a", "--sigma", "--cost-episode", "--cost-query", "--target-var", "--kq-max")
         code, out, err = run(capsys, "plan", "cost", *(t for pair in zip(names, flags) for t in pair))
         assert (code, out, err) == (0, stdout + "\n", "")

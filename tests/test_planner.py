@@ -5,7 +5,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from episcope import planner
@@ -378,7 +378,7 @@ class TestCheapestRow:
         assert planner._cheapest_row(total, kp) == np.lexsort((-kq, kp, total))[0]
 
 
-class TestRangeCostFloor:
+class TestTailCostFloor:
     @given(
         st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0)),
         st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
@@ -420,8 +420,7 @@ class TestRangeCostFloor:
             if target == 0.0:
                 target = 1e-3
         kq_high = kq_low + width
-        kq_c = planner._relaxed_minimiser(prior, cost, target)
-        floor = planner._range_cost_floor(prior, cost, target, kq_low, kq_high, kq_c)
+        floor = planner._tail_cost_floor(prior, cost, target, kq_low, kq_high)
         kq = np.arange(kq_low, kq_high + 1, dtype=np.float64)
         try:
             kp = planner._min_episodes(prior, kq, target)
@@ -482,29 +481,14 @@ class TestMinCostDesignEarlyStop:
         return (result.episodes, result.queries_per_episode), solved
 
     def test_wide_range_solves_one_chunk(self):
-        """Kq_c = 66.5, so the first chunk ends at 256, the power of two at or above
-        2 Kq_c, and past it no Kq can beat Kq = 66: 256 Kq values are solved at
-        either kq_max, against 2975 and 8192 for the end-point bound alone.
+        """Kq_c = 66.5, and the tail floor from Kq = 181 on passes the design near it,
+        so the first chunk ends at 180 and no Kq past it can beat Kq = 66: 180 Kq
+        values are solved at either kq_max, against 2975 and 8192 when the first
+        chunk held 8192.
         """
         for kq_max in (2975, 1_000_000):
             got = self.solve_counting(BENCH_PRIOR, BENCH_COST, BENCH_TARGET, kq_max)
-            assert got == ((631, 66), [256])
-
-    @pytest.mark.parametrize(
-        "sigma, target, design, chunks",
-        [
-            (5e-4, 1e-7, (18, 6387), [1 << 13]),
-            (5e-5, 1e-9, (162, 62069), [1 << 13] * 8),
-        ],
-        ids=["kq_c_6293", "kq_c_62929"],
-    )
-    def test_scan_stops_past_an_optimum_beyond_the_first_chunk(self, sigma, target, design, chunks):
-        """At c_e / c_q = 1000 and a = 0.99, 2 Kq_c passes _KQ_CHUNK, so the first
-        chunk is capped; the scan solves through the chunk that holds Kq_c and stops.
-        """
-        prior = AccuracyPrior(0.99, sigma)
-        got = self.solve_counting(prior, CostModel(1e3, 1.0), target, 1_000_000)
-        assert got == (design, chunks)
+            assert got == ((631, 66), [180])
 
     @given(
         st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0)),
@@ -520,6 +504,9 @@ class TestMinCostDesignEarlyStop:
         st.integers(1, 200_000),
         st.one_of(st.integers(1, 700), st.just(1 << 13)),
     )
+    # Under a subnormal target the first chunk must keep its full length: Kq = 2
+    # needs 2**53 episodes, and a one-value chunk would raise the subnormal error first.
+    @example(5e-324, 0.0, 0.5, 0.0, 1.0, 1e-310, 2, 1 << 13)
     @settings(max_examples=300, deadline=None)
     def test_equals_unpruned_scan(self, mean, std_fraction, slack, ce, cq, target, kq_max, chunk):
         """Same design or same error as the full scan, including sigma^2 at and just past a(1-a).
