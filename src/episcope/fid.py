@@ -1,12 +1,11 @@
 """Frechet distance between Gaussian fits of two feature sets, at any dimensionality.
 
-Each covariance is used through a factor S = F F^T. A fit of n <= d samples keeps its
-centred samples scaled by 1/sqrt(n-1) as F (d x n) and forms no d x d matrix; any other
-covariance S1 is factored by numpy's Cholesky, S1 = L L^T, or, when that fails because
-S1 is singular or not a covariance, by its eigendecomposition, F = V sqrt(max(w, 0)).
-One eigvalsh of the r x r matrix F1^T S2 F1, r the columns of F1 (of the smaller Gram
-matrix of F1^T F2 when S2 keeps its samples), gives Tr (S1^(1/2) S2 S1^(1/2))^(1/2), in
-O(d^2 r) flops against a d x d S2 and O(d r n2) against kept samples. Only numpy is used.
+Each covariance is used through a factor S = F F^T, and both are factored the same way.
+A fit of n <= d samples keeps its centred samples scaled by 1/sqrt(n-1) as F (d x n)
+and forms no d x d matrix; any other covariance is factored by numpy's Cholesky,
+S = L L^T, or, when that fails because S is singular or not a covariance, by its
+eigendecomposition, F = V sqrt(max(w, 0)). One eigvalsh of the smaller Gram matrix of
+F1^T F2 gives Tr (S1^(1/2) S2 S1^(1/2))^(1/2) for every pair. Only numpy is used.
 """
 
 from __future__ import annotations
@@ -83,81 +82,78 @@ def fit_gaussian(features: np.ndarray) -> GaussianStats:
         raise ValueError(f"need at least 2 feature rows to fit a covariance, got {x.shape[0]}")
     if not np.all(np.isfinite(x)):
         raise ValueError("features contain non-finite values")
-    mean = x.mean(axis=0)
-    centered = x - mean
-    if x.shape[0] <= x.shape[1]:
-        centered /= np.sqrt(x.shape[0] - 1)
-        trace = float(np.vdot(centered, centered))
-        if not np.isfinite(trace):  # every |covariance entry| is at most the trace
-            raise ValueError("Gaussian stats must be finite")
-        return _SampleFit(mean, centered.T, trace)
-    with np.errstate(over="ignore"):  # GaussianStats refuses a covariance that overflowed
+    # Features near the float64 limit can overflow the mean, the centring or the
+    # covariance (and then meet inf - inf); the finite checks refuse such a fit, so
+    # numpy's warnings would only come before that error.
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = x.mean(axis=0)
+        centered = x - mean
+        if x.shape[0] <= x.shape[1]:
+            centered /= np.sqrt(x.shape[0] - 1)
+            trace = float(np.vdot(centered, centered))
+            if not np.isfinite(trace):  # every |covariance entry| is at most the trace
+                raise ValueError("Gaussian stats must be finite")
+            return _SampleFit(mean, centered.T, trace)
         cov = centered.T @ centered / (x.shape[0] - 1)
         cov = (cov + cov.T) / 2.0
     return GaussianStats(mean=mean, cov=cov)
 
 
-def _warn_if_negative(eigvals: np.ndarray, scale: float, shift: int = 0) -> None:
-    """Warn if the ascending ``eigvals`` start below -NEG_EIG_WARN_TOL * max(1, scale).
+def _warn_if_negative(eigvals: np.ndarray, scale: float) -> None:
+    """Warn if the ascending ``eigvals`` start below -NEG_EIG_WARN_TOL * max(1, scale)."""
+    if eigvals.size and eigvals[0] < -NEG_EIG_WARN_TOL * max(1.0, scale):
+        warnings.warn(f"covariance eigenvalue {eigvals[0]:.3e} is well below zero; input is not "
+                      "a valid covariance matrix", RuntimeWarning, stacklevel=4)
 
-    ``eigvals`` and ``scale`` are 2**-shift times the checked matrix's values: the
-    threshold and the eigenvalue reported are in the matrix's own units.
+
+def _factor(g: GaussianStats) -> tuple[np.ndarray, float]:
+    """A factor F of S = F F^T, d x r, and tr S.
+
+    A fit of n <= d samples gives its kept samples (r = n). Any other S is factored by
+    numpy's Cholesky, F = L (r = d); when that fails, S is singular or not a covariance,
+    and F = V sqrt(max(w, 0)) from S = V diag(w) V^T, warning if an eigenvalue w lies
+    below -NEG_EIG_WARN_TOL * max(1, max |diag S|).
     """
-    unit = math.ldexp(1.0, min(-shift, 1023))  # 2**-shift, capped to stay finite
-    threshold = NEG_EIG_WARN_TOL * max(unit, scale)
-    if eigvals.size and eigvals[0] < -threshold:
-        with np.errstate(over="ignore"):
-            value = np.ldexp(eigvals[0], shift)
-        warnings.warn(f"covariance eigenvalue {value:.3e} is well below zero; input is not "
-                      "a valid covariance matrix", RuntimeWarning, stacklevel=3)
+    if isinstance(g, _SampleFit):
+        return g.factor, g.trace
+    try:
+        root = np.linalg.cholesky(g.cov)
+    except np.linalg.LinAlgError:  # S is singular, or not a covariance
+        w, v = np.linalg.eigh(g.cov)
+        _warn_if_negative(w, np.max(np.abs(np.diag(g.cov)), initial=0.0))
+        root = v * np.sqrt(np.maximum(w, 0.0))
+    return root, np.trace(g.cov)
 
 
 def frechet_distance(g1: GaussianStats, g2: GaussianStats) -> float:
     """Squared Frechet distance ||mu1 - mu2||^2 + Tr(S1 + S2 - 2 (S1^(1/2) S2 S1^(1/2))^(1/2)).
 
-    S1 = F F^T, with F the kept samples (d x r, r = n) of an n <= d fit, else the Cholesky
-    factor L of S1 (r = d). When the Cholesky fails, S1 is singular or not a covariance,
-    and F = V sqrt(max(w, 0)) from S1 = V diag(w) V^T; an eigenvalue w below
-    -NEG_EIG_WARN_TOL * max(1, max |diag S1|) warns. The root's trace is
-    sum sqrt(eigvalsh(F^T S2 F)), the nonzero spectrum of S1 S2; when S2 = G G^T keeps its
-    samples too, F^T S2 F is the Gram matrix of F^T G, formed on its shorter side, and it
-    warns by the same rule in its own units. Cost O(d^2 r + r^3) for a covariance S2 and
-    O(d r n2 + min(r, n2)^3) for kept samples. Eigenvalues at or below eps tr S1 tr S2, the
-    round-off of forming the matrix, count as 0, and the result is clipped at 0.
+    Both covariances are factored by ``_factor``, S1 = F1 F1^T (d x r1) and S2 = F2 F2^T
+    (d x r2): the kept samples of an n <= d fit, else the Cholesky factor, else the
+    clipped eigendecomposition, which alone can warn, in its own matrix's units. The
+    root's trace is the sum of the singular values of F1^T F2, the square roots of the
+    eigenvalues of its Gram matrix formed on the shorter side, in O(d r1 r2 + min(r1,
+    r2)^3) flops. Eigenvalues at or below eps tr S1 tr S2, the round-off of forming the
+    Gram matrix, count as 0, and the result is clipped at 0.
 
-    F^T S2 F scales as tr S1 tr S2, which would leave the float64 range for features
-    beyond about 1e80 or below 1e-100, so its factors are scaled to form it 4**-m times
-    smaller, with 4**m near tr S1 tr S2, and the root trace is scaled back by 2**m.
-    Powers of two scale exactly, so results within that range are unchanged, and the
-    range reaches features of about 1e-150 to 1e150.
+    The Gram matrix scales as tr S1 tr S2, which would leave the float64 range for
+    features beyond about 1e80 or below 1e-100, so F1^T F2 is scaled by 2**-m, with 4**m
+    near tr S1 tr S2, and the root trace is scaled back by 2**m. Powers of two scale
+    exactly, so results within that range are unchanged, and the range reaches features
+    of about 1e-150 to 1e150.
     """
     if g1.dim != g2.dim:
         raise ValueError(f"dimension mismatch: {g1.dim} vs {g2.dim}")
-    if isinstance(g1, _SampleFit):
-        root, trace1 = g1.factor, g1.trace
-    else:
-        try:
-            root = np.linalg.cholesky(g1.cov)
-        except np.linalg.LinAlgError:  # S1 is singular, or not a covariance
-            w, v = np.linalg.eigh(g1.cov)
-            _warn_if_negative(w, np.max(np.abs(np.diag(g1.cov)), initial=0.0))
-            root = v * np.sqrt(np.maximum(w, 0.0))
-        trace1 = np.trace(g1.cov)
-    trace2 = g2.trace if isinstance(g2, _SampleFit) else np.trace(g2.cov)
+    (root1, trace1), (root2, trace2) = _factor(g1), _factor(g2)
     # tr S1 = 4**h1 and tr S2 = 4**h2 to within a factor of 2; m = h1 + h2.
     h1, h2 = (math.frexp(abs(trace))[1] // 2 for trace in (trace1, trace2))
     m = h1 + h2
-    if isinstance(g2, _SampleFit):
-        cross = root.T @ g2.factor
-        np.ldexp(cross, -m, out=cross)
-        inner = cross @ cross.T if cross.shape[0] <= cross.shape[1] else cross.T @ cross
-    else:
-        scaled = np.ldexp(root, -m)  # so that root.T @ S2 stays in range too
-        inner = scaled.T @ g2.cov @ scaled
+    cross = root1.T @ root2
+    np.ldexp(cross, -m, out=cross)
+    inner = cross @ cross.T if cross.shape[0] <= cross.shape[1] else cross.T @ cross
     eigvals = np.linalg.eigvalsh(inner)
-    _warn_if_negative(eigvals, np.max(np.abs(np.diag(inner)), initial=0.0), 2 * m)
-    # Round-off in S2 and in forming F^T S2 F moves its eigenvalues by about
-    # eps ||S1|| ||S2|| <= eps tr S1 tr S2; anything at or below that counts as 0.
+    # Round-off in the factors and in forming the Gram matrix moves its eigenvalues by
+    # about eps ||S1|| ||S2|| <= eps tr S1 tr S2; anything at or below that counts as 0.
     floor = np.finfo(np.float64).eps * abs(
         math.ldexp(trace1, -2 * h1) * math.ldexp(trace2, -2 * h2)
     )

@@ -129,7 +129,13 @@ def min_episodes_for_variance(
 def min_episodes_for_ci(
     prior: AccuracyPrior, queries_per_episode: int, target_halfwidth: float
 ) -> int:
-    """Smallest Kp whose predicted 95% half-width meets ``target_halfwidth``."""
+    """Smallest Kp whose predicted 95% half-width meets ``target_halfwidth``.
+
+    The predicted half-width is Z95 sqrt(v), v the model's variance of the estimate.
+    ``episodes.aggregate`` reports t(Kp - 1) s / sqrt(Kp) from the sample std s
+    instead, so at small Kp the reported half-width is wider than the target on
+    average (see the README's ``--target-ci`` paragraph); the rule is kept as it is.
+    """
     if not (math.isfinite(target_halfwidth) and 0.0 < target_halfwidth < 1.0):
         raise ValueError(f"target_halfwidth must lie in (0, 1), got {target_halfwidth}")
     return min_episodes_for_variance(prior, queries_per_episode, (target_halfwidth / Z95) ** 2)
@@ -237,9 +243,11 @@ def min_cost_design(
     Kq is scanned in numpy chunks, each solved by the same episode-count
     solver as ``min_episodes_for_variance``, and each chunk's best row is kept
     by the key (cost, Kp, -Kq), so the answer equals calling the scalar
-    solver per Kq. The first chunk ends near twice the minimiser of the
-    cost's continuous relaxation (see ``_first_chunk_end``), and every later
-    chunk holds ``_KQ_CHUNK`` values.
+    solver per Kq. The first chunk ends where ``_first_chunk_end`` says: at the
+    Kq where the tail floor below reaches the cost of the design near the
+    minimiser Kq_c of the cost's continuous relaxation, capped at ``_KQ_CHUNK``
+    (Kq 180 for a = 0.87, sigma = 0.05, costs 100 and 1, target 6.62e-6); every
+    later chunk holds ``_KQ_CHUNK`` values.
 
     Before the chunk starting at Kq = K, ``_tail_cost_floor`` bounds the cost
     of every design with Kq in [K, kq_max] from below, and the scan stops when

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import re
 import shlex
 import sys
 from collections import Counter
@@ -1088,9 +1089,14 @@ class TestDeepJson:
         assert err.startswith(f"error: {path}: ")
 
 
-def readme_commands():
+def readme_block(heading, fence):
+    """The first code block opening with ``fence`` after ``heading`` in the README."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return readme.split(heading, 1)[1].split(fence, 1)[1].split("```", 1)[0]
+
+
+def readme_commands():
+    block = readme_block("## CLI", "```sh\n")
     lines = block.replace("\\\n", " ").splitlines()
     return [shlex.split(line) for line in lines if line.strip() and not line.startswith("#")]
 
@@ -1106,3 +1112,18 @@ class TestReadme:
         """Every documented command parses, so a stale or misspelled flag fails here."""
         args = build_parser().parse_args(words[1:])
         assert callable(args.handler)
+
+    def test_library_example_values(self):
+        """The library block runs, and each commented value is the one it computes."""
+        block = readme_block("## Library example", "```python\n")
+        namespace = {}
+        exec(block, namespace)
+        shown = re.findall(r"^(\w+) = .*# (\S+)$", block, flags=re.MULTILINE)
+        assert [name for name, _ in shown] == ["achieved", "episodes"]
+        for name, text in shown:
+            value = namespace[name]
+            if "e" in text:  # as many significant digits as the comment shows
+                digits = len(text.split("e")[0].replace(".", "")) - 1
+                assert f"{value:.{digits}e}" == text
+            else:
+                assert value == int(text)

@@ -55,6 +55,19 @@ class TestFitGaussian:
             with pytest.raises(ValueError, match="finite"):
                 fit_gaussian(x)
 
+    @pytest.mark.parametrize("sign", ["positive", "mixed"])
+    @pytest.mark.parametrize("n", [300, 60], ids=["n_gt_d", "n_le_d"])
+    def test_overflowing_mean_refused_without_a_warning(self, n, sign):
+        """n x 64 near 1e307: the column sums overflow, which is an error, not a warning."""
+        rng = np.random.default_rng(n)
+        x = rng.uniform(1.0, 1.5, size=(n, 64)) * 1e307
+        if sign == "mixed":
+            x *= rng.choice([-1.0, 1.0], size=x.shape)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite"):
+                fit_gaussian(x)
+
 
 class TestGaussianStatsValidation:
     def test_asymmetric_covariance_rejected(self):
@@ -136,6 +149,15 @@ class TestFrechetDistance:
         with pytest.warns(RuntimeWarning, match="eigenvalue -1.000e\\+00"):
             frechet_distance(g_ok, g_bad)
 
+    def test_invalid_covariance_warns_in_its_own_units_as_either_argument(self):
+        """Beside 4 I, [[0, 1], [1, 0]] reports its own eigenvalue -1 as S1 and as S2."""
+        g_bad = GaussianStats(np.zeros(2), np.array([[0.0, 1.0], [1.0, 0.0]]))
+        g_ok = GaussianStats(np.zeros(2), 4.0 * np.eye(2))
+        for pair in ((g_bad, g_ok), (g_ok, g_bad)):
+            with pytest.warns(RuntimeWarning, match="eigenvalue -1.000e\\+00") as record:
+                frechet_distance(*pair)
+            assert [w.filename for w in record] == [__file__]
+
     @pytest.mark.parametrize("scale", [1e3, 1e-3])
     @pytest.mark.parametrize("n_x,n_y", [(50, 50), (50, 10), (10, 50)])
     def test_valid_features_do_not_warn_at_any_scale(self, scale, n_x, n_y):
@@ -150,7 +172,7 @@ class TestFrechetDistance:
     @pytest.mark.parametrize("k", [-400, -332, -200, 0, 200, 266, 400])
     @pytest.mark.parametrize("n", [20, 300])
     def test_power_of_two_scaling_is_exact(self, k, n):
-        """fid(2**k x, 2**k y) = 4**k fid(x, y), far past where F^T S2 F over- or underflows."""
+        """fid(2**k x, 2**k y) = 4**k fid(x, y), far past where the Gram matrix leaves range."""
         rng = np.random.default_rng(n)
         x = rng.normal(size=(n, 64))
         y = rng.normal(size=(n, 64)) * 1.5 + 0.2
@@ -254,7 +276,7 @@ class TestFidOracle:
     @given(st.integers(3, 60), SCALES, SCALES, st.floats(-3.0, 3.0), st.integers(0, 2**32 - 1))
     @settings(max_examples=100, deadline=None)
     def test_lower_rank_second_set_matches_to_round_off(self, dim, scale_a, scale_b, shift, seed):
-        """n_b < n_a <= d: S2 has lower rank than S1, so L^T S2 L has round-off eigenvalues.
+        """n_b < n_a <= d: S2 has lower rank than S1, so the Gram matrix has round-off eigenvalues.
 
         Their square roots, ~sqrt(eps ||S1|| ||S2||) each, must not reach the trace.
         """
@@ -343,7 +365,7 @@ class TestSampleFactorRoute:
         ids=["indefinite", "negative"],
     )
     def test_invalid_covariance_warns_against_a_sample_fit(self, bad):
-        """The bad covariance warns as S1 (its eigenvalues) and as S2 (F^T S2 F)."""
+        """The bad covariance warns at its own factorization, as S1 and as S2."""
         g_bad = GaussianStats(np.zeros(2), bad)
         g_samples = fit_gaussian(np.array([[1.0, -1.0], [-1.0, 1.0]]))
         with pytest.warns(RuntimeWarning, match="eigenvalue"):
