@@ -308,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Plan, simulate and summarize episode-based few-shot evaluations.",
         allow_abbrev=False,
     )
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_UsageParser)
+    sub = parser.add_subparsers(required=True, parser_class=_UsageParser)
 
     p = sub.add_parser("variance", help="variance model at a fixed design")
     _add_prior_flags(p)
@@ -322,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_variance)
 
     plan = sub.add_parser("plan", help="inverse problems over the variance model")
-    plan_sub = plan.add_subparsers(dest="plan_command", required=True)
+    plan_sub = plan.add_subparsers(required=True)
 
     p = plan_sub.add_parser("episodes", help="minimum episode count for a target")
     _add_prior_flags(p)
@@ -361,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_simulate)
 
     episodes = sub.add_parser("episodes", help="episode sampling and aggregation")
-    episodes_sub = episodes.add_subparsers(dest="episodes_command", required=True)
+    episodes_sub = episodes.add_subparsers(required=True)
 
     p = episodes_sub.add_parser("sample", help="draw reproducible episodes to JSONL")
     p.add_argument("--index", required=True, help="dataset index JSON (class -> example IDs)")
@@ -479,7 +479,8 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
 def main(argv: list[str] | None = None) -> int:
     """Run one command and return its exit status; see the module docstring.
 
-    A bad or missing subcommand raises argparse's ``SystemExit(2)``. The parser
+    A bad or missing top-level subcommand raises argparse's ``SystemExit(2)``;
+    one under ``plan`` or ``episodes`` returns 2 like any usage error. The parser
     tree is built on the first call and reused by later ones in the same
     process. ``main`` is not meant for concurrent calls from several threads.
     """

@@ -132,6 +132,16 @@ def _id_clash(split: ClassSplit) -> str:
     return f"support/query overlap {sorted(set(split.support_ids).intersection(split.query_ids))}"
 
 
+def _check_int_fields(record, keys: tuple[str, ...]) -> None:
+    """Refuse each of ``record``'s ``keys`` whose value is not exactly an ``int`` (a bool is not)."""
+    for key in keys:
+        value = getattr(record, key)
+        if type(value) is not int:
+            raise ValueError(
+                f"episode {record.episode_id!r}: {key} must be an integer, got {value!r}"
+            )
+
+
 @dataclass(frozen=True)
 class EpisodeSpec:
     """A fully materialized episode: classes plus their support/query IDs."""
@@ -143,12 +153,7 @@ class EpisodeSpec:
     per_class: tuple[ClassSplit, ...]
 
     def __post_init__(self) -> None:
-        for key in ("episode_id", "seed", "ways", "shots"):
-            value = getattr(self, key)
-            if type(value) is not int:
-                raise ValueError(
-                    f"episode {self.episode_id!r}: {key} must be an integer, got {value!r}"
-                )
+        _check_int_fields(self, ("episode_id", "seed", "ways", "shots"))
         try:
             if self.episode_id < 0:
                 raise ValueError(f"episode_id must be >= 0, got {self.episode_id}")
@@ -193,12 +198,7 @@ class EpisodeResult:
     total: int
 
     def __post_init__(self) -> None:
-        for key in ("episode_id", "correct", "total"):
-            value = getattr(self, key)
-            if type(value) is not int:
-                raise ValueError(
-                    f"episode {self.episode_id!r}: {key} must be an integer, got {value!r}"
-                )
+        _check_int_fields(self, ("episode_id", "correct", "total"))
         if self.total < 1:
             raise ValueError(f"episode {self.episode_id}: total must be >= 1")
         if not 0 <= self.correct <= self.total:

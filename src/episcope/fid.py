@@ -41,6 +41,10 @@ class GaussianStats:
             )
         if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
             raise ValueError("Gaussian stats must be finite")
+        with np.errstate(over="ignore"):  # finite entries can still sum past the float range
+            trace = np.trace(cov)
+        if not np.isfinite(trace):  # frechet_distance works in units of tr S
+            raise ValueError("Gaussian stats must be finite")
         if np.max(np.abs(cov - cov.T), initial=0.0) > _SYMMETRY_TOL:
             raise ValueError("covariance must be symmetric to within 1e-9")
         object.__setattr__(self, "mean", mean)

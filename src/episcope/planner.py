@@ -29,7 +29,8 @@ TRADEOFF_CSV_HEADER = "kp,kq,exact_var,approx_var,asymptote_var,ci95"
 _MAX_EXACT_EPISODES = 2**53
 
 # Below the smallest normal float, v1 / Kp rounds so coarsely that the solver's
-# -1/+1 steps from ceil(v1 / target_var) could take ~Kp steps.
+# -1/+1 steps from ceil(v1 / target_var) could take ~Kp steps, so
+# ``_check_target_var`` refuses such targets.
 _MIN_NORMAL = float(np.finfo(np.float64).tiny)
 
 # Kq values ``min_cost_design`` evaluates per numpy step after the first (which
@@ -77,28 +78,27 @@ class TradeoffCell:
 def _check_target_var(target_var: float) -> None:
     if not (math.isfinite(target_var) and target_var > 0.0):
         raise ValueError(f"target_var must be > 0, got {target_var}")
+    if target_var < _MIN_NORMAL:
+        raise ValueError(
+            f"target_var={target_var:g} is below the smallest normal float "
+            f"({_MIN_NORMAL:g}), too fine for the variance formula to resolve"
+        )
 
 
 def _min_episodes(prior: AccuracyPrior, kq: np.ndarray, target_var: float) -> np.ndarray:
     """``min_episodes_for_variance`` at each Kq of the float array ``kq``.
 
-    The 2**53 error names the first unreachable Kq; the caller checks that the
-    target is positive.
+    The 2**53 error names the first unreachable Kq; the caller checks the
+    target with ``_check_target_var``.
     """
     v1 = _per_episode_variance(prior, kq)
-    with np.errstate(over="ignore"):  # inf for a tiny target: unreachable
-        ratio = v1 / target_var
-    unreachable = ~(ratio < _MAX_EXACT_EPISODES)
+    ratio = v1 / target_var
+    unreachable = ratio >= _MAX_EXACT_EPISODES
     if unreachable.any():
         i = int(np.argmax(unreachable))
         raise ValueError(
             f"target_var={target_var:g} needs about {ratio[i]:.3g} episodes at "
             f"Kq={int(kq[i])}, beyond the 2**53 an episode count may reach"
-        )
-    if target_var < _MIN_NORMAL and (v1 > 0.0).any():
-        raise ValueError(
-            f"target_var={target_var:g} is below the smallest normal float "
-            f"({_MIN_NORMAL:g}), too fine for the variance formula to resolve"
         )
     kp = np.maximum(np.ceil(ratio), 1.0)
     while (down := (kp > 1.0) & (v1 / np.maximum(kp - 1.0, 1.0) <= target_var)).any():
@@ -115,10 +115,9 @@ def min_episodes_for_variance(
 
     Computed as the ceiling of the real-valued solution, then verified by
     evaluating the forward formula at Kp and Kp-1 so float rounding at the
-    boundary cannot shift the answer. Raises ``ValueError`` when the answer
-    would reach 2**53, past which consecutive counts share one float, and
-    when a positive per-episode variance meets a target below the smallest
-    normal float.
+    boundary cannot shift the answer. Raises ``ValueError`` for a target below
+    the smallest normal float, and when the answer would reach 2**53, past
+    which consecutive counts share one float.
     """
     _check_target_var(target_var)
     _check_positive_int(queries_per_episode, "queries_per_episode")
@@ -178,13 +177,11 @@ def _first_chunk_end(prior: AccuracyPrior, cost: CostModel, target_var: float) -
     one episode more. ``_tail_cost_floor`` of [K, kq_max] is at least
     max(sigma^2 / target_var - 2, 1) episodes at K, so the chunk ends at the K
     where that floor reaches the design near Kq_c, capped at ``_KQ_CHUNK``.
-    It is ``_KQ_CHUNK`` long when sigma^2 c_q = 0, and under a target below the
-    smallest normal float, where the solver raises and which error comes
-    first depends on the chunk.
+    It is ``_KQ_CHUNK`` long when sigma^2 c_q = 0.
     """
     s2 = prior.variance
     rate = s2 * cost.cost_per_query
-    if rate == 0.0 or target_var < _MIN_NORMAL:
+    if rate == 0.0:
         return _KQ_CHUNK
     spread = max(prior.mean * (1.0 - prior.mean) - s2, 0.0)
     kq_c = max(math.sqrt(spread * cost.cost_per_episode / rate), 1.0)
@@ -206,13 +203,10 @@ def _tail_cost_floor(
     floor(v1_low / target_var) - 1, and since rounding is monotone and both
     rates are non-negative, ``cost.total`` at that Kp and kq_low is at most
     the computed total of any design in the range. Returns -inf when the
-    solver could raise somewhere in the range (a count at or past 2**53, or a
-    positive v1 under a target below the smallest normal float), so that such
-    a range is never skipped.
+    solver could raise somewhere in the range (a count at or past 2**53), so
+    that such a range is never skipped.
     """
     v_low, v_high = sorted(_per_episode_variance(prior, float(kq)) for kq in (kq_low, kq_high))
-    if target_var < _MIN_NORMAL and v_high > 0.0:
-        return -math.inf
     if not v_high / target_var * (1.0 + 1e-12) < _MAX_EXACT_EPISODES:
         return -math.inf
     kp_low = max(math.floor(v_low / target_var * (1.0 - 1e-12)) - 1, 1)

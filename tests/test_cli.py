@@ -282,7 +282,9 @@ class TestPlan:
     @pytest.mark.parametrize("target", ["1e-30", "1e-310"])
     @pytest.mark.parametrize("command", ["episodes", "cost"])
     def test_unreachable_episode_count_is_runtime_error(self, capsys, command, target):
-        """Targets needing 2**53+ episodes fail fast, naming the target."""
+        """Targets needing 2**53+ episodes fail fast, naming the target; a target below
+        the smallest normal float is refused before that.
+        """
         extra = (["--kq", "75"] if command == "episodes"
                  else ["--cost-episode", "1", "--cost-query", "1", "--kq-max", "100"])
         code, out, err = run(
@@ -291,7 +293,8 @@ class TestPlan:
         )
         assert code == 1
         assert out == ""
-        assert err.startswith("error: ") and "target_var" in err and "2**53" in err
+        reason = "smallest normal float" if float(target) < sys.float_info.min else "2**53"
+        assert err.startswith("error: ") and "target_var" in err and reason in err
 
     def test_table_csv(self, capsys, tmp_path):
         out_path = tmp_path / "table.csv"
@@ -760,6 +763,28 @@ class TestParserBehavior:
         with pytest.raises(SystemExit) as excinfo:
             main([])
         assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize(("argv", "message"), [
+        ([], "the following arguments are required: {variance,plan,simulate,episodes,fid,blend}"),
+        (["frobnicate"], "argument {variance,plan,simulate,episodes,fid,blend}: invalid choice: "
+                         "'frobnicate'"),
+    ], ids=["missing", "unknown"])
+    def test_top_level_message_names_the_choices(self, capsys, argv, message):
+        with pytest.raises(SystemExit):
+            main(argv)
+        assert f"\nepiscope: error: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(("argv", "message"), [
+        (["plan"], "the following arguments are required: {episodes,cost,table}\n"),
+        (["plan", "foo"], "argument {episodes,cost,table}: invalid choice: 'foo'"),
+        (["episodes"], "the following arguments are required: {sample,aggregate}\n"),
+        (["episodes", "foo"], "argument {sample,aggregate}: invalid choice: 'foo'"),
+    ], ids=["plan_missing", "plan_unknown", "episodes_missing", "episodes_unknown"])
+    def test_nested_subcommand_returns_2_naming_the_choices(self, capsys, argv, message):
+        """Below the top level, a bad or missing subcommand is a usage error, not SystemExit."""
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {message}")
 
 
 def write_config(tmp_path, mapping, name="run.json"):

@@ -87,6 +87,17 @@ class TestGaussianStatsValidation:
         with pytest.raises(ValueError, match=message):
             GaussianStats(mean, np.eye(2))
 
+    def test_overflowing_trace_refused_without_a_warning(self):
+        """Finite entries whose trace overflows are refused where the stats are built.
+
+        At 1e307 * I in 64 dimensions, ``frechet_distance`` would return inf against I
+        and fail in ``eigh`` against itself; the trace is summed without a RuntimeWarning.
+        """
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite"):
+                GaussianStats(np.zeros(64), 1e307 * np.eye(64))
+
 
 class TestFrechetDistance:
     def test_identical_gaussians(self):

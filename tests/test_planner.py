@@ -5,10 +5,10 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from episcope import planner
+from episcope import cli, planner
 from episcope.planner import (
     TRADEOFF_CSV_HEADER,
     CostModel,
@@ -83,8 +83,11 @@ class TestMinEpisodes:
 
     @pytest.mark.parametrize("target", [1e-27, 1e-30, 1e-310])
     def test_unreachable_target_raises(self, target):
-        """A count past 2**53 raises at once instead of stepping through equal floats."""
-        with pytest.raises(ValueError, match=r"target_var=.*2\*\*53"):
+        """A count past 2**53 raises at once instead of stepping through equal floats;
+        a target below the smallest normal float is refused before that.
+        """
+        reason = "smallest normal float" if target < sys.float_info.min else r"2\*\*53"
+        with pytest.raises(ValueError, match=f"target_var=.*{reason}"):
             min_episodes_for_variance(AccuracyPrior(0.87, 0.05), 75, target)
 
     def test_target_just_under_limit_returns(self):
@@ -177,8 +180,8 @@ class TestMatchesReferenceSolver:
     def test_equals_reference(self, mean, std_fraction, kq, kp, scale):
         """Same count or same error, at forward-formula targets, v1 = 0 and counts near 2**53.
 
-        Targets below the smallest normal float raise instead; there the
-        reference's -1/+1 steps may not end in reasonable time.
+        Targets below the smallest normal float are refused instead, whatever
+        v1 is; there the reference's -1/+1 steps may not end in reasonable time.
         """
         prior = AccuracyPrior(mean, std_fraction * math.sqrt(mean * (1.0 - mean)))
         v1 = per_episode_variance(prior, kq)
@@ -186,17 +189,53 @@ class TestMatchesReferenceSolver:
             if target == 0.0:  # v1 / kp underflowed
                 continue
             got = self.outcome(min_episodes_for_variance, prior, kq, target)
-            if "smallest normal float" in str(got):
-                assert target < sys.float_info.min
+            if target < sys.float_info.min:
+                assert "smallest normal float" in got
             else:
                 assert got == self.outcome(reference_min_episodes, prior, kq, target)
 
     def test_subnormal_target_raises_at_once(self):
-        """At v1 = 1e-310 the -1/+1 steps from ceil(v1 / target) would be ~1e11 steps."""
+        """At v1 = 1e-310 the -1/+1 steps from ceil(v1 / target) would be ~1e11 steps;
+        at v1 = 0 the target is refused all the same.
+        """
         with pytest.raises(ValueError, match="target_var=.* smallest normal float"):
             min_episodes_for_variance(AccuracyPrior(1e-310, 0.0), 1, 1e-310 / 2**40)
-        # v1 = 0 meets any target with one episode, subnormal or not.
-        assert min_episodes_for_variance(AccuracyPrior(0.0, 0.0), 1, 1e-322) == 1
+        with pytest.raises(ValueError, match="target_var=.* smallest normal float"):
+            min_episodes_for_variance(AccuracyPrior(0.0, 0.0), 1, 1e-322)
+
+
+def test_target_below_smallest_normal_is_refused_up_front(capsys, monkeypatch):
+    """Every public entry point and ``plan episodes``/``plan cost`` refuse a target below
+    the smallest normal float, whatever the prior (v1 = 0 included), before any Kq is solved.
+    """
+
+    def solve(*args):
+        raise AssertionError("a Kq was solved")
+
+    monkeypatch.setattr(planner, "_min_episodes", solve)
+    priors = [(0.87, 0.05), (0.0, 0.0), (1.0, 0.0), (1e-310, 0.0)]
+    for target in (1e-310, 1e-320, 5e-324):
+        message = (
+            f"target_var={target:g} is below the smallest normal float "
+            f"({sys.float_info.min:g}), too fine for the variance formula to resolve"
+        )
+        for a, sigma in priors:
+            prior = AccuracyPrior(a, sigma)
+            with pytest.raises(ValueError) as exc:
+                min_episodes_for_variance(prior, 75, target)
+            assert str(exc.value) == message
+            with pytest.raises(ValueError) as exc:
+                min_cost_design(prior, CostModel(1.0, 1.0), target, 100)
+            assert str(exc.value) == message
+            for command, extra in (
+                ("episodes", ["--kq", "75"]),
+                ("cost", ["--cost-episode", "1", "--cost-query", "1", "--kq-max", "100"]),
+            ):
+                argv = ["plan", command, "--a", str(a), "--sigma", str(sigma), *extra]
+                code = cli.main([*argv, "--target-var", repr(target)])
+                assert (code, *capsys.readouterr()) == (1, "", f"error: {message}\n")
+    with pytest.raises(ValueError, match="target_var=.* smallest normal float"):
+        min_episodes_for_ci(AccuracyPrior(0.87, 0.05), 75, 1e-160)
 
 
 class TestTradeoffTable:
@@ -388,7 +427,7 @@ class TestTailCostFloor:
         st.sampled_from([0.0, 1e-9, 0.01, 1.0, 3.0]),
         st.one_of(
             st.floats(-30.0, -0.5).map(lambda e: 10.0**e),
-            st.sampled_from([1e-300, 1e-310, 1e-320]),
+            st.just(1e-300),
             st.tuples(st.integers(1, 30_000), st.integers(1, 10**9)),
         ),
         st.integers(1, 25_000),
@@ -403,7 +442,8 @@ class TestTailCostFloor:
         Brute force over the range with the solver itself. sigma^2 runs from 0
         through a(1-a) to 0.99 * STD_BOUND_SLACK past it, or is the subnormal
         2**-k; rates may be zero. Where the solver raises on the range, the
-        floor must be -inf, so that the scan never skips the range.
+        floor must be -inf, so that the scan never skips the range. Targets
+        are normal floats, as ``_check_target_var`` refuses any other.
         """
         if ce == 0.0 and cq == 0.0:
             cq = 1.0
@@ -417,7 +457,7 @@ class TestTailCostFloor:
         if isinstance(target, tuple):
             kq_probe, kp_probe = target
             target = per_episode_variance(prior, kq_probe) / kp_probe
-            if target == 0.0:
+            if target < sys.float_info.min:
                 target = 1e-3
         kq_high = kq_low + width
         floor = planner._tail_cost_floor(prior, cost, target, kq_low, kq_high)
@@ -437,6 +477,7 @@ def unpruned_min_cost_design(prior, cost, target, kq_max):
     """
     best = None
     try:
+        planner._check_target_var(target)
         for start in range(1, kq_max + 1, planner._KQ_CHUNK):
             kq = np.arange(start, min(start + planner._KQ_CHUNK, kq_max + 1), dtype=np.float64)
             kp = planner._min_episodes(prior, kq, target)
@@ -498,15 +539,11 @@ class TestMinCostDesignEarlyStop:
         st.sampled_from([0.0, 1e-9, 0.01, 1.0, 3.0]),
         st.one_of(
             st.floats(-30.0, -0.5).map(lambda e: 10.0**e),
-            st.sampled_from([1e-310, 1e-320]),
             st.tuples(st.integers(1, 10**6), st.integers(1, 10**5)),
         ),
         st.integers(1, 200_000),
         st.one_of(st.integers(1, 700), st.just(1 << 13)),
     )
-    # Under a subnormal target the first chunk must keep its full length: Kq = 2
-    # needs 2**53 episodes, and a one-value chunk would raise the subnormal error first.
-    @example(5e-324, 0.0, 0.5, 0.0, 1.0, 1e-310, 2, 1 << 13)
     @settings(max_examples=300, deadline=None)
     def test_equals_unpruned_scan(self, mean, std_fraction, slack, ce, cq, target, kq_max, chunk):
         """Same design or same error as the full scan, including sigma^2 at and just past a(1-a).
@@ -549,19 +586,4 @@ class TestMinCostDesignEarlyStop:
         assert int(message.split("Kq=")[1].split(",")[0]) > planner._KQ_CHUNK
         with pytest.raises(ValueError) as exc:
             min_cost_design(prior, cost, target, 100_000)
-        assert str(exc.value) == message
-
-    def test_far_tail_below_smallest_normal_target_is_scanned(self, monkeypatch):
-        """sigma^2 is the smallest subnormal: v1 is 0 at Kq = 1 and 2 and positive
-        from Kq = 3, so with two Kq per chunk only the second chunk raises.
-        """
-        monkeypatch.setattr(planner, "_KQ_CHUNK", 2)
-        prior = AccuracyPrior(0.0, 2.0**-537)
-        cost = CostModel(1.0, 1.0)
-        near = min_cost_design(prior, cost, 1e-320, 2)
-        assert (near.episodes, near.queries_per_episode) == (1, 1)
-        message = unpruned_min_cost_design(prior, cost, 1e-320, 10)
-        assert "smallest normal float" in message
-        with pytest.raises(ValueError) as exc:
-            min_cost_design(prior, cost, 1e-320, 10)
         assert str(exc.value) == message
