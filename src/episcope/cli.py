@@ -303,6 +303,17 @@ def _add_prior_flags(p: argparse.ArgumentParser) -> None:
 
 def build_parser() -> argparse.ArgumentParser:
     """A fresh parser tree for every subcommand; ``main`` builds one per process."""
+    return _build_tree()[0]
+
+
+def _build_tree() -> tuple[argparse.ArgumentParser, dict[tuple[str, ...], _UsageParser]]:
+    """The parser tree, and each leaf parser keyed by the words that name its command."""
+    leaves: dict[tuple[str, ...], _UsageParser] = {}
+
+    def leaf(sub, *words: str, **kwargs) -> _UsageParser:
+        leaves[words] = p = sub.add_parser(words[-1], **kwargs)
+        return p
+
     parser = argparse.ArgumentParser(
         prog="episcope",
         description="Plan, simulate and summarize episode-based few-shot evaluations.",
@@ -310,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(required=True, parser_class=_UsageParser)
 
-    p = sub.add_parser("variance", help="variance model at a fixed design")
+    p = leaf(sub, "variance", help="variance model at a fixed design")
     _add_prior_flags(p)
     p.add_argument("--kp", type=_positive_int, required=True, help="number of episodes")
     p.add_argument(
@@ -324,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     plan = sub.add_parser("plan", help="inverse problems over the variance model")
     plan_sub = plan.add_subparsers(required=True)
 
-    p = plan_sub.add_parser("episodes", help="minimum episode count for a target")
+    p = leaf(plan_sub, "plan", "episodes", help="minimum episode count for a target")
     _add_prior_flags(p)
     p.add_argument("--kq", type=_positive_int, required=True)
     target = p.add_mutually_exclusive_group(required=True)
@@ -333,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(handler=_cmd_plan_episodes)
 
-    p = plan_sub.add_parser("cost", help="minimum-cost design meeting a variance target")
+    p = leaf(plan_sub, "plan", "cost", help="minimum-cost design meeting a variance target")
     _add_prior_flags(p)
     p.add_argument("--cost-episode", type=_nonnegative_float, required=True)
     p.add_argument("--cost-query", type=_nonnegative_float, required=True)
@@ -342,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(handler=_cmd_plan_cost)
 
-    p = plan_sub.add_parser("table", help="episode/query trade-off grid as CSV")
+    p = leaf(plan_sub, "plan", "table", help="episode/query trade-off grid as CSV")
     _add_prior_flags(p)
     p.add_argument("--kp-list", type=_int_list, required=True)
     p.add_argument("--kq-list", type=_int_list, required=True)
@@ -350,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(handler=_cmd_plan_table)
 
-    p = sub.add_parser("simulate", help="Monte Carlo check of the variance model")
+    p = leaf(sub, "simulate", help="Monte Carlo check of the variance model")
     _add_prior_flags(p)
     p.add_argument("--kp", type=_positive_int, required=True)
     p.add_argument("--kq", type=_positive_int, required=True)
@@ -363,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     episodes = sub.add_parser("episodes", help="episode sampling and aggregation")
     episodes_sub = episodes.add_subparsers(required=True)
 
-    p = episodes_sub.add_parser("sample", help="draw reproducible episodes to JSONL")
+    p = leaf(episodes_sub, "episodes", "sample", help="draw reproducible episodes to JSONL")
     p.add_argument("--index", required=True, help="dataset index JSON (class -> example IDs)")
     p.add_argument("--ways", type=_positive_int, required=True)
     p.add_argument("--shots", type=_positive_int, required=True)
@@ -377,20 +388,20 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(handler=_cmd_episodes_sample)
 
-    p = episodes_sub.add_parser("aggregate", help="summarize per-episode results")
+    p = leaf(episodes_sub, "episodes", "aggregate", help="summarize per-episode results")
     p.add_argument("--results", required=True, help="CSV with header episode_id,correct,total")
     p.add_argument("--prior", action="store_true", help="also report the fitted accuracy prior")
     _add_common(p)
     p.set_defaults(handler=_cmd_episodes_aggregate)
 
-    p = sub.add_parser("fid", help="Frechet distance between two feature files")
+    p = leaf(sub, "fid", help="Frechet distance between two feature files")
     p.add_argument("--a", required=True, help="feature file (CSV or FSFE)")
     p.add_argument("--b", required=True, help="feature file (CSV or FSFE)")
     p.add_argument("--json", action="store_true")
     _add_common(p)
     p.set_defaults(handler=_cmd_fid)
 
-    p = sub.add_parser("blend", help="norm-corrected latent/noise blends")
+    p = leaf(sub, "blend", help="norm-corrected latent/noise blends")
     p.add_argument("--latents", required=True, help="latent vectors, one per row (CSV or FSFE)")
     p.add_argument("--alpha", type=_unit_closed, required=True)
     p.add_argument("--seed", type=_seed_int, required=True)
@@ -399,12 +410,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(handler=_cmd_blend)
 
-    return parser
+    return parser, leaves
 
 
 # Building the tree takes several times as long as a small command's own work,
-# so ``main`` builds it on its first call and reuses it; importing builds nothing.
-_shared_parser = functools.cache(build_parser)
+# so ``main`` builds it and its leaf map on its first call and reuses them;
+# importing builds nothing.
+_shared_parser = functools.cache(_build_tree)
 
 
 @functools.cache
@@ -452,9 +464,14 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
     """Parse argv with the ``--config`` entries spliced in ahead of its flags.
 
     Config values pass the same checks as flags; argparse keeps the last of a
-    repeated flag, so an explicit flag wins. Both parsers are shared by every
-    call in the process, and nothing carries over from one parse to the next:
-    each parse gets a new namespace, and the one per-parse state,
+    repeated flag, so an explicit flag wins. When the words ahead of the first
+    ``-`` token name a leaf command (``variance``, ``plan cost``, ...), that
+    command's parser alone parses the rest: the outer parsers would only hand
+    it the same tokens. Any other argv (no or an unknown subcommand, ``-h`` at
+    an outer level, extra words) goes through the full tree, so argparse's own
+    usage texts and exits are kept. The tree is shared by every call in the
+    process, and nothing carries over from one parse to the next: each parse
+    gets a new namespace, and the one per-parse state,
     ``_UsageParser._missing``, is reset whenever a parse enters a parser.
     Flags match only in full, so the ``--config`` pre-parse can only find a
     path in a token that is ``--config`` or starts with ``--config=``; without
@@ -465,7 +482,12 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
         config_path = _config_parser().parse_known_args(argv)[0].config
     tokens, switched_off = _config_tokens(config_path) if config_path else ({}, [])
     at = next((i for i, token in enumerate(argv) if token.startswith("-")), len(argv))
-    args, extra = _shared_parser().parse_known_args(argv[:at] + list(tokens) + argv[at:])
+    tree, leaves = _shared_parser()
+    leaf = leaves.get(tuple(argv[:at]))
+    if leaf is not None:
+        args, extra = leaf.parse_known_args(list(tokens) + argv[at:])
+    else:
+        args, extra = tree.parse_known_args(argv[:at] + list(tokens) + argv[at:])
     named = [f"--config key {tokens[t]!r}" if t in tokens else t for t in extra]
     problems = [f"unrecognized arguments: {' '.join(named)}"] if named else []
     if problems or args.missing_flags:
@@ -482,7 +504,9 @@ def main(argv: list[str] | None = None) -> int:
     A bad or missing top-level subcommand raises argparse's ``SystemExit(2)``;
     one under ``plan`` or ``episodes`` returns 2 like any usage error. The parser
     tree is built on the first call and reused by later ones in the same
-    process. ``main`` is not meant for concurrent calls from several threads.
+    process; a leaf command is parsed by its leaf parser alone, and everything
+    else goes through the full tree (see ``_parse_args``). ``main`` is not
+    meant for concurrent calls from several threads.
     """
     argv = sys.argv[1:] if argv is None else list(argv)
     try:

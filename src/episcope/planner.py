@@ -245,10 +245,11 @@ def min_cost_design(
 
     Before the chunk starting at Kq = K, ``_tail_cost_floor`` bounds the cost
     of every design with Kq in [K, kq_max] from below, and the scan stops when
-    that bound is strictly greater than the best cost so far. The stop is
-    exact: no skipped design could cost less or tie, and a tail on which the
-    solver could raise is never skipped, so the result and every error are
-    those of the full scan. With ``cost_per_query=0`` and sigma^2 <= a(1-a),
+    that bound is strictly greater than the best cost so far, or infinite.
+    The stop is exact: no skipped design could cost less or tie, and a tail on
+    which the solver could raise is never skipped, so the result and every
+    error are those of the full scan. A total past the largest float is inf,
+    and when the cheapest total is, ``ValueError`` names the two rates. With ``cost_per_query=0`` and sigma^2 <= a(1-a),
     Kp never rises with Kq, so the bound never passes the best cost and the
     scan still runs to ``kq_max``.
     """
@@ -258,18 +259,28 @@ def min_cost_design(
     best: tuple[float, int, int] | None = None
     start = 1
     while start <= kq_max:
-        if best is not None and _tail_cost_floor(prior, cost, target_var, start, kq_max) > best[0]:
-            break
+        if best is not None:
+            floor = _tail_cost_floor(prior, cost, target_var, start, kq_max)
+            if floor > best[0] or floor == math.inf:
+                break
         kq = np.arange(start, min(end, kq_max) + 1, dtype=np.float64)
         kp = _min_episodes(prior, kq, target_var)
-        # kp and kq are exact floats, so kp * kq rounds as the integer product does.
-        total = cost.total(kp, kq)
+        # kp and kq are exact floats, so kp * kq rounds as the integer product does;
+        # a total past the largest float is inf, refused below if it is the least.
+        with np.errstate(over="ignore"):
+            total = cost.total(kp, kq)
         i = _cheapest_row(total, kp)
         key = (float(total[i]), int(kp[i]), -int(kq[i]))
         if best is None or key < best:
             best = key
         start, end = end + 1, end + _KQ_CHUNK
     total, episodes, neg_kq = best
+    if total == math.inf:
+        raise ValueError(
+            f"every design meeting target_var={target_var:g} with Kq <= {kq_max} costs more"
+            f" than the largest float at cost_per_episode={cost.cost_per_episode:g},"
+            f" cost_per_query={cost.cost_per_query:g}; use smaller cost units"
+        )
     report = variance_report(prior, EvalDesign(episodes=episodes, queries_per_episode=-neg_kq))
     return PlanResult(
         episodes=episodes,

@@ -1,8 +1,10 @@
 """Command-line surface: flags, outputs, exit codes, config files."""
 
+import argparse
 import hashlib
 import json
 import math
+import random
 import re
 import shlex
 import sys
@@ -295,6 +297,31 @@ class TestPlan:
         assert out == ""
         reason = "smallest normal float" if float(target) < sys.float_info.min else "2**53"
         assert err.startswith("error: ") and "target_var" in err and reason in err
+
+    def test_overflowing_total_cost_is_runtime_error(self, capsys):
+        """Every total past the largest float: exit 1 naming the rates, not an Infinity."""
+        code, out, err = run(
+            capsys, "plan", "cost", "--a", "0.87", "--sigma", "0.05", "--cost-episode", "1e308",
+            "--cost-query", "1e308", "--target-var", "6.62e-6", "--kq-max", "3000",
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "cost_per_episode=1e+308, cost_per_query=1e+308" in err
+
+    @pytest.mark.parametrize(("flags", "stdout"), [
+        (["--a", "0.87", "--sigma", "0.05", "--cost-episode", "1", "--cost-query", "3e303",
+          "--target-var", "6.62e-6"],
+         '{"episodes": 17085, "queries_per_episode": 1, "predicted_var": 6.619841966637401e-06, '
+         '"predicted_ci95": 0.0050428944961236535, "total_cost": 5.125499999999999e+307}'),
+        (["--a", "0.5", "--sigma", "0", "--cost-episode", "1e308", "--cost-query", "1",
+          "--target-var", "0.01"],
+         '{"episodes": 1, "queries_per_episode": 3000, "predicted_var": 8.333333333333333e-05, '
+         '"predicted_ci95": 0.017892270211835426, "total_cost": 1e+308}'),
+    ], ids=["near_max", "finite_among_overflows"])
+    def test_finite_totals_near_the_largest_float_pinned(self, capsys, flags, stdout):
+        """The parent's bytes; the second case overflows at Kq < 25 but not at its optimum."""
+        code, out, err = run(capsys, "plan", "cost", *flags, "--kq-max", "3000")
+        assert (code, out, err) == (0, stdout + "\n", "")
 
     def test_table_csv(self, capsys, tmp_path):
         out_path = tmp_path / "table.csv"
@@ -1090,6 +1117,227 @@ class TestSharedParser:
 
     def test_build_parser_returns_a_new_tree(self):
         assert build_parser() is not build_parser()
+
+
+@pytest.fixture
+def leaf_commands(tmp_path, index_file):
+    """The words naming each leaf command, and flags with which it succeeds."""
+    results = tmp_path / "results.csv"
+    write_results_csv(results, [EpisodeResult(0, 92, 100), EpisodeResult(1, 94, 100)])
+    features = tmp_path / "features.csv"
+    save_features_csv(features, np.random.default_rng(3).normal(size=(12, 4)))
+    prior = ["--a", "0.87", "--sigma", "0.05"]
+    return {
+        ("variance",): [*prior, "--kp", "600", "--kq", "75", "--json"],
+        ("plan", "episodes"): [*prior, "--kq", "75", "--target-var", "6.62e-6"],
+        ("plan", "cost"): [*COST_FLAGS, "--kq-max", "2975"],
+        ("plan", "table"): [*prior, "--kp-list", "100,600", "--kq-list", "5,75"],
+        ("simulate",): [*prior, "--kp", "20", "--kq", "5", "--reps", "50", "--seed", "7"],
+        ("episodes", "sample"): ["--index", index_file, "--ways", "5", "--shots", "1",
+                                 "--queries", "15", "--count", "3", "--seed", "7", "--out", "-"],
+        ("episodes", "aggregate"): ["--results", str(results), "--prior"],
+        ("fid",): ["--a", str(features), "--b", str(features), "--json"],
+        ("blend",): ["--latents", str(features), "--alpha", "0.5", "--seed", "3", "--count", "2"],
+    }
+
+
+def argv_grid(leaf_commands, tmp_path):
+    """``-h`` at every level, the error classes of this file, and ``--config`` files."""
+    grid = [[], ["-h"], ["--help"], ["plan"], ["plan", "-h"], ["plan", "--help"], ["episodes"],
+            ["episodes", "-h"], ["frobnicate"], ["plan", "bogus"], ["episodes", "bogus"],
+            ["Plan", "cost"], ["-x"], [""], ["plan", ""]]
+    for words, flags in leaf_commands.items():
+        grid += [
+            [*words, *flags],
+            [*words],
+            [*words, "-h"],
+            [*words, *flags[:2], "--help"],
+            [*words, *flags[:-2]],
+            [*words, *flags, "--bogus", "1"],
+            [*words, *flags, "extra"],
+            [*words, "extra", *flags],
+            [*words, words[-1], *flags],
+            [*words, "--", *flags],
+            [*words, *flags[:2], "--", *flags[2:]],
+            [*words[:-1], "--", *words[-1:], *flags],
+            [*flags[:2], *words, *flags[2:]],
+            [*words, *(f"{flag}={value}" for flag, value in zip(flags[::2], flags[1::2]))],
+        ]
+    variance = ["variance", "--a", "0.5", "--sigma", "0", "--kp", "1", "--kq", "1"]
+    cost = ["plan", "cost", *COST_FLAGS]
+    episodes = ["plan", "episodes", "--a", "0.87", "--sigma", "0.05", "--kq", "75"]
+    grid += [
+        ["variance", "--a", "zero", "--sigma", "0", "--kp", "1", "--kq", "1"],
+        ["variance", "--a", "0.9", "--sigma", "0.5", "--kp", "1", "--kq", "1"],
+        ["variance", "--a", "0.5", "--sig", "0", "--kp", "1", "--kq", "1"],
+        [*variance, "--js"],
+        [*variance[:-2], "--kq", "0"],
+        *([*variance[:-2], "--kq", value]
+          for value in ("1_0", "١٢", "nan", "1e309", "", "5e-324", "9" * 401)),
+        [*cost, "--kq", "75"],
+        [*cost, "--kq-max", "2975", "--kq", "75"],
+        [*cost[:-2], "--target-var", "5e-324", "--kq-max", "10"],
+        [*cost[:-2], "--target-var", "1e-30", "--kq-max", "10"],
+        ["plan", "cost", "--a", "0.87", "--sigma", "0.05", "--cost-episode", "1e308",
+         "--cost-query", "1e308", "--target-var", "6.62e-6", "--kq-max", "3000"],
+        ["plan", "cost", "--a", "0.9", "--sigma", "0.02", "--cost-episode", "0",
+         "--cost-query", "0", "--target-var", "1e-5", "--kq-max", "10"],
+        episodes,
+        [*episodes, "--target-var", "7e-6", "--target-ci", "0.01"],
+        [*episodes, "--target-ci", "1"],
+        ["plan", "table", "--a", "0.9", "--sigma", "0.02", "--kp-list", "1,,2", "--kq-list", "3"],
+        [*SIMULATE_BASE, "--reps", "1", "--seed", "1"],
+        [*SIMULATE_BASE, "--reps", "2", "--seed", str(2**64)],
+        ["episodes", "sample", "--index", str(tmp_path / "missing.json"), "--ways", "2",
+         "--shots", "1", "--queries", "1", "--count", "1", "--seed", "0", "--out", "-"],
+        ["episodes", "aggregate", "--results", str(tmp_path / "missing.csv")],
+    ]
+    configs = {
+        "good": {"a": 0.87, "sigma": 0.05, "cost_episode": 100, "cost-query": 1,
+                 "target_var": 6.62e-6, "kq_max": 2975},
+        "unknown": {"a": 0.87, "sigma": 0.05, "kp": 1, "kq": 1, "bogus": 3},
+        "prefix": {"a": 0.87, "sigma": 0.05, "kp": 1, "kq": 1, "js": True},
+        "switch": {"a": 0.87, "sigma": 0.05, "kp": 1, "kq": 1, "json": True},
+        "false_switch": {"a": 0.87, "sigma": 0.05, "kp": 1, "kq": 1, "json": False},
+        "false_valued": {"a": 0.87, "sigma": 0.05, "kp": 1, "kq": False},
+        "null": {"a": 0.87, "sigma": 0.05, "kp": 1, "kq": None},
+        "lists": {"a": 0.9, "sigma": 0.02, "kp_list": [100, 200], "kq_list": "10,20"},
+        "nested": {"a": {"b": 1}},
+        "config_key": {"config": "x.json"},
+        "bad_value": {"a": "1_0", "sigma": 0, "kp": 1, "kq": 1},
+    }
+    paths = {name: write_config(tmp_path, keys, f"{name}.json") for name, keys in configs.items()}
+    raw = {"repeated": '{"a": 0.5, "sigma": 0, "kp": 1, "kq": 1, "kq": 4}',
+           "both_spellings": '{"kp_list": "1", "kp-list": "2"}',
+           "malformed": "{", "array": "[1, 2]"}
+    for name, text in raw.items():
+        (tmp_path / f"{name}.json").write_text(text)
+        paths[name] = str(tmp_path / f"{name}.json")
+    paths["missing"] = str(tmp_path / "missing.json")
+    for path in paths.values():
+        for words in leaf_commands:
+            grid += [[*words, "--config", path], [*words, f"--config={path}", "--kq", "3"]]
+        grid += [["--config", path, "variance"], ["plan", "--config", path, "cost"]]
+    grid += [
+        ["plan", "cost", "--config", paths["good"], "--kq-max", "1"],
+        ["plan", "cost", "--conf", paths["good"]],
+        ["plan", "cost", "--config", paths["good"], "--config", paths["unknown"]],
+        ["variance", "--config", paths["switch"], "--json", "--config"],
+    ]
+    return grid
+
+
+# Item values of the random probe: each number-reading flag must refuse or read
+# them the same way on either route.
+ODD_VALUES = ["1e309", "nan", "5e-324", "1_0", "١٢", "", "1" * 30]
+PRIOR_VALUES = {"--a": ["0", "0.5", "0.87", "1"], "--sigma": ["0", "0.05", "0.3"]}
+PROBE_COMMANDS = {
+    ("variance",): {"--kp": ["1", "600"], "--kq": ["1", "75"], "--json": None},
+    ("plan", "episodes"): {"--kq": ["1", "75"], "--target-var": ["6.62e-6", "1e-30", "0.5"],
+                           "--target-ci": ["0.01", "0.5", "1"]},
+    # --kq-max leaves out the 30-digit value: at a zero query rate the scan runs to kq_max.
+    ("plan", "cost"): {"--cost-episode": ["0", "1", "100", "1e308"],
+                       "--cost-query": ["0", "1", "1e308"],
+                       "--target-var": ["6.62e-6", "1e-30", "0.5"],
+                       "--kq-max": (["1", "75", "2975"], ODD_VALUES[:-1])},
+    ("plan", "table"): {"--kp-list": ["1", "100,600", "1,,2"], "--kq-list": ["5", "5,75"]},
+    # --kp and --kq leave out the 30-digit value, as the draws a run makes grow with them.
+    ("simulate",): {"--kp": (["1", "3"], ODD_VALUES[:-1]), "--kq": (["1", "4"], ODD_VALUES[:-1]),
+                    "--reps": ["1", "2", "20"], "--seed": ["0", "7", str(2**64)], "--json": None},
+}
+
+
+def random_argv(rng):
+    """One argv over ``PROBE_COMMANDS``: flags dropped, repeated, reordered, misspelled,
+    given odd values, with stray words, ``-h`` and ``--`` mixed in."""
+    words = list(rng.choice(list(PROBE_COMMANDS)))
+    tokens = []
+    for flag, values in {**PRIOR_VALUES, **PROBE_COMMANDS[tuple(words)]}.items():
+        for _ in range(rng.choice([0] + [1] * 20 + [2])):
+            if values is None:
+                tokens.append([flag])
+                continue
+            good, odd = values if isinstance(values, tuple) else (values, ODD_VALUES)
+            value = rng.choice(odd if rng.random() < 0.06 else good)
+            tokens.append([f"{flag}={value}"] if rng.random() < 0.2 else [flag, value])
+    if rng.random() < 0.1:
+        tokens.append([rng.choice(["--bogus", "--a", "--kq"]), rng.choice(["1", "-1", "x"])])
+    rng.shuffle(tokens)
+    flat = [token for pair in tokens for token in pair]
+    for extra in ("-h", "--", "extra", "plan", "cost", "-1"):
+        if rng.random() < 0.03:
+            flat.insert(rng.randrange(len(flat) + 1), extra)
+    if rng.random() < 0.05:
+        words = rng.choice([["plan"], [*words, words[-1]], words[::-1], ["plan", "bogus"]])
+    return words + flat
+
+
+class TestLeafRoute:
+    """A leaf command is parsed by its leaf parser alone, with the full tree's outcome."""
+
+    def assert_same_on_both_routes(self, capsys, monkeypatch, argvs):
+        via_leaf = [TestSharedParser.outcome(capsys, argv) for argv in argvs]
+        leaves = cli._shared_parser()[1]
+        for words in list(leaves):
+            monkeypatch.delitem(leaves, words)
+        via_tree = [TestSharedParser.outcome(capsys, argv) for argv in argvs]
+        for argv, leaf, tree in zip(argvs, via_leaf, via_tree):
+            assert leaf == tree, argv
+        return via_leaf
+
+    def test_grid_outcomes_match_the_full_tree(self, capsys, monkeypatch, leaf_commands, tmp_path):
+        grid = argv_grid(leaf_commands, tmp_path)
+        outcomes = self.assert_same_on_both_routes(capsys, monkeypatch, grid)
+        assert {code for code, _, _ in outcomes} == {0, 1, 2}
+
+    def test_random_outcomes_match_the_full_tree(self, capsys, monkeypatch):
+        rng = random.Random(33)
+        argvs = [random_argv(rng) for _ in range(1500)]
+        outcomes = self.assert_same_on_both_routes(capsys, monkeypatch, argvs)
+        codes = Counter(code for code, _, _ in outcomes)
+        assert set(codes) == {0, 1, 2} and min(codes.values()) >= 20
+
+    def test_leaf_commands_skip_the_root_parser(self, capsys, monkeypatch, leaf_commands):
+        def fail(*args, **kwargs):
+            raise AssertionError("the root parser ran")
+
+        monkeypatch.setattr(cli._shared_parser()[0], "parse_known_args", fail)
+        for words, flags in leaf_commands.items():
+            code, out, err = TestSharedParser.outcome(capsys, [*words, *flags])
+            assert (code, err) == (0, "") and out, words
+
+    @pytest.mark.parametrize("argv", [
+        [], ["-h"], ["plan"], ["plan", "-h"], ["plan", "bogus"], ["frobnicate"],
+        ["plan", "cost", "cost", "--a", "1"],
+    ])
+    def test_other_argv_goes_through_the_root(self, capsys, monkeypatch, argv):
+        root = cli._shared_parser()[0]
+        calls = []
+        parse = root.parse_known_args
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return parse(*args, **kwargs)
+
+        monkeypatch.setattr(root, "parse_known_args", spy)
+        code, _, _ = TestSharedParser.outcome(capsys, argv)
+        assert len(calls) == 1 and code in (0, 2)
+
+    def test_leaf_map_holds_every_command_of_the_tree(self):
+        """Its keys are the word paths that set a ``handler``, each the tree's own parser."""
+
+        def handlers(parser, words=()):
+            if parser.get_default("handler") is not None:
+                yield words, parser
+            for action in parser._actions:
+                if isinstance(action, argparse._SubParsersAction):
+                    for name, sub in action.choices.items():
+                        yield from handlers(sub, (*words, name))
+
+        root, leaves = cli._shared_parser()
+        assert set(leaves) == {words for words, _ in handlers(build_parser())}
+        assert all(leaves[words] is parser for words, parser in handlers(root))
+        assert len(leaves) == 9
 
 
 class TestDeepJson:

@@ -587,3 +587,49 @@ class TestMinCostDesignEarlyStop:
         with pytest.raises(ValueError) as exc:
             min_cost_design(prior, cost, target, 100_000)
         assert str(exc.value) == message
+
+
+class TestMinCostDesignOverflow:
+    """A total past the largest float is inf, and an inf cheapest total is refused."""
+
+    @staticmethod
+    def solve_counting(prior, cost, target, kq_max):
+        """``min_cost_design``'s error message, and the length of each Kq chunk solved."""
+        solved = []
+        solve = planner._min_episodes
+
+        def spy(prior, kq, target):
+            solved.append(len(kq))
+            return solve(prior, kq, target)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(planner, "_min_episodes", spy)
+            with pytest.raises(ValueError) as exc:
+                min_cost_design(prior, cost, target, kq_max)
+        return str(exc.value), solved
+
+    def test_infinite_cheapest_total_names_the_rates(self):
+        message, solved = self.solve_counting(
+            BENCH_PRIOR, CostModel(1e308, 1e308), BENCH_TARGET, 3000
+        )
+        assert "cost_per_episode=1e+308, cost_per_query=1e+308" in message
+        assert solved == [3000]
+
+    def test_infinite_tail_is_not_scanned(self):
+        """Past the first chunk the tail floor is inf, so no later Kq can cost a finite total
+        and the scan stops there; without that stop a kq_max of 10**17 would not finish.
+        """
+        message, solved = self.solve_counting(
+            BENCH_PRIOR, CostModel(1e308, 1e308), BENCH_TARGET, 10**6
+        )
+        assert "cost_per_episode" in message
+        assert solved == [planner._KQ_CHUNK]
+
+    def test_finite_design_among_infinite_totals(self):
+        """At a = 0.5, sigma = 0 and target 0.01, Kq < 25 needs two or more episodes,
+        whose cost overflows; Kq >= 25 needs one, and more queries win the tie.
+        """
+        prior, cost = AccuracyPrior(0.5, 0.0), CostModel(1e308, 1.0)
+        result = min_cost_design(prior, cost, 1e-2, 3000)
+        got = (result.episodes, result.queries_per_episode, result.total_cost)
+        assert got == scalar_min_cost_design(prior, cost, 1e-2, 3000) == (1, 3000, 1e308)
