@@ -157,6 +157,11 @@ def _build_prior(args) -> AccuracyPrior:
         raise CliUsageError(f"--a/--sigma: {exc}") from exc
 
 
+def _print_json(fields: dict) -> None:
+    """The one JSON writer: RFC 8259 has no NaN or Infinity, so those fail, at exit 1."""
+    print(json.dumps(fields, allow_nan=False))
+
+
 def _write_text(out: str | None, text: str) -> None:
     if out is None or out == "-":
         sys.stdout.write(text)
@@ -173,7 +178,7 @@ def _cmd_variance(args) -> int:
     prior = _build_prior(args)
     report = variance_report(prior, EvalDesign(episodes=args.kp, queries_per_episode=args.kq))
     if args.json:
-        print(json.dumps(vars(report)))
+        _print_json(vars(report))
     else:
         print(f"exact_var {_fmt(report.exact_var)}")
         print(f"approx_var {_fmt(report.approx_var)}")
@@ -204,7 +209,7 @@ def _cmd_plan_cost(args) -> int:
     except ValueError as exc:
         raise CliUsageError(f"--cost-episode/--cost-query: {exc}") from exc
     result = planner.min_cost_design(prior, cost, args.target_var, args.kq_max)
-    print(json.dumps(vars(result)))
+    _print_json(vars(result))
     return 0
 
 
@@ -230,7 +235,9 @@ def _cmd_simulate(args) -> int:
         raise CliUsageError(f"--a/--sigma: {exc}") from exc
     report = montecarlo.simulate(sim_config)
     if args.json:
-        print(json.dumps(vars(report)))
+        # var_z is infinite when the variances differ at zero SE; JSON writes that as null.
+        var_z = report.var_z if math.isfinite(report.var_z) else None
+        _print_json(vars(report) | {"var_z": var_z})
     else:
         for key, value in vars(report).items():
             print(f"{key} {_fmt(value)}")
@@ -269,7 +276,7 @@ def _cmd_fid(args) -> int:
     value = fid.fid(features_a, features_b)
     if args.json:
         n_a, n_b = features_a.shape[0], features_b.shape[0]
-        print(json.dumps({"fid": value, "dim": features_a.shape[1], "n_a": n_a, "n_b": n_b}))
+        _print_json({"fid": value, "dim": features_a.shape[1], "n_a": n_a, "n_b": n_b})
     else:
         print(_fmt(value))
     return 0
@@ -288,10 +295,6 @@ def _cmd_blend(args) -> int:
 # --- parser -----------------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON file whose keys mirror the flags; flags win")
-
-
 def _add_prior_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--a", type=_unit_closed, required=True, help="mean true episode accuracy, in [0, 1]"
@@ -303,25 +306,32 @@ def _add_prior_flags(p: argparse.ArgumentParser) -> None:
 
 def build_parser() -> argparse.ArgumentParser:
     """A fresh parser tree for every subcommand; ``main`` builds one per process."""
-    return _build_tree()[0]
+    return _build_tree()[()]
 
 
-def _build_tree() -> tuple[argparse.ArgumentParser, dict[tuple[str, ...], _UsageParser]]:
-    """The parser tree, and each leaf parser keyed by the words that name its command."""
-    leaves: dict[tuple[str, ...], _UsageParser] = {}
-
-    def leaf(sub, *words: str, **kwargs) -> _UsageParser:
-        leaves[words] = p = sub.add_parser(words[-1], **kwargs)
-        return p
-
-    parser = argparse.ArgumentParser(
+def _build_tree() -> dict[tuple[str, ...], argparse.ArgumentParser]:
+    """Every parser of the tree, keyed by the words that name it; the root is ``()``."""
+    root = argparse.ArgumentParser(
         prog="episcope",
         description="Plan, simulate and summarize episode-based few-shot evaluations.",
         allow_abbrev=False,
     )
-    sub = parser.add_subparsers(required=True, parser_class=_UsageParser)
+    parsers: dict[tuple[str, ...], argparse.ArgumentParser] = {(): root}
+    subparsers = {(): root.add_subparsers(required=True, parser_class=_UsageParser)}
+    leaves = []
 
-    p = leaf(sub, "variance", help="variance model at a fixed design")
+    def command(path: str, help: str, handler=None) -> _UsageParser:
+        """The parser of ``path``'s words: a leaf that runs ``handler``, or a group."""
+        words = tuple(path.split())
+        parsers[words] = p = subparsers[words[:-1]].add_parser(words[-1], help=help)
+        if handler is None:
+            subparsers[words] = p.add_subparsers(required=True)
+        else:
+            p.set_defaults(handler=handler)
+            leaves.append(p)
+        return p
+
+    p = command("variance", "variance model at a fixed design", _cmd_variance)
     _add_prior_flags(p)
     p.add_argument("--kp", type=_positive_int, required=True, help="number of episodes")
     p.add_argument(
@@ -329,52 +339,40 @@ def _build_tree() -> tuple[argparse.ArgumentParser, dict[tuple[str, ...], _Usage
         help="queries per episode (total across classes)",
     )
     p.add_argument("--json", action="store_true")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_variance)
 
-    plan = sub.add_parser("plan", help="inverse problems over the variance model")
-    plan_sub = plan.add_subparsers(required=True)
+    command("plan", "inverse problems over the variance model")
 
-    p = leaf(plan_sub, "plan", "episodes", help="minimum episode count for a target")
+    p = command("plan episodes", "minimum episode count for a target", _cmd_plan_episodes)
     _add_prior_flags(p)
     p.add_argument("--kq", type=_positive_int, required=True)
     target = p.add_mutually_exclusive_group(required=True)
     target.add_argument("--target-var", type=_positive_float)
     target.add_argument("--target-ci", type=_unit_open)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_plan_episodes)
 
-    p = leaf(plan_sub, "plan", "cost", help="minimum-cost design meeting a variance target")
+    p = command("plan cost", "minimum-cost design meeting a variance target", _cmd_plan_cost)
     _add_prior_flags(p)
     p.add_argument("--cost-episode", type=_nonnegative_float, required=True)
     p.add_argument("--cost-query", type=_nonnegative_float, required=True)
     p.add_argument("--target-var", type=_positive_float, required=True)
     p.add_argument("--kq-max", type=_positive_int, required=True)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_plan_cost)
 
-    p = leaf(plan_sub, "plan", "table", help="episode/query trade-off grid as CSV")
+    p = command("plan table", "episode/query trade-off grid as CSV", _cmd_plan_table)
     _add_prior_flags(p)
     p.add_argument("--kp-list", type=_int_list, required=True)
     p.add_argument("--kq-list", type=_int_list, required=True)
     p.add_argument("--out", help="output path, or - for stdout")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_plan_table)
 
-    p = leaf(sub, "simulate", help="Monte Carlo check of the variance model")
+    p = command("simulate", "Monte Carlo check of the variance model", _cmd_simulate)
     _add_prior_flags(p)
     p.add_argument("--kp", type=_positive_int, required=True)
     p.add_argument("--kq", type=_positive_int, required=True)
     p.add_argument("--reps", type=_replications, required=True)
     p.add_argument("--seed", type=_seed_int, required=True)
     p.add_argument("--json", action="store_true")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_simulate)
 
-    episodes = sub.add_parser("episodes", help="episode sampling and aggregation")
-    episodes_sub = episodes.add_subparsers(required=True)
+    command("episodes", "episode sampling and aggregation")
 
-    p = leaf(episodes_sub, "episodes", "sample", help="draw reproducible episodes to JSONL")
+    p = command("episodes sample", "draw reproducible episodes to JSONL", _cmd_episodes_sample)
     p.add_argument("--index", required=True, help="dataset index JSON (class -> example IDs)")
     p.add_argument("--ways", type=_positive_int, required=True)
     p.add_argument("--shots", type=_positive_int, required=True)
@@ -385,37 +383,30 @@ def _build_tree() -> tuple[argparse.ArgumentParser, dict[tuple[str, ...], _Usage
     p.add_argument("--count", type=_array_length(_positive_int), required=True)
     p.add_argument("--seed", type=_seed_int, required=True)
     p.add_argument("--out", required=True, help="output path, or - for stdout")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_episodes_sample)
 
-    p = leaf(episodes_sub, "episodes", "aggregate", help="summarize per-episode results")
+    p = command("episodes aggregate", "summarize per-episode results", _cmd_episodes_aggregate)
     p.add_argument("--results", required=True, help="CSV with header episode_id,correct,total")
     p.add_argument("--prior", action="store_true", help="also report the fitted accuracy prior")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_episodes_aggregate)
 
-    p = leaf(sub, "fid", help="Frechet distance between two feature files")
+    p = command("fid", "Frechet distance between two feature files", _cmd_fid)
     p.add_argument("--a", required=True, help="feature file (CSV or FSFE)")
     p.add_argument("--b", required=True, help="feature file (CSV or FSFE)")
     p.add_argument("--json", action="store_true")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_fid)
 
-    p = leaf(sub, "blend", help="norm-corrected latent/noise blends")
+    p = command("blend", "norm-corrected latent/noise blends", _cmd_blend)
     p.add_argument("--latents", required=True, help="latent vectors, one per row (CSV or FSFE)")
     p.add_argument("--alpha", type=_unit_closed, required=True)
     p.add_argument("--seed", type=_seed_int, required=True)
     p.add_argument("--count", type=_positive_int, default=1)
     p.add_argument("--out", help="output path, or - for stdout")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_blend)
 
-    return parser, leaves
+    for p in leaves:  # added last, so every help text lists it last
+        p.add_argument("--config", help="JSON file whose keys mirror the flags; flags win")
+    return parsers
 
 
 # Building the tree takes several times as long as a small command's own work,
-# so ``main`` builds it and its leaf map on its first call and reuses them;
-# importing builds nothing.
+# so ``main`` builds it on its first call and reuses it; importing builds nothing.
 _shared_parser = functools.cache(_build_tree)
 
 
@@ -464,30 +455,28 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
     """Parse argv with the ``--config`` entries spliced in ahead of its flags.
 
     Config values pass the same checks as flags; argparse keeps the last of a
-    repeated flag, so an explicit flag wins. When the words ahead of the first
-    ``-`` token name a leaf command (``variance``, ``plan cost``, ...), that
-    command's parser alone parses the rest: the outer parsers would only hand
-    it the same tokens. Any other argv (no or an unknown subcommand, ``-h`` at
-    an outer level, extra words) goes through the full tree, so argparse's own
-    usage texts and exits are kept. The tree is shared by every call in the
-    process, and nothing carries over from one parse to the next: each parse
-    gets a new namespace, and the one per-parse state,
-    ``_UsageParser._missing``, is reset whenever a parse enters a parser.
-    Flags match only in full, so the ``--config`` pre-parse can only find a
-    path in a token that is ``--config`` or starts with ``--config=``; without
-    one it is skipped.
+    repeated flag, so an explicit flag wins. One rule picks the parser: the
+    deepest parser that the words ahead of the first ``-`` token name parses
+    the rest. ``plan cost --a 1`` goes to ``plan cost``'s parser, ``plan -h``
+    and ``plan bogus`` to ``plan``'s, and ``frobnicate`` or an argv with no
+    words to the root, so each parser prints the usage texts and exits it would
+    in the full tree. The tree is shared by every call in the process, and
+    nothing carries over from one parse to the next: each parse gets a new
+    namespace, and the one per-parse state, ``_UsageParser._missing``, is reset
+    whenever a parse enters a parser. Flags match only in full, so the
+    ``--config`` pre-parse can only find a path in a token that is ``--config``
+    or starts with ``--config=``; without one it is skipped.
     """
     config_path = None
     if any(token == "--config" or token.startswith("--config=") for token in argv):
         config_path = _config_parser().parse_known_args(argv)[0].config
     tokens, switched_off = _config_tokens(config_path) if config_path else ({}, [])
     at = next((i for i, token in enumerate(argv) if token.startswith("-")), len(argv))
-    tree, leaves = _shared_parser()
-    leaf = leaves.get(tuple(argv[:at]))
-    if leaf is not None:
-        args, extra = leaf.parse_known_args(list(tokens) + argv[at:])
-    else:
-        args, extra = tree.parse_known_args(argv[:at] + list(tokens) + argv[at:])
+    parsers = _shared_parser()
+    words = tuple(argv[:at])
+    while words not in parsers:
+        words = words[:-1]
+    args, extra = parsers[words].parse_known_args(argv[len(words):at] + list(tokens) + argv[at:])
     named = [f"--config key {tokens[t]!r}" if t in tokens else t for t in extra]
     problems = [f"unrecognized arguments: {' '.join(named)}"] if named else []
     if problems or args.missing_flags:
@@ -504,9 +493,9 @@ def main(argv: list[str] | None = None) -> int:
     A bad or missing top-level subcommand raises argparse's ``SystemExit(2)``;
     one under ``plan`` or ``episodes`` returns 2 like any usage error. The parser
     tree is built on the first call and reused by later ones in the same
-    process; a leaf command is parsed by its leaf parser alone, and everything
-    else goes through the full tree (see ``_parse_args``). ``main`` is not
-    meant for concurrent calls from several threads.
+    process; the deepest parser that argv's leading words name parses the rest
+    (see ``_parse_args``). ``main`` is not meant for concurrent calls from
+    several threads.
     """
     argv = sys.argv[1:] if argv is None else list(argv)
     try:

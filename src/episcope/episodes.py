@@ -765,6 +765,8 @@ def read_results_csv(path: str | Path) -> list[EpisodeResult]:
 
 def _results_from_rows(reader, path: str | Path) -> list[EpisodeResult]:
     header = next(reader, None)
+    if header and header[0].startswith("\ufeff"):
+        raise ValueError(f"{path}: Unexpected UTF-8 BOM: save the file without a byte-order mark")
     if header != RESULTS_CSV_HEADER:
         raise ValueError(
             f"{path}: expected header {','.join(RESULTS_CSV_HEADER)!r}, got {header!r}"

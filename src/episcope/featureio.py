@@ -7,6 +7,7 @@ the magic.
 
 from __future__ import annotations
 
+import codecs
 import io
 import struct
 import warnings
@@ -55,6 +56,8 @@ def _read_features(path: str | Path) -> np.ndarray:
         head = fh.read(4)
         if head == MAGIC:
             return _read_fsfe_body(fh, path)
+    if head.startswith(codecs.BOM_UTF8):
+        raise ValueError(f"{path}: Unexpected UTF-8 BOM: save the file without a byte-order mark")
     return _read_csv(path)
 
 

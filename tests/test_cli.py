@@ -384,6 +384,26 @@ class TestSimulate:
         assert list(fields) == list(payload)
         assert float(fields["var_z"]) == pytest.approx(payload["var_z"], rel=1e-9)
 
+    def test_json_is_valid_when_the_variances_differ_at_zero_se(self, capsys):
+        """Equal totals in every replication give var_z -inf: JSON has no such value."""
+
+        def refuse(constant):
+            raise AssertionError(f"{constant} is not JSON")
+
+        infinite = 0
+        one_query = ["simulate", "--a", "0.5", "--sigma", "0", "--kp", "1", "--kq", "1"]
+        for seed in range(6):
+            argv = [*one_query, "--reps", "2", "--seed", str(seed)]
+            code, out, err = run(capsys, *argv, "--json")
+            assert (code, err) == (0, "")
+            payload = json.loads(out, parse_constant=refuse)
+            code, text, _ = run(capsys, *argv)
+            if payload["var_z"] is None:
+                infinite += 1
+                assert payload["empirical_var_se"] == 0.0
+                assert "\nvar_z -inf\n" in text
+        assert infinite == 4
+
     def test_byte_identical_repeat(self, capsys):
         argv = [
             "simulate", "--a", "0.9", "--sigma", "0.02", "--kp", "10", "--kq", "10",
@@ -1272,14 +1292,20 @@ def random_argv(rng):
     return words + flat
 
 
+# An argv that names no leaf command, and the words of the parser that parses it.
+ROUTES = {"": (), "-h": (), "plan": ("plan",), "plan -h": ("plan",), "plan bogus": ("plan",),
+          "frobnicate": (), "plan cost cost --a 1": ("plan", "cost")}
+
+
 class TestLeafRoute:
-    """A leaf command is parsed by its leaf parser alone, with the full tree's outcome."""
+    """Each argv is parsed once, by the parser its leading words name, with the full tree's
+    outcome."""
 
     def assert_same_on_both_routes(self, capsys, monkeypatch, argvs):
         via_leaf = [TestSharedParser.outcome(capsys, argv) for argv in argvs]
-        leaves = cli._shared_parser()[1]
-        for words in list(leaves):
-            monkeypatch.delitem(leaves, words)
+        parsers = cli._shared_parser()
+        for words in [words for words in parsers if words]:
+            monkeypatch.delitem(parsers, words)
         via_tree = [TestSharedParser.outcome(capsys, argv) for argv in argvs]
         for argv, leaf, tree in zip(argvs, via_leaf, via_tree):
             assert leaf == tree, argv
@@ -1301,43 +1327,45 @@ class TestLeafRoute:
         def fail(*args, **kwargs):
             raise AssertionError("the root parser ran")
 
-        monkeypatch.setattr(cli._shared_parser()[0], "parse_known_args", fail)
+        monkeypatch.setattr(cli._shared_parser()[()], "parse_known_args", fail)
         for words, flags in leaf_commands.items():
             code, out, err = TestSharedParser.outcome(capsys, [*words, *flags])
             assert (code, err) == (0, "") and out, words
 
-    @pytest.mark.parametrize("argv", [
-        [], ["-h"], ["plan"], ["plan", "-h"], ["plan", "bogus"], ["frobnicate"],
-        ["plan", "cost", "cost", "--a", "1"],
-    ])
+    @pytest.mark.parametrize("argv", [line.split() for line in ROUTES])
     def test_other_argv_goes_through_the_root(self, capsys, monkeypatch, argv):
-        root = cli._shared_parser()[0]
+        """An argv is parsed once, by the parser of its longest known word prefix: the
+        root when the first word names no command, else ``plan``'s or ``plan cost``'s."""
         calls = []
-        parse = root.parse_known_args
+        for key, parser in cli._shared_parser().items():
+            parse = parser.parse_known_args
 
-        def spy(*args, **kwargs):
-            calls.append(args)
-            return parse(*args, **kwargs)
+            def spy(*args, key=key, parse=parse, **kwargs):
+                calls.append(key)
+                return parse(*args, **kwargs)
 
-        monkeypatch.setattr(root, "parse_known_args", spy)
+            monkeypatch.setattr(parser, "parse_known_args", spy)
         code, _, _ = TestSharedParser.outcome(capsys, argv)
-        assert len(calls) == 1 and code in (0, 2)
+        assert calls == [ROUTES[" ".join(argv)]] and code in (0, 2)
 
     def test_leaf_map_holds_every_command_of_the_tree(self):
-        """Its keys are the word paths that set a ``handler``, each the tree's own parser."""
+        """Its keys are the tree's word paths, each the tree's own parser; the nine that
+        set a ``handler`` are the leaves."""
 
-        def handlers(parser, words=()):
-            if parser.get_default("handler") is not None:
-                yield words, parser
+        def walk(parser, words=()):
+            yield words, parser
             for action in parser._actions:
                 if isinstance(action, argparse._SubParsersAction):
                     for name, sub in action.choices.items():
-                        yield from handlers(sub, (*words, name))
+                        yield from walk(sub, (*words, name))
 
-        root, leaves = cli._shared_parser()
-        assert set(leaves) == {words for words, _ in handlers(build_parser())}
-        assert all(leaves[words] is parser for words, parser in handlers(root))
+        parsers = cli._shared_parser()
+        assert set(parsers) == {words for words, _ in walk(build_parser())}
+        assert all(parsers[words] is parser for words, parser in walk(parsers[()]))
+        assert len(parsers) == 12
+        leaves = {words for words, p in parsers.items() if p.get_default("handler") is not None}
         assert len(leaves) == 9
+        assert leaves == set(parsers) - {(), ("plan",), ("episodes",)}
 
 
 class TestDeepJson:

@@ -586,6 +586,12 @@ class TestSerialization:
         with pytest.raises(ValueError, match=r"latin1\.csv: not a UTF-8 text file: .*0xff"):
             read_results_csv(path)
 
+    def test_results_csv_names_a_byte_order_mark(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_text("\ufeffepisode_id,correct,total\n0,3,5\n1,4,5\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r"bom\.csv: Unexpected UTF-8 BOM"):
+            read_results_csv(path)
+
     def test_results_csv_allows_surrounding_spaces(self, tmp_path):
         path = tmp_path / "spaced.csv"
         path.write_text("episode_id,correct,total\n 0 , 3,5 \n1,\t4\t,5\n")

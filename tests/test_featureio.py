@@ -97,6 +97,13 @@ def test_garbage_rejected(tmp_path):
         load_features(path)
 
 
+def test_csv_byte_order_mark_is_named(tmp_path):
+    path = tmp_path / "bom.csv"
+    path.write_text("\ufeff1.0,2.0\n3.0,4.0\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"bom\.csv: Unexpected UTF-8 BOM"):
+        load_features(path)
+
+
 @pytest.mark.parametrize("text", ["", "\n", "\n\n\n"])
 def test_empty_csv_rejected_without_warning(tmp_path, text):
     path = tmp_path / "empty.csv"
